@@ -2,11 +2,14 @@
 
 The compiled extension is preferred; the pure-Python twin is the
 fallback.  ``GRADEDK_KERNEL=pure`` (or ``=cython``) forces a backend,
-which the benchmark and the cross-check tests use.
+which the benchmark and the cross-check tests use.  ``EchelonBasis``
+(coordinates in a fixed basis) and ``Bilinear`` (sparse structure
+constants) are pure Python on top of either backend.
 """
 
 import os
 from fractions import Fraction
+from math import gcd
 
 from . import pure as _pure
 
@@ -69,10 +72,6 @@ def mat_eq(a, b):
             if x != y:
                 return False
     return True
-
-
-def is_zero_matrix(a):
-    return all(not x for row in a for x in row)
 
 
 def transpose(a):
@@ -163,3 +162,117 @@ class EchelonBasis:
                     if t:
                         out[j] = out[j] + di * t
         return out
+
+
+_QZERO = Fraction(0)
+
+
+def _common_den(values):
+    """Least common multiple of the denominators of rational values."""
+    den = 1
+    for a in values:
+        d = a.denominator
+        if d != 1:
+            den = den // gcd(den, d) * d
+    return den
+
+
+def _cleared(vec):
+    """Nonzero entries of a rational vector as (index, int), scaled by one
+    common denominator, and that denominator."""
+    nz = [(j, a) for j, a in enumerate(vec) if a]
+    den = _common_den(a for _j, a in nz)
+    if den == 1:
+        return [(j, a.numerator) for j, a in nz], 1
+    return [(j, a.numerator * (den // a.denominator)) for j, a in nz], den
+
+
+class Bilinear:
+    """An exact bilinear map (x, y) -> z given by sparse structure constants.
+
+    Built once from cells ``(i, j) -> [(k, c), ...]`` meaning
+    ``e_i * e_j = sum c e_k``; a dense vector's ``enumerate`` is a valid
+    cell.  Only nonzero coefficients are kept, in ``rows[i][j]``.
+
+    ``modulus`` 0 is the rationals: the table is scaled by one common
+    denominator ``den`` to ints, a product clears the denominators of the
+    nonzero entries of x and y, sums Python ints and builds a Fraction
+    only for a nonzero output.  A modulus m >= 2 (a prime, or a prime
+    power for q-adic lifting) sums plain ints and reduces mod m once.
+    """
+
+    __slots__ = ("out_dim", "modulus", "den", "rows")
+
+    def __init__(self, cells, out_dim, modulus=0):
+        merged = {}
+        for (i, j), terms in cells.items():
+            cell = {}
+            for k, c in terms:
+                if c:
+                    cell[k] = cell.get(k, 0) + c
+            if modulus:
+                cell = {k: c % modulus for k, c in cell.items()}
+            cell = {k: c for k, c in cell.items() if c}
+            if cell:
+                merged[(i, j)] = cell
+        den = 1 if modulus else _common_den(
+            c for cell in merged.values() for c in cell.values()
+        )
+        self.out_dim = out_dim
+        self.modulus = modulus
+        self.den = den
+        self.rows = {}
+        for (i, j), cell in merged.items():
+            self.rows.setdefault(i, {})[j] = tuple(
+                (k, c if modulus else c.numerator * (den // c.denominator))
+                for k, c in sorted(cell.items())
+            )
+
+    def __call__(self, x, y):
+        m = self.modulus
+        rows = self.rows
+        if m:
+            xs = [(i, a) for i, a in enumerate(x) if a]
+            ys = [(j, b) for j, b in enumerate(y) if b]
+            den = 1
+        else:
+            xs, dx = _cleared(x)
+            ys, dy = _cleared(y)
+            den = dx * dy * self.den
+        acc = [0] * self.out_dim
+        for i, a in xs:
+            row = rows.get(i)
+            if row:
+                for j, b in ys:
+                    cell = row.get(j)
+                    if cell:
+                        ab = a * b
+                        for k, c in cell:
+                            acc[k] += ab * c
+        if m:
+            return [v % m for v in acc]
+        if den == 1:
+            return [Fraction(v) if v else _QZERO for v in acc]
+        return [Fraction(v, den) if v else _QZERO for v in acc]
+
+    def items(self):
+        """Every nonzero structure constant as ``(i, j, k, c)``, c exact."""
+        m = self.modulus
+        den = self.den
+        for i, row in self.rows.items():
+            for j, cell in row.items():
+                for k, c in cell:
+                    yield i, j, k, (c if m else Fraction(c, den))
+
+    def reduce(self, modulus):
+        """This rational table with every constant reduced mod ``modulus``
+        (which must be prime to ``den``)."""
+        if self.modulus:
+            raise ValueError("only a rational table can be reduced")
+        inv = pow(self.den, -1, modulus)
+        cells = {
+            (i, j): [(k, c * inv) for k, c in cell]
+            for i, row in self.rows.items()
+            for j, cell in row.items()
+        }
+        return Bilinear(cells, self.out_dim, modulus)

@@ -16,11 +16,10 @@ coordinate of the grading group is the distinguished one: the functors in
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from . import intlat
+from . import _kernel, intlat
 from .fields import Field
 from .grading import Degree, GradingGroup, GradingError, Subgroup, TRIVIAL_GROUP
 
@@ -42,7 +41,7 @@ def _add_bounds(x, y):
 
 
 class GradedAlgebra:
-    """Base class: immutable, with synchronized per-degree caches."""
+    """Base class: immutable, with per-degree caches."""
 
     group: GradingGroup
     field: Field
@@ -52,7 +51,6 @@ class GradedAlgebra:
         self.field = field
         self._basis_cache = {}
         self._mul_cache = {}
-        self._lock = threading.Lock()
         self._zero_part = None
         self._zero_part_embedded = None
         self._identity_component = None
@@ -92,58 +90,39 @@ class GradedAlgebra:
     def component_basis(self, deg: Degree) -> tuple:
         if deg.group != self.group:
             raise AlgebraError("degree from a different grading group")
-        with self._lock:
-            hit = self._basis_cache.get(deg)
-            if hit is not None:
-                return hit
-        out = tuple(self._component_basis(deg))
-        with self._lock:
-            self._basis_cache[deg] = out
-        return out
+        hit = self._basis_cache.get(deg)
+        if hit is None:
+            hit = self._basis_cache[deg] = tuple(self._component_basis(deg))
+        return hit
 
     def component_dim(self, deg: Degree) -> int:
         return len(self.component_basis(deg))
 
-    def pair_tensor(self, da: Degree, db: Degree):
+    def pair_tensor(self, da: Degree, db: Degree) -> _kernel.Bilinear:
         """Cached structure constants of component(da) x component(db)."""
         key = (da, db)
-        with self._lock:
-            hit = self._mul_cache.get(key)
-            if hit is not None:
-                return hit
+        hit = self._mul_cache.get(key)
+        if hit is not None:
+            return hit
         ba = self.component_basis(da)
         bb = self.component_basis(db)
         target = self.component_basis(da + db)
         index = {lbl: i for i, lbl in enumerate(target)}
-        tensor = {}
-        for ia, la in enumerate(ba):
-            for ib, lb in enumerate(bb):
-                terms = []
-                for lbl, c in self._mul_labels(da, la, db, lb):
-                    if c:
-                        terms.append((index[lbl], c))
-                if terms:
-                    tensor[(ia, ib)] = tuple(terms)
-        with self._lock:
-            self._mul_cache[key] = tensor
+        cells = {
+            (ia, ib): [
+                (index[lbl], c) for lbl, c in self._mul_labels(da, la, db, lb) if c
+            ]
+            for ia, la in enumerate(ba)
+            for ib, lb in enumerate(bb)
+        }
+        tensor = self._mul_cache[key] = _kernel.Bilinear(
+            cells, len(target), self.field.char
+        )
         return tensor
 
     def mul_coords(self, da: Degree, ca, db: Degree, cb):
         """Coordinates of the product of two coordinate vectors."""
-        F = self.field
-        out = [F.zero] * self.component_dim(da + db)
-        tensor = self.pair_tensor(da, db)
-        for (ia, ib), terms in tensor.items():
-            x = ca[ia]
-            if not x:
-                continue
-            y = cb[ib]
-            if not y:
-                continue
-            xy = F.mul(x, y)
-            for ic, c in terms:
-                out[ic] = F.add(out[ic], F.mul(xy, c))
-        return out
+        return self.pair_tensor(da, db)(ca, cb)
 
     def element(self, deg: Degree, coords) -> "HomogeneousElement":
         coords = tuple(coords)

@@ -85,9 +85,6 @@ class Field:
         return Fraction(1) / a
 
     # -- formatting ----------------------------------------------------------
-    def format(self, a) -> str:
-        return str(a)
-
     def describe(self) -> str:
         return "Q" if self.char == 0 else f"F{self.char}"
 

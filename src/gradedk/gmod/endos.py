@@ -109,29 +109,25 @@ def hom_basis(X: ProjectivePresentation, Y: ProjectivePresentation):
 
 
 class FDAlgebra:
-    """Finite-dimensional unital associative algebra via structure constants."""
+    """Finite-dimensional unital associative algebra via structure constants.
+
+    ``table`` is a sparse ``_kernel.Bilinear`` over the field: the
+    product b_i * b_j is ``sum c b_k`` over its cell (i, j)."""
 
     def __init__(self, field: Field, table, unit):
         self.field = field
         self.dim = len(unit)
-        self.table = table  # table[i][j] = coords of b_i * b_j
+        self.table = table
         self.unit = list(unit)
 
+    @classmethod
+    def from_products(cls, field: Field, products, unit):
+        """The algebra whose b_i * b_j has coordinates ``products[(i, j)]``."""
+        cells = {ij: enumerate(vec) for ij, vec in products.items()}
+        return cls(field, _kernel.Bilinear(cells, len(unit), field.char), unit)
+
     def mul_vec(self, x, y):
-        F = self.field
-        out = [F.zero] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = F.mul(xi, yj)
-                row = self.table[i][j]
-                for k, t in enumerate(row):
-                    if t:
-                        out[k] = F.add(out[k], F.mul(c, t))
-        return out
+        return self.table(x, y)
 
     def power(self, x, n):
         acc = list(self.unit)
@@ -180,23 +176,20 @@ class FDAlgebra:
         """Basis of the centre: x with b_i x = x b_i for every basis b_i.
 
         Row (i, k) of the commutator system is ``(b_i b_j - b_j b_i)_k``
-        over j, read straight from the structure table."""
+        over j, read straight from the structure table; zero rows change
+        no null space and are left out (one is kept for the width)."""
         F = self.field
-        zero = F.zero
         d = self.dim
-        table = self.table
-        rows = [
-            [
-                zero if table[i][j][k] == table[j][i][k]
-                else F.sub(table[i][j][k], table[j][i][k])
-                for j in range(d)
-            ]
-            for i in range(d)
-            for k in range(d)
-        ]
-        if not rows:
-            return []
-        return _kernel.nullspace(rows, F.char)
+        rows = {}
+        for i, j, k, c in self.table.items():
+            # b_i b_j = ... + c b_k: +c in row (i, k) and -c in row (j, k)
+            for r, col, v in ((i * d + k, j, c), (j * d + k, i, F.neg(c))):
+                row = rows.get(r)
+                if row is None:
+                    row = rows[r] = [F.zero] * d
+                row[col] = F.add(row[col], v)
+        rows = [rows[r] for r in sorted(rows) if any(rows[r])]
+        return _kernel.nullspace(rows or [[F.zero] * d], F.char)
 
     def subalgebra(self, spanning, unit_vec):
         """Unital subalgebra spanned by ``spanning`` (closed under product),
@@ -213,13 +206,12 @@ class FDAlgebra:
                 raise SplitError("subalgebra is not closed")
             return sol
 
-        table = []
-        for x in basis:
-            row = []
-            for y in basis:
-                row.append(express(self.mul_vec(x, y)))
-            table.append(row)
-        return FDAlgebra(self.field, table, express(unit_vec)), basis
+        products = {
+            (i, j): express(self.mul_vec(x, y))
+            for i, x in enumerate(basis)
+            for j, y in enumerate(basis)
+        }
+        return FDAlgebra.from_products(self.field, products, express(unit_vec)), basis
 
 
 # ---------------------------------------------------------------------------
@@ -274,40 +266,40 @@ def radical_basis(fd: FDAlgebra):
     n = fd.dim
     if n == 0:
         return []
-    # L[i] is left multiplication by b_i: column j holds b_i b_j
-    table = fd.table
-    L = [[[table[i][j][r] for j in range(n)] for r in range(n)] for i in range(n)]
     if char == 0 or char > n:
         # trace form: rad = {x : tr(L_x L_y) = 0 for all y}
-        tr = []
-        for i in range(n):
-            tr.append([sum_trace(fd, L, i, j) for j in range(n)])
-        J = _kernel.nullspace(tr, char)
+        J = _kernel.nullspace(_trace_form(fd), char)
     else:
-        J = _ciw_radical(fd, L)
+        J = _ciw_radical(fd)
     _verify_radical(fd, J)
     return J
 
 
-def sum_trace(fd, L, i, j):
+def _trace_form(fd):
+    """The matrix tr(L_{b_i b_j}) = sum_k c_ijk tr(L_{b_k}), where L_x is
+    left multiplication by x and tr(L_{b_k}) = sum_r c_krr."""
     F = fd.field
-    # trace of L_{b_i b_j} = sum_k coords(b_i b_j)_k * tr(L_k)
-    prod = fd.table[i][j]
-    acc = F.zero
-    for k, c in enumerate(prod):
-        if c:
-            t = F.zero
-            for r in range(fd.dim):
-                t = F.add(t, L[k][r][r])
-            acc = F.add(acc, F.mul(c, t))
-    return acc
+    n = fd.dim
+    trace = [F.zero] * n
+    for k, r, s, c in fd.table.items():
+        if r == s:
+            trace[k] = F.add(trace[k], c)
+    form = [[F.zero] * n for _ in range(n)]
+    for i, j, k, c in fd.table.items():
+        if trace[k]:
+            form[i][j] = F.add(form[i][j], F.mul(c, trace[k]))
+    return form
 
 
-def _ciw_radical(fd, L):
+def _ciw_radical(fd):
     """Radical over GF(p), p <= dim: iterated characteristic-coefficient
     forms (trace form first, then the p^i-th coefficients on the chain)."""
     p = fd.field.char
     n = fd.dim
+    # L[i] is left multiplication by b_i: column j holds b_i b_j
+    L = [[[0] * n for _r in range(n)] for _i in range(n)]
+    for i, j, r, c in fd.table.items():
+        L[i][r][j] = c
     current = _kernel.identity(n, p)  # rows span the current subspace
     i = 0
     while p**i <= n:
@@ -418,18 +410,14 @@ class RadicalQuotient:
         self.jpivots = list(piv)
         pivset = set(piv)
         self.free = [c for c in range(fd.dim) if c not in pivset]
-        F = fd.field
-        table = []
-        for i in self.free:
-            row = []
-            ei = [F.zero] * fd.dim
-            ei[i] = F.one
-            for j in self.free:
-                ej = [F.zero] * fd.dim
-                ej[j] = F.one
-                row.append(self.project(fd.mul_vec(ei, ej)))
-            table.append(row)
-        self.algebra = FDAlgebra(fd.field, table, self.project(fd.unit))
+        products = {
+            (a, b): self.project(fd.mul_vec(_unit_vec(fd, i), _unit_vec(fd, j)))
+            for a, i in enumerate(self.free)
+            for b, j in enumerate(self.free)
+        }
+        self.algebra = FDAlgebra.from_products(
+            fd.field, products, self.project(fd.unit)
+        )
 
     def project(self, vec):
         """Coordinates in the quotient basis (free coordinates after
@@ -730,41 +718,17 @@ class _ZModAlgebra:
     def __init__(self, corner: FDAlgebra, modulus):
         self.M = modulus
         self.dim = corner.dim
-        self.table = []
-        for row in corner.table:
-            trow = []
-            for cell in row:
-                trow.append([self._red(c) for c in cell])
-            self.table.append(trow)
-        self.unit = [self._red(c) for c in corner.unit]
-
-    def _red(self, c):
-        c = Fraction(c)
-        den = c.denominator
-        inv = pow(den, -1, self.M)
-        return (c.numerator * inv) % self.M
-
-    def mul(self, x, y):
-        out = [0] * self.dim
-        for i, xi in enumerate(x):
-            if xi:
-                rowi = self.table[i]
-                for j, yj in enumerate(y):
-                    if yj:
-                        c = xi * yj
-                        for k, t in enumerate(rowi[j]):
-                            if t:
-                                out[k] = (out[k] + c * t) % self.M
-        return out
+        self.table = corner.table.reduce(modulus)
+        self.unit = [_mod_frac(c, modulus) for c in corner.unit]
 
     def newton_idempotent(self, e):
         e = [x % self.M for x in e]
         for _ in range(64):
-            e2 = self.mul(e, e)
+            e2 = self.table(e, e)
             defect = [(a - b) % self.M for a, b in zip(e2, e)]
             if not any(defect):
                 return e
-            e3 = self.mul(e2, e)
+            e3 = self.table(e2, e)
             e = [(3 * a - 2 * b) % self.M for a, b in zip(e2, e3)]
         raise SplitError("q-adic idempotent refinement did not converge")
 
@@ -773,19 +737,11 @@ def _primes_for(corner: FDAlgebra):
     import sympy
 
     q = max(53, corner.dim + 2)
+    dens = [corner.table.den] + [Fraction(c).denominator for c in corner.unit]
     seen = 0
     while seen < 25:
         q = int(sympy.nextprime(q))
-        ok = True
-        for row in corner.table:
-            for cell in row:
-                for c in cell:
-                    if Fraction(c).denominator % q == 0:
-                        ok = False
-        for c in corner.unit:
-            if Fraction(c).denominator % q == 0:
-                ok = False
-        if ok:
+        if all(d % q for d in dens):
             yield q
             seen += 1
 
@@ -800,13 +756,9 @@ def _split_block_char0(fd: FDAlgebra, z, rng):
         return [z]
     for q in _primes_for(corner):
         try:
-            qfield = GF(q)
-            qtable = []
-            for row in corner.table:
-                qtable.append(
-                    [[_mod_frac(c, q) for c in cell] for cell in row]
-                )
-            qalg = FDAlgebra(qfield, qtable, [_mod_frac(c, q) for c in corner.unit])
+            qalg = FDAlgebra(
+                GF(q), corner.table.reduce(q), [_mod_frac(c, q) for c in corner.unit]
+            )
             if radical_basis(qalg):
                 continue  # bad prime: modular algebra degenerated
             mod_idems = [
@@ -834,7 +786,7 @@ def _lift_orthogonal_modM(zmod: _ZModAlgebra, mod_idems):
     fsum = [0] * zmod.dim
     for e0 in mod_idems[:-1]:
         comp = [(u - f) % zmod.M for u, f in zip(zmod.unit, fsum)]
-        c = zmod.mul(zmod.mul(comp, [x % zmod.M for x in e0]), comp)
+        c = zmod.table(zmod.table(comp, [x % zmod.M for x in e0]), comp)
         c = zmod.newton_idempotent(c)
         lifted.append(c)
         fsum = [(a + b) % zmod.M for a, b in zip(fsum, c)]
@@ -979,14 +931,13 @@ class EndAlgebra:
         ]
         self.dim = len(self.basis_entries)
         self._span = _kernel.EchelonBasis(self.basis_vecs, A.field.char)
-        table = []
-        for x in self.basis_entries:
-            row = []
-            for y in self.basis_entries:
-                row.append(self.coords_of(entries_matmul(x, y)))
-            table.append(row)
+        products = {
+            (i, j): self.coords_of(entries_matmul(x, y))
+            for i, x in enumerate(self.basis_entries)
+            for j, y in enumerate(self.basis_entries)
+        }
         unit = self.coords_of(X.entries) if self.dim else []
-        self.fd = FDAlgebra(A.field, table, unit)
+        self.fd = FDAlgebra.from_products(A.field, products, unit)
 
     def coords_of(self, entries):
         A = self.module.algebra

@@ -16,7 +16,6 @@ induction functors act on components.
 
 from __future__ import annotations
 
-import threading
 from typing import Sequence
 
 from .. import _kernel
@@ -192,7 +191,6 @@ class ProjectivePresentation:
             raise PresentationError("idempotent matrix shape must match the shifts")
         self.entries = [list(row) for row in entries]
         self._spaces = {}
-        self._lock = threading.Lock()
         if check:
             self._validate()
 
@@ -223,14 +221,10 @@ class ProjectivePresentation:
         return len(self.shifts)
 
     def space(self, h: Degree) -> ComponentSpace:
-        with self._lock:
-            hit = self._spaces.get(h)
-            if hit is not None:
-                return hit
-        sp = ComponentSpace(self, h)
-        with self._lock:
-            self._spaces[h] = sp
-        return sp
+        hit = self._spaces.get(h)
+        if hit is None:
+            hit = self._spaces[h] = ComponentSpace(self, h)
+        return hit
 
     def dim(self, h: Degree) -> int:
         return self.space(h).dim
@@ -481,12 +475,6 @@ class GradedMap:
 
 def identity_map(P: ProjectivePresentation) -> GradedMap:
     return GradedMap(P, P, P.entries, normalize=False, check=False)
-
-
-def zero_map(P: ProjectivePresentation, Q: ProjectivePresentation) -> GradedMap:
-    return GradedMap(
-        P, Q, [[None] * P.rank for _ in range(Q.rank)], normalize=False, check=False
-    )
 
 
 def component_matrix(f: GradedMap, h: Degree):

@@ -136,10 +136,6 @@ class Degree:
         return not any(self.values)
 
     @property
-    def free_part(self) -> tuple:
-        return self.values[: self.group.free_rank]
-
-    @property
     def torsion_part(self) -> tuple:
         return self.values[self.group.free_rank :]
 

@@ -6,7 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedk._kernel import EchelonBasis, backends, identity, mat_eq, rank, solve
+from gradedk._kernel import (
+    Bilinear,
+    EchelonBasis,
+    backends,
+    identity,
+    mat_eq,
+    rank,
+    solve,
+)
 
 BACKENDS = backends()
 CHARS = [0, 2, 5, 10007]
@@ -118,6 +126,129 @@ def test_echelon_basis_edge_cases(char):
     empty = EchelonBasis([], char)
     assert empty.coords([zero, zero]) == []
     assert empty.coords([zero, one]) is None
+
+
+def _naive_bilinear(cells, out_dim, x, y, modulus):
+    """sum_{i,j,k} x_i y_j c_ijk, one field operation per term."""
+    out = [0 if modulus else Fraction(0)] * out_dim
+    for (i, j), terms in cells.items():
+        for k, c in terms:
+            out[k] = out[k] + x[i] * y[j] * c
+    return [v % modulus for v in out] if modulus else out
+
+
+def _rand_cells(rng, n, out_dim, coeff, density=0.4):
+    cells = {}
+    for i in range(n):
+        for j in range(n):
+            if rng.random() < density:
+                cells[(i, j)] = [
+                    (rng.randrange(out_dim), coeff()) for _ in range(rng.randint(1, 3))
+                ]
+    return cells
+
+
+def _rand_fraction(rng, den_hi=9):
+    return Fraction(rng.randint(-20, 20), rng.randint(1, den_hi) * rng.choice((1, -1)))
+
+
+def _sparse_vec(rng, n, entry):
+    zero = entry() * 0
+    return [entry() if rng.random() < 0.5 else zero for _ in range(n)]
+
+
+def test_bilinear_matches_naive_over_q():
+    rng = random.Random(11)
+    for _ in range(40):
+        n, out_dim = rng.randint(1, 6), rng.randint(1, 6)
+        cells = _rand_cells(rng, n, out_dim, lambda: _rand_fraction(rng))
+        table = Bilinear(cells, out_dim)
+        for _ in range(5):
+            x = _sparse_vec(rng, n, lambda: _rand_fraction(rng))
+            y = _sparse_vec(rng, n, lambda: _rand_fraction(rng))
+            got = table(x, y)
+            assert got == _naive_bilinear(cells, out_dim, x, y, 0)
+            assert all(type(v) is Fraction for v in got)
+
+
+def test_bilinear_matches_naive_over_gf5():
+    rng = random.Random(12)
+    for _ in range(40):
+        n, out_dim = rng.randint(1, 6), rng.randint(1, 6)
+        cells = _rand_cells(rng, n, out_dim, lambda: rng.randrange(-12, 12))
+        table = Bilinear(cells, out_dim, 5)
+        for _ in range(5):
+            x = _sparse_vec(rng, n, lambda: rng.randrange(5))
+            y = _sparse_vec(rng, n, lambda: rng.randrange(5))
+            assert table(x, y) == _naive_bilinear(cells, out_dim, x, y, 5)
+
+
+def test_bilinear_zero_inputs_and_cancelling_cells():
+    half = Fraction(1, 2)
+    # the two terms of cell (0, 1) cancel, and cell (1, 0) is all zeros
+    cells = {(0, 0): [(1, half)], (0, 1): [(0, half), (0, -half)], (1, 0): [(1, 0)]}
+    table = Bilinear(cells, 2)
+    assert table.rows == {0: {0: ((1, 1),)}}
+    assert table.den == 2
+    zero = [Fraction(0), Fraction(0)]
+    assert table(zero, [Fraction(3), Fraction(1)]) == zero
+    assert table([Fraction(3), Fraction(1)], zero) == zero
+    assert table([Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]) == zero
+    assert table([Fraction(2), Fraction(0)], [Fraction(-3, 7), Fraction(0)]) == [
+        Fraction(0),
+        Fraction(-6, 14),
+    ]
+    assert Bilinear({}, 3)([Fraction(1)], [Fraction(1)]) == [Fraction(0)] * 3
+
+
+def test_bilinear_large_reconstructed_denominators():
+    # coefficients of the size rational reconstruction returns for q**16
+    rng = random.Random(13)
+    big = lambda: Fraction(rng.randint(-(10**13), 10**13), rng.randint(1, 10**13))
+    for _ in range(10):
+        n = rng.randint(2, 5)
+        cells = _rand_cells(rng, n, n, big, density=0.6)
+        table = Bilinear(cells, n)
+        x = _sparse_vec(rng, n, big)
+        y = _sparse_vec(rng, n, big)
+        assert table(x, y) == _naive_bilinear(cells, n, x, y, 0)
+
+
+def test_bilinear_prime_power_modulus_and_reduction():
+    q = 59
+    M = q**16
+    rng = random.Random(14)
+    for _ in range(15):
+        n = rng.randint(1, 5)
+        cells = _rand_cells(rng, n, n, lambda: _rand_fraction(rng, den_hi=7))
+        rational = Bilinear(cells, n)
+        red = rational.reduce(M)
+        assert red.modulus == M and red.den == 1
+
+        def mod(c):
+            return c.numerator * pow(c.denominator, -1, M) % M
+
+        cells_mod = {ij: [(k, mod(c)) for k, c in t] for ij, t in cells.items()}
+        direct = Bilinear(cells_mod, n, M)
+        assert direct.rows == red.rows
+        x = [rng.randrange(M) for _ in range(n)]
+        y = [rng.randrange(M) for _ in range(n)]
+        assert red(x, y) == _naive_bilinear(cells_mod, n, x, y, M)
+        # reduction commutes with the product
+        xq = [_rand_fraction(rng, den_hi=7) for _ in range(n)]
+        yq = [_rand_fraction(rng, den_hi=7) for _ in range(n)]
+        assert red([mod(a) for a in xq], [mod(b) for b in yq]) == [
+            mod(v) for v in rational(xq, yq)
+        ]
+
+
+@pytest.mark.parametrize("modulus", [0, 7])
+def test_bilinear_items_lists_the_merged_constants(modulus):
+    c = Fraction(3, 4) if not modulus else 3
+    cells = {(1, 0): [(2, c), (2, c)], (0, 2): [(0, c)]}
+    table = Bilinear(cells, 3, modulus)
+    doubled = (c + c) % 7 if modulus else c + c
+    assert sorted(table.items()) == [(0, 2, 0, c), (1, 0, 2, doubled)]
 
 
 def test_solve_detects_inconsistency():

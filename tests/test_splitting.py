@@ -8,14 +8,16 @@ and over prime fields, cyclotomic commutative algebras).
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from gradedk import algebra as alg
+from gradedk import _kernel, algebra as alg
 from gradedk.fields import GF, QQ
 from gradedk.grading import GradingGroup
 from gradedk.gmod import EndAlgebra, regular_module, split_projective
 from gradedk.gmod.endos import (
+    FDAlgebra,
     SplitError,
     _rat_recon,
     factor_irreducible,
@@ -177,3 +179,149 @@ def test_center_of_full_matrix_algebra_is_the_field(field):
     assert fd.dim == 25
     assert len(zvecs) == 1
     _assert_central(fd, zvecs)
+
+
+# -- the sparse structure-constant core against dense references -------------
+
+
+def _naive_mul_coords(A, da, ca, db, cb):
+    """sum over basis pairs of x_a y_b (b_a b_b), straight from the labels."""
+    F = A.field
+    index = {lbl: i for i, lbl in enumerate(A.component_basis(da + db))}
+    out = [F.zero] * len(index)
+    for ia, la in enumerate(A.component_basis(da)):
+        for ib, lb in enumerate(A.component_basis(db)):
+            for lbl, c in A._mul_labels(da, la, db, lb):
+                k = index[lbl]
+                out[k] = F.add(out[k], F.mul(F.mul(ca[ia], cb[ib]), c))
+    return out
+
+
+def _rand_coords(rng, F, n):
+    if F.char:
+        return [rng.randrange(F.char) if rng.random() < 0.7 else 0 for _ in range(n)]
+    return [
+        Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.7
+        else Fraction(0)
+        for _ in range(n)
+    ]
+
+
+MUL_COORDS_CASES = [
+    # (algebra over a field, degree values to multiply pairwise)
+    (
+        lambda F: alg.tensor_product(
+            alg.matrix_algebra(F, [0, 1]), alg.matrix_algebra(F, [0, 0, 1])
+        ),
+        [(-1,), (0,), (1,)],
+    ),
+    (
+        lambda F: alg.polynomial_extension(alg.matrix_algebra(F, [0, 1]), [1]),
+        [(0,), (1,), (2,)],
+    ),
+    (lambda F: alg.regrade_mod(alg.matrix_algebra(F, [0, 1, 2]), 2), [(0,), (1,)]),
+    (lambda F: _forget(alg.matrix_algebra(F, [0, 1, 1])), [()]),
+]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+@pytest.mark.parametrize("build,degrees", MUL_COORDS_CASES)
+def test_mul_coords_matches_naive_sum(field, build, degrees):
+    A = build(field)
+    rng = random.Random(5)
+    for va in degrees:
+        for vb in degrees:
+            da, db = A.deg(va), A.deg(vb)
+            for _ in range(3):
+                ca = _rand_coords(rng, field, A.component_dim(da))
+                cb = _rand_coords(rng, field, A.component_dim(db))
+                got = A.mul_coords(da, ca, db, cb)
+                assert got == _naive_mul_coords(A, da, ca, db, cb)
+
+
+def _m3_algebra():
+    """M3(Q) on the matrix units E_rc, index 3r + c."""
+    products = {}
+    for i in range(9):
+        for j in range(9):
+            vec = [Fraction(0)] * 9
+            if i % 3 == j // 3:
+                vec[3 * (i // 3) + j % 3] = Fraction(1)
+            products[(i, j)] = vec
+    unit = [Fraction(int(i in (0, 4, 8))) for i in range(9)]
+    return FDAlgebra.from_products(QQ, products, unit)
+
+
+def _m3_mul(a, b):
+    return [
+        sum((a[3 * r + t] * b[3 * t + c] for t in range(3)), Fraction(0))
+        for r in range(3)
+        for c in range(3)
+    ]
+
+
+def _dense_table(sub, basis):
+    """Dense table[i][j][k] of the subalgebra, from naive matrix products."""
+    cols = [[b[r] for b in basis] for r in range(9)]
+    table = []
+    for x in basis:
+        row = []
+        for y in basis:
+            sol = _kernel.solve(cols, [[v] for v in _m3_mul(x, y)], 0)
+            row.append([s[0] for s in sol])
+        table.append(row)
+    return table
+
+
+def test_fractional_subalgebra_matches_dense_reference():
+    # a conjugate of the upper triangular matrices: in the echelon basis
+    # that subalgebra() picks, its structure constants are fractions
+    g = [Fraction(x) for x in (2, 1, 0, 1, 3, 1, 0, 1, 5)]
+    g_inv = [Fraction(x, 23) for x in (14, -5, 1, -5, 10, -2, 1, -2, 5)]
+    assert _m3_mul(g, g_inv) == [Fraction(int(i in (0, 4, 8))) for i in range(9)]
+    fd = _m3_algebra()
+    spanning = [
+        _m3_mul(_m3_mul(g, [Fraction(int(k == 3 * r + c)) for k in range(9)]), g_inv)
+        for r in range(3)
+        for c in range(r, 3)
+    ]
+    sub, basis = fd.subalgebra(spanning, fd.unit)
+    assert sub.dim == 6 and sub.table.den > 1
+    table = _dense_table(sub, basis)
+    d = sub.dim
+
+    # mul_vec: the dense sum, and the product of the lifted matrices
+    rng = random.Random(3)
+    for _ in range(20):
+        x = _rand_coords(rng, QQ, d)
+        y = _rand_coords(rng, QQ, d)
+        want = [
+            sum(
+                (x[i] * y[j] * table[i][j][k] for i in range(d) for j in range(d)),
+                Fraction(0),
+            )
+            for k in range(d)
+        ]
+        assert sub.mul_vec(x, y) == want
+        lift = lambda v: [
+            sum((c * b[r] for c, b in zip(v, basis)), Fraction(0)) for r in range(9)
+        ]
+        assert lift(want) == _m3_mul(lift(x), lift(y))
+
+    # centre: the dense commutator system
+    rows = [
+        [table[i][j][k] - table[j][i][k] for j in range(d)]
+        for i in range(d)
+        for k in range(d)
+    ]
+    assert sub.center_basis() == _kernel.nullspace(rows, 0)
+    assert len(sub.center_basis()) == 1
+
+    # radical: the dense trace form
+    traces = [sum(table[k][r][r] for r in range(d)) for k in range(d)]
+    form = [
+        [sum(table[i][j][k] * traces[k] for k in range(d)) for j in range(d)]
+        for i in range(d)
+    ]
+    assert radical_basis(sub) == _kernel.nullspace(form, 0)
+    assert len(radical_basis(sub)) == 3
