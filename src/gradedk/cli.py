@@ -44,7 +44,6 @@ from .gmod import (
     free_module,
     graded_iso,
     random_presentation,
-    regular_module,
 )
 from .gmod.swan import (
     functor_S,
@@ -338,9 +337,7 @@ class Session:
             A = self._expect_algebra(call, 0)
         if name == "k0":
             res = kt.k0(A, self.seed)
-            regular_class = {
-                str(k): v for k, v in res.class_map(regular_module(A)).items()
-            }
+            regular_class = {str(k): v for k, v in res.regular_class.items()}
             return kt._report(
                 "pass",
                 [kt._check("constructor_family", True)],

@@ -5,11 +5,16 @@ spaces meeting the shift pattern are; it is realized concretely as entry
 matrices.  Splitting the unit into primitive orthogonal idempotents is
 the engine behind Krull-Schmidt decomposition:
 
-* radical: trace form in characteristic zero; in characteristic p the
-  iterated characteristic-polynomial-coefficient chain (the standard
-  finite-field radical algorithm), followed by self-checks (two-sided
-  ideal, nilpotent, clean quotient) that turn any failure into a loud
-  internal error instead of a wrong answer;
+* radical: the null space of the trace form in characteristic zero and
+  over GF(p) with p > dim; over GF(p) with p <= dim the chain of ideals
+  of Cohen, Ivanyos and Wales (*Finding the radical of an algebra of
+  linear transformations*, JPAA 1997), whose level i keeps the x with
+  g_i(x b) = 0 for every b, g_i the coefficient of lambda^(dim - p^i)
+  in the characteristic polynomial of left multiplication.  Level 0 is
+  the trace form; at level i >= 1, g_i is linear on the previous level,
+  so it costs one characteristic polynomial per basis vector of that
+  level.  Self-checks (two-sided ideal, nilpotent, clean quotient) turn
+  any failure into a loud internal error instead of a wrong answer;
 * the semisimple quotient splits through its center (minimal polynomial
   factorization plus CRT idempotents), then matrix blocks split by
   corner recursion -- directly over a finite field, and over Q by
@@ -292,58 +297,50 @@ def _trace_form(fd):
 
 
 def _ciw_radical(fd):
-    """Radical over GF(p), p <= dim: iterated characteristic-coefficient
-    forms (trace form first, then the p^i-th coefficients on the chain)."""
+    """Radical over GF(p), p <= n = dim, by the chain of Cohen, Ivanyos
+    and Wales (*Finding the radical of an algebra of linear
+    transformations*, JPAA 1997).
+
+    With g_i(x) the coefficient of lambda^(n - p^i) in the characteristic
+    polynomial of left multiplication L_x, the chain I_{-1} = A,
+    I_i = {x in I_{i-1} : g_i(x b) = 0 for every b in A} is a chain of
+    ideals that reaches the radical once p^(i+1) > n.  Level 0 is the
+    null space of the trace form.  At level i >= 1, g_i is
+    p^i-semilinear on I_{i-1}, which over GF(p) means linear, so one
+    characteristic polynomial per basis vector u_t of I_{i-1} gives
+    every g_i(u_a b_j) = sum_t coords_t(u_a b_j) g_i(u_t)."""
     p = fd.field.char
     n = fd.dim
-    # L[i] is left multiplication by b_i: column j holds b_i b_j
-    L = [[[0] * n for _r in range(n)] for _i in range(n)]
-    for i, j, r, c in fd.table.items():
-        L[i][r][j] = c
-    current = _kernel.identity(n, p)  # rows span the current subspace
-    i = 0
-    while p**i <= n:
-        rows = []
-        pw = p**i
-        # the form f(x, y) = coeff of lambda^(n - p^i) in charpoly(L_{xy})
-        basis = current
-        if not basis:
-            break
-        form_rows = []
-        for y in basis:
-            row = []
-            Ly = _lin_comb_matrix(fd, L, y)
-            for x in basis:
-                Lx = _lin_comb_matrix(fd, L, x)
-                prod = _kernel.mat_mul(Lx, Ly, p)
-                cp = _charpoly_modp(prod, p)
-                # coefficient of lambda^(n - pw)
-                row.append(cp[n - pw] % p)
-            form_rows.append(row)
-        null = _kernel.nullspace(form_rows, p)
-        # back to ambient coordinates
-        current = [
-            [sum(v[t] * basis[t][c] for t in range(len(basis))) % p for c in range(n)]
-            for v in null
+    items = list(fd.table.items())
+    ideal = _kernel.nullspace(_trace_form(fd), p)
+    pw = p
+    while ideal and pw <= n:
+        span = _kernel.EchelonBasis(ideal, p)
+        # column j of L_u is u b_j
+        lmats = [_left_mult_modp(items, u, n, p) for u in ideal]
+        g = [_charpoly_modp(L, p)[n - pw] for L in lmats]
+        form = [[0] * len(ideal) for _ in range(n)]  # form[j][a] = g_i(u_a b_j)
+        for a, L in enumerate(lmats):
+            for j in range(n):
+                coords = span.coords([row[j] for row in L])
+                if coords is None:
+                    raise SplitError("radical chain: a level is not an ideal")
+                form[j][a] = sum(c * gt for c, gt in zip(coords, g)) % p
+        ideal = [
+            [sum(c * u[k] for c, u in zip(v, ideal)) % p for k in range(n)]
+            for v in _kernel.nullspace(form, p)
         ]
-        i += 1
-    return [row for row in current if any(row)]
+        pw *= p
+    return ideal
 
 
-def _lin_comb_matrix(fd, L, vec):
-    p = fd.field.char
-    n = fd.dim
-    out = [[0] * n for _ in range(n)]
-    for k, c in enumerate(vec):
-        if c:
-            Lk = L[k]
-            for r in range(n):
-                row = Lk[r]
-                orow = out[r]
-                for s in range(n):
-                    if row[s]:
-                        orow[s] = (orow[s] + c * row[s]) % p
-    return out
+def _left_mult_modp(items, u, n, p):
+    """L_u over GF(p) from the structure constants (i, j, k, c)."""
+    L = [[0] * n for _ in range(n)]
+    for i, j, k, c in items:
+        if u[i]:
+            L[k][j] += u[i] * c
+    return [[x % p for x in row] for row in L]
 
 
 def _verify_radical(fd, J):
@@ -540,7 +537,12 @@ def factor_irreducible(coeffs, field: Field):
 # semisimple splitting
 # ---------------------------------------------------------------------------
 
-_CANDIDATE_BUDGET = 250
+# Search budgets of the splitting code.  Each SplitError raised when one
+# runs out names it and its value.
+_CANDIDATE_BUDGET = 250  # seeded random candidates after the basis sweep
+_PRIME_BUDGET = 25  # good primes tried per rational matrix block
+_QADIC_EXPONENTS = (16, 32, 64, 128)  # N of the q^N lifts tried per prime
+_NEWTON_STEPS = 64  # 3e^2 - 2e^3 steps of one q-adic idempotent refinement
 
 
 def _unit_vec(fd, i):
@@ -617,7 +619,9 @@ def _split_commutative(zalg: FDAlgebra, rng):
     done = []
     while work:
         z = work.pop()
-        corner, cbasis = _corner(zalg, z)
+        # z is central, so its corner z b_i z is spanned by the z b_i
+        span = [zalg.mul_vec(z, _unit_vec(zalg, i)) for i in range(zalg.dim)]
+        corner, cbasis = zalg.subalgebra([v for v in span if any(v)], z)
         if corner.dim == 1:
             done.append(z)
             continue
@@ -642,7 +646,10 @@ def _split_commutative(zalg: FDAlgebra, rng):
         if best_irreducible == corner.dim:
             done.append(z)
         else:
-            raise SplitError("could not certify or split a commutative factor")
+            raise SplitError(
+                "could not certify or split a commutative factor within "
+                f"_CANDIDATE_BUDGET = {_CANDIDATE_BUDGET} random candidates"
+            )
     return done
 
 
@@ -679,7 +686,10 @@ def _split_block_modp(fd: FDAlgebra, z, rng):
                 found = True
                 break
         if not found:
-            raise SplitError("failed to split a matrix block over a prime field")
+            raise SplitError(
+                "failed to split a matrix block over a prime field within "
+                f"_CANDIDATE_BUDGET = {_CANDIDATE_BUDGET} random candidates"
+            )
     return out
 
 
@@ -723,14 +733,17 @@ class _ZModAlgebra:
 
     def newton_idempotent(self, e):
         e = [x % self.M for x in e]
-        for _ in range(64):
+        for _ in range(_NEWTON_STEPS):
             e2 = self.table(e, e)
             defect = [(a - b) % self.M for a, b in zip(e2, e)]
             if not any(defect):
                 return e
             e3 = self.table(e2, e)
             e = [(3 * a - 2 * b) % self.M for a, b in zip(e2, e3)]
-        raise SplitError("q-adic idempotent refinement did not converge")
+        raise SplitError(
+            "q-adic idempotent refinement did not converge within "
+            f"_NEWTON_STEPS = {_NEWTON_STEPS}"
+        )
 
 
 def _primes_for(corner: FDAlgebra):
@@ -739,7 +752,7 @@ def _primes_for(corner: FDAlgebra):
     q = max(53, corner.dim + 2)
     dens = [corner.table.den] + [Fraction(c).denominator for c in corner.unit]
     seen = 0
-    while seen < 25:
+    while seen < _PRIME_BUDGET:
         q = int(sympy.nextprime(q))
         if all(d % q for d in dens):
             yield q
@@ -766,14 +779,18 @@ def _split_block_char0(fd: FDAlgebra, z, rng):
             ]
         except SplitError:
             continue
-        for exponent in (16, 32, 64, 128):
+        for exponent in _QADIC_EXPONENTS:
             M = q**exponent
             zmod = _ZModAlgebra(corner, M)
             lifted = _lift_orthogonal_modM(zmod, mod_idems)
             found = _reconstruct_partition(corner, zmod, lifted)
             if found is not None:
                 return [_up(cbasis, e, fd.field, fd.dim) for e in found]
-    raise SplitError("q-adic splitting failed for a rational matrix block")
+    raise SplitError(
+        "q-adic splitting failed for a rational matrix block within "
+        f"_PRIME_BUDGET = {_PRIME_BUDGET} primes and "
+        f"_QADIC_EXPONENTS = {_QADIC_EXPONENTS}"
+    )
 
 
 def _mod_frac(c, q):

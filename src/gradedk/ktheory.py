@@ -111,6 +111,8 @@ class K0Result:
         orbits.sort(key=lambda o: (o.signature, o.stabilizer.rows, o.block))
         self.orbits = orbits
         self.module = self._build_module()
+        # the class of the regular module itself, from the same decomposition
+        self.regular_class = self._coordinates(reg_classes)
 
     def _build_module(self) -> ShiftModule:
         g = self.group
@@ -139,9 +141,12 @@ class K0Result:
         """Coordinates of [P]: (orbit class name, coset degree) -> mult."""
         if P.algebra is not self.algebra:
             raise ValueError("presentation over a different algebra")
+        return self._coordinates(summand_classes(P, self.seed))
+
+    def _coordinates(self, classes) -> Dict:
         out = {}
         block_of = {o.block: o for o in self.orbits}
-        for (blk, gdeg), m in summand_classes(P, self.seed).items():
+        for (blk, gdeg), m in classes.items():
             if blk not in block_of:  # pragma: no cover - regular module is exhaustive
                 raise RuntimeError("class outside the regular-module basis")
             key = (f"P{blk}", gdeg.values)

@@ -15,11 +15,13 @@ import pytest
 from gradedk import _kernel, algebra as alg
 from gradedk.fields import GF, QQ
 from gradedk.grading import GradingGroup
-from gradedk.gmod import EndAlgebra, regular_module, split_projective
+from gradedk.gmod import EndAlgebra, endos, regular_module, split_projective
 from gradedk.gmod.endos import (
     FDAlgebra,
     SplitError,
+    _charpoly_modp,
     _rat_recon,
+    _split_block_modp,
     factor_irreducible,
     primitive_idempotents,
     radical_basis,
@@ -44,6 +46,14 @@ CASES_RADICAL = [
     (lambda: _forget(alg.matrix_algebra(GF(2), [0, 1]).positive_part()), 1),
     (lambda: _forget(alg.matrix_algebra(QQ, [0, 1]).positive_part()), 1),
     (lambda: _forget(alg.group_algebra(QQ, GradingGroup(0, (4,)))), 0),
+    # M_n(F2) is simple; for even n its regular trace form vanishes, so the
+    # characteristic-p chain has to go past level 0
+    (lambda: _forget(alg.matrix_algebra(GF(2), [0, 0, 0])), 0),
+    (lambda: _forget(alg.matrix_algebra(GF(2), [0, 0, 0, 0])), 0),
+    (lambda: _forget(alg.matrix_algebra(GF(2), [0] * 6)), 0),
+    # upper triangular 3 x 3 matrices: the strictly upper part
+    (lambda: _forget(alg.matrix_algebra(GF(2), [0, 1, 2]).positive_part()), 3),
+    (lambda: _forget(alg.matrix_algebra(GF(3), [0, 1, 2]).positive_part()), 3),
 ]
 
 
@@ -51,6 +61,47 @@ CASES_RADICAL = [
 def test_radical_dimensions(build, expected):
     fd = _end_of_regular(build())
     assert len(radical_basis(fd)) == expected
+
+
+def _p_regular_order(moduli, p):
+    """|G_p'|, the number of elements of order prime to p, for
+    G = Z/m_1 x ... x Z/m_k: the product of the p'-parts of the m_i."""
+    out = 1
+    for m in moduli:
+        while m % p == 0:
+            m //= p
+        out *= m
+    return out
+
+
+@pytest.mark.parametrize(
+    "p,moduli",
+    [(2, (8,)), (2, (2, 4)), (2, (12,)), (3, (9,)), (3, (6,)), (5, (10,))],
+)
+def test_radical_of_modular_abelian_group_algebra(p, moduli):
+    # F_p[G] = F_p[G_p'] (x) F_p[G_p] with the first factor semisimple and
+    # the second local, so dim rad F_p[G] = |G| - |G_p'|
+    order = 1
+    for m in moduli:
+        order *= m
+    fd = _end_of_regular(_forget(alg.group_algebra(GF(p), GradingGroup(0, moduli))))
+    assert fd.dim == order
+    assert len(radical_basis(fd)) == order - _p_regular_order(moduli, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_charpoly_modp_matches_sympy(p):
+    import sympy
+
+    rng = random.Random(p)
+    for n in range(1, 13):
+        for density in (1.0, 0.3):
+            M = [
+                [rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(n)
+            ]
+            coeffs = sympy.Matrix(M).charpoly().all_coeffs()
+            assert _charpoly_modp(M, p) == [int(c) % p for c in reversed(coeffs)]
 
 
 CASES_SPLIT = [
@@ -325,3 +376,54 @@ def test_fractional_subalgebra_matches_dense_reference():
     ]
     assert radical_basis(sub) == _kernel.nullspace(form, 0)
     assert len(radical_basis(sub)) == 3
+
+
+# -- named search budgets ------------------------------------------------------
+
+
+def _m2_f3_without_a_split_in_the_sweep():
+    """M2(F3) on a basis whose elements and pairwise sums all have a
+    minimal polynomial with a single irreducible factor, so only the
+    random candidates can split it."""
+    p = 3
+
+    def mul(a, b):
+        return [
+            sum(a[2 * r + t] * b[2 * t + c] for t in range(2)) % p
+            for r in range(2)
+            for c in range(2)
+        ]
+
+    basis = [[0, 0, 1, 0], [0, 2, 0, 0], [0, 2, 1, 1], [1, 0, 0, 1]]
+    span = _kernel.EchelonBasis(basis, p)
+    products = {
+        (i, j): span.coords(mul(x, y))
+        for i, x in enumerate(basis)
+        for j, y in enumerate(basis)
+    }
+    return FDAlgebra.from_products(GF(p), products, span.coords([1, 0, 0, 1]))
+
+
+def test_candidate_budget_is_named_when_exhausted(monkeypatch):
+    fd = _m2_f3_without_a_split_in_the_sweep()
+    assert len(_split_block_modp(fd, fd.unit, random.Random(0))) == 2
+    monkeypatch.setattr(endos, "_CANDIDATE_BUDGET", 0)
+    with pytest.raises(SplitError, match="_CANDIDATE_BUDGET = 0"):
+        _split_block_modp(fd, fd.unit, random.Random(0))
+
+
+@pytest.mark.parametrize(
+    "budgets,message",
+    [
+        ({"_PRIME_BUDGET": 0}, "_PRIME_BUDGET = 0"),
+        ({"_PRIME_BUDGET": 1, "_QADIC_EXPONENTS": ()}, r"_QADIC_EXPONENTS = \(\)"),
+        ({"_NEWTON_STEPS": 0}, "_NEWTON_STEPS = 0"),
+    ],
+)
+def test_rational_block_budgets_are_named_when_exhausted(monkeypatch, budgets, message):
+    # M2(Q) is one matrix block, split by the q-adic lift
+    R = regular_module(_forget(alg.matrix_algebra(QQ, [0, 0])))
+    for name, value in budgets.items():
+        monkeypatch.setattr(endos, name, value)
+    with pytest.raises(SplitError, match=message):
+        split_projective(R, random.Random(0))
