@@ -9,6 +9,7 @@ and over prime fields, cyclotomic commutative algebras).
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -81,9 +82,7 @@ def _p_regular_order(moduli, p):
 def test_radical_of_modular_abelian_group_algebra(p, moduli):
     # F_p[G] = F_p[G_p'] (x) F_p[G_p] with the first factor semisimple and
     # the second local, so dim rad F_p[G] = |G| - |G_p'|
-    order = 1
-    for m in moduli:
-        order *= m
+    order = prod(moduli)
     fd = _end_of_regular(_forget(alg.group_algebra(GF(p), GradingGroup(0, moduli))))
     assert fd.dim == order
     assert len(radical_basis(fd)) == order - _p_regular_order(moduli, p)
