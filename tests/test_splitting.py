@@ -47,6 +47,10 @@ CASES_RADICAL = [
     (lambda: _forget(alg.matrix_algebra(GF(2), [0, 1]).positive_part()), 1),
     (lambda: _forget(alg.matrix_algebra(QQ, [0, 1]).positive_part()), 1),
     (lambda: _forget(alg.group_algebra(QQ, GradingGroup(0, (4,)))), 0),
+]
+
+CASES_RADICAL_CHAR_P = [
+    # (algebra builder, expected radical dimension)
     # M_n(F2) is simple; for even n its regular trace form vanishes, so the
     # characteristic-p chain has to go past level 0
     (lambda: _forget(alg.matrix_algebra(GF(2), [0, 0, 0])), 0),
@@ -60,6 +64,12 @@ CASES_RADICAL = [
 
 @pytest.mark.parametrize("build,expected", CASES_RADICAL)
 def test_radical_dimensions(build, expected):
+    fd = _end_of_regular(build())
+    assert len(radical_basis(fd)) == expected
+
+
+@pytest.mark.parametrize("build,expected", CASES_RADICAL_CHAR_P)
+def test_radical_dimensions_char_p(build, expected):
     fd = _end_of_regular(build())
     assert len(radical_basis(fd)) == expected
 
