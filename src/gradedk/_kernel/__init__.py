@@ -1,83 +1,24 @@
-"""Exact linear-algebra kernel with backend selection.
+"""Exact linear-algebra kernel over Q and prime fields.
 
-The compiled extension is preferred; the pure-Python twin is the
-fallback.  ``GRADEDK_KERNEL=pure`` (or ``=cython``) forces a backend,
-which the benchmark and the cross-check tests use.  ``EchelonBasis``
+Elimination (``mat_mul``, ``rref``, ``rank``, ``solve``, ``nullspace``)
+lives in the ``pure`` submodule and is re-exported here.  ``EchelonBasis``
 (coordinates in a fixed basis) and ``Bilinear`` (sparse structure
-constants) are pure Python on top of either backend.
+constants) are built on top of it.  Elimination stays a submodule so
+that the calls ``solve``, ``rank`` and ``nullspace`` make to ``rref``
+internally are not calls through this package's names, which is what
+``perfbench/tracer.py`` counts.
 """
 
-import os
 from fractions import Fraction
 from math import gcd
 
-from . import pure as _pure
-
-_forced = os.environ.get("GRADEDK_KERNEL", "").strip().lower()
-
-if _forced == "pure":
-    _impl = _pure
-    BACKEND = "pure"
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "cython"
-    except ImportError:
-        if _forced == "cython":
-            raise ImportError(
-                "GRADEDK_KERNEL=cython requested but the compiled kernel is "
-                "not available; reinstall with a working C toolchain"
-            )
-        _impl = _pure
-        BACKEND = "pure"
-
-mat_mul = _impl.mat_mul
-rref = _impl.rref
-rank = _impl.rank
-solve = _impl.solve
-nullspace = _impl.nullspace
-
-
-def backends():
-    """All importable backends, name -> module (for benchmarks/tests)."""
-    out = {"pure": _pure}
-    try:
-        from . import _speedups
-
-        out["cython"] = _speedups
-    except ImportError:
-        pass
-    return out
+from .pure import mat_mul, nullspace, rank, rref, solve
 
 
 def identity(n, char):
     one = 1 if char else Fraction(1)
     zero = 0 if char else Fraction(0)
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def zeros(n, m, char):
-    zero = 0 if char else Fraction(0)
-    return [[zero] * m for _ in range(n)]
-
-
-def mat_eq(a, b):
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if len(ra) != len(rb):
-            return False
-        for x, y in zip(ra, rb):
-            if x != y:
-                return False
-    return True
-
-
-def transpose(a):
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
 
 
 class EchelonBasis:

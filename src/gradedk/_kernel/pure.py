@@ -1,13 +1,13 @@
-"""Reference kernel: exact dense linear algebra over Q and prime fields.
+"""Exact dense elimination over Q and prime fields.
 
 Matrices are lists of row lists.  Entries are `fractions.Fraction` when
 ``char == 0`` and plain ints in ``[0, p)`` when ``char == p`` (p prime).
 Pivoting is deterministic (top-down, first nonzero entry per column), so
-the compiled twin in ``_speedups.pyx`` returns identical results entry
-for entry; the test suite cross-checks the two backends.
+results are reproducible entry for entry.
 """
 
 from fractions import Fraction
+from math import gcd
 
 __all__ = ["mat_mul", "rref", "rank", "solve", "nullspace"]
 
@@ -157,7 +157,7 @@ def rank(a, char):
             if isinstance(x, Fraction):
                 d = x.denominator
                 if d != 1:
-                    g = _gcd(den, d)
+                    g = gcd(den, d)
                     den = den // g * d
             elif not isinstance(x, int):
                 raise TypeError("rational matrix entries must be Fraction or int")
@@ -187,12 +187,6 @@ def rank(a, char):
     return r
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def solve(a, b, char):
     """Solve ``a @ x == b`` for x (b a matrix); None if inconsistent.
 
@@ -204,11 +198,9 @@ def solve(a, b, char):
     if len(b) != n:
         raise ValueError("shape mismatch in solve")
     aug = [list(a[i]) + list(b[i]) for i in range(n)]
-    if n == 0:
-        aug = []
     red, pivots = rref(aug, char) if n else ([], [])
     zero = _zero(char)
-    for idx, c in enumerate(pivots):
+    for c in pivots:
         if c >= k:
             return None  # pivot in the right-hand block: inconsistent
     x = [[zero] * m for _ in range(k)]
@@ -218,9 +210,7 @@ def solve(a, b, char):
             x[c][j] = row[k + j]
     # rows below the pivots must have zero right-hand side
     for i in range(len(pivots), n):
-        row = red[i] if i < len(red) else None
-        if row is None:
-            break
+        row = red[i]
         for j in range(k, k + m):
             if row[j]:
                 return None

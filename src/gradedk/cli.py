@@ -18,7 +18,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import __version__, algebra as alg, filtration as filt, ktheory as kt
+from . import __version__, _kernel, algebra as alg, filtration as filt, ktheory as kt
 from .algebra import AlgebraError, GradedAlgebra, HypothesisError
 from .dsl import (
     Call,
@@ -416,16 +416,15 @@ class Session:
         ps_seeded = psi(P, rng)
         checks.append(kt._check("psi_isomorphism_seeded_section", ps_seeded.is_iso_on(window)))
         f = restriction_map(P)
+        char = A.field.char
         ok_sections = True
         for srng in (None, random.Random(self.seed + 1)):
             g = section(P, srng)
             for h in window:
-                import gradedk._kernel as _k
-
                 mf = f.component_matrix(h)
                 mg = g.component_matrix(h)
                 n = tp.dim(h)
-                if n and _k.mat_mul(mf, mg, A.field.char) != _k.identity(n, A.field.char):
+                if n and _kernel.mat_mul(mf, mg, char) != _kernel.identity(n, char):
                     ok_sections = False
         checks.append(
             kt._check(

@@ -1,4 +1,4 @@
-"""Exact linear algebra kernel: reference behaviour and backend parity."""
+"""Exact linear algebra kernel: elimination, coordinates and structure constants."""
 
 import random
 from fractions import Fraction
@@ -9,14 +9,13 @@ from hypothesis import given, settings, strategies as st
 from gradedk._kernel import (
     Bilinear,
     EchelonBasis,
-    backends,
-    identity,
-    mat_eq,
+    mat_mul,
+    nullspace,
     rank,
+    rref,
     solve,
 )
 
-BACKENDS = backends()
 CHARS = [0, 2, 5, 10007]
 
 
@@ -32,10 +31,9 @@ def rand_matrix(rng, n, m, char):
 @pytest.mark.parametrize("char", CHARS)
 def test_rref_reduces_to_unit_pivots(char):
     rng = random.Random(char + 1)
-    impl = next(iter(BACKENDS.values()))
     for _ in range(10):
         a = rand_matrix(rng, 4, 6, char)
-        red, pivots = impl.rref(a, char)
+        red, pivots = rref(a, char)
         for r, c in enumerate(pivots):
             assert red[r][c] == (1 if char else Fraction(1))
             for i in range(len(red)):
@@ -46,27 +44,25 @@ def test_rref_reduces_to_unit_pivots(char):
 @pytest.mark.parametrize("char", CHARS)
 def test_rank_matches_pivot_count(char):
     rng = random.Random(char + 2)
-    impl = next(iter(BACKENDS.values()))
     for _ in range(15):
         a = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), char)
-        _red, pivots = impl.rref(a, char)
-        assert impl.rank(a, char) == len(pivots)
+        _red, pivots = rref(a, char)
+        assert rank(a, char) == len(pivots)
 
 
 @pytest.mark.parametrize("char", [0, 2, 5])
 def test_solve_and_nullspace(char):
     rng = random.Random(char + 3)
-    impl = next(iter(BACKENDS.values()))
     for _ in range(10):
         n, k = rng.randint(1, 4), rng.randint(1, 4)
         a = rand_matrix(rng, n, k, char)
         x = rand_matrix(rng, k, 2, char)
-        b = impl.mat_mul(a, x, char)
-        sol = impl.solve(a, b, char)
+        b = mat_mul(a, x, char)
+        sol = solve(a, b, char)
         assert sol is not None
-        assert mat_eq(impl.mat_mul(a, sol, char), b)
-        for v in impl.nullspace(a, char):
-            out = impl.mat_mul(a, [[c] for c in v], char)
+        assert mat_mul(a, sol, char) == b
+        for v in nullspace(a, char):
+            out = mat_mul(a, [[c] for c in v], char)
             assert all(not row[0] for row in out)
 
 
@@ -252,34 +248,9 @@ def test_bilinear_items_lists_the_merged_constants(modulus):
 
 
 def test_solve_detects_inconsistency():
-    impl = next(iter(BACKENDS.values()))
     a = [[Fraction(1)], [Fraction(1)]]
     b = [[Fraction(0)], [Fraction(1)]]
-    assert impl.solve(a, b, 0) is None
-
-
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernel not built")
-@pytest.mark.parametrize("char", CHARS)
-def test_backends_agree(char):
-    rng = random.Random(char + 4)
-    pure = BACKENDS["pure"]
-    fast = BACKENDS["cython"]
-    for _ in range(20):
-        n, m = rng.randint(0, 5), rng.randint(1, 5)
-        a = rand_matrix(rng, n, m, char)
-        assert pure.rank(a, char) == fast.rank(a, char)
-        r1, p1 = pure.rref(a, char)
-        r2, p2 = fast.rref(a, char)
-        assert p1 == p2 and mat_eq(r1, r2)
-        b = rand_matrix(rng, n, 2, char)
-        s1 = pure.solve(a, b, char)
-        s2 = fast.solve(a, b, char)
-        assert (s1 is None) == (s2 is None)
-        if s1 is not None:
-            assert mat_eq(s1, s2)
-        n1 = pure.nullspace(a, char)
-        n2 = fast.nullspace(a, char)
-        assert n1 == n2
+    assert solve(a, b, 0) is None
 
 
 @given(
@@ -291,12 +262,11 @@ def test_backends_agree(char):
 )
 @settings(max_examples=60, deadline=None)
 def test_rref_idempotent_property(rows):
-    impl = next(iter(BACKENDS.values()))
     mat = [[Fraction(x) for x in row] for row in rows]
-    red, piv = impl.rref(mat, 0)
-    red2, piv2 = impl.rref(red, 0)
+    red, piv = rref(mat, 0)
+    red2, piv2 = rref(red, 0)
     assert piv == piv2
-    assert mat_eq(red, red2)
+    assert red == red2
 
 
 @given(
@@ -306,6 +276,5 @@ def test_rref_idempotent_property(rows):
 )
 @settings(max_examples=60, deadline=None)
 def test_rank_bounded_by_dims_mod5(rows):
-    impl = next(iter(BACKENDS.values()))
-    r = impl.rank(rows, 5)
+    r = rank(rows, 5)
     assert 0 <= r <= min(len(rows), 3)

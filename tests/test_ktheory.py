@@ -2,6 +2,9 @@
 
 import random
 
+import pytest
+from sympy import divisors, n_order, totient
+
 from gradedk import algebra as alg, filtration as filt, ktheory as kt
 from gradedk.fields import GF, QQ
 from gradedk.grading import (
@@ -242,3 +245,51 @@ def test_corollary_reports_failing_stage(M201):
     assert rep["verdict"] == "hypothesis-not-met"
     stages = rep["data"]["stages"]
     assert [s["verdict"] for s in stages] == ["pass", "hypothesis-not-met"]
+
+
+# ---------------------------------------------------------------------------
+# Exact oracles: K0 ranks of ungraded cyclic group algebras from number theory
+# ---------------------------------------------------------------------------
+
+CYCLIC_ORDERS = [2, 3, 4, 5, 6, 8, 9, 10, 12]
+
+
+def cyclic_group_algebra_k0_rank(n, p):
+    """Rank of K0(F[C_n]) for F = Q (p = 0) or F_p.
+
+    Q[C_n] is the product of the fields Q(zeta_d), d | n, so the rank is
+    tau(n).  Over F_p, F_p[C_n] modulo its radical is F_p[C_n'], n' the
+    p'-part of n, whose simple factors are the Frobenius orbits on the
+    characters: phi(d) / ord_d(p) of them of order d, for each d | n'.
+    """
+    if p == 0:
+        return len(divisors(n))
+    while n % p == 0:
+        n //= p
+    return sum(
+        int(totient(d)) // (n_order(p, d) if d > 1 else 1) for d in divisors(n)
+    )
+
+
+def _forgotten_k0_rank(A):
+    return kt.k0(alg.forget_grading(A)).module.total_rank()
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 7])
+@pytest.mark.parametrize("n", CYCLIC_ORDERS)
+def test_k0_rank_of_cyclic_group_algebra(n, p):
+    F = GF(p) if p else QQ
+    A = alg.group_algebra(F, GradingGroup(0, (n,)))
+    assert _forgotten_k0_rank(A) == cyclic_group_algebra_k0_rank(n, p)
+
+
+@pytest.mark.parametrize("p", [0, 7])
+@pytest.mark.parametrize("n", [4, 6])
+def test_k0_rank_is_morita_invariant(n, p):
+    # M_2(F) (x) F[C_n] = M_2(F[C_n]) is Morita equivalent to F[C_n]
+    F = GF(p) if p else QQ
+    Zn = GradingGroup(0, (n,))
+    A = alg.tensor_product(
+        alg.matrix_algebra(F, [[0], [1]], group=Zn), alg.group_algebra(F, Zn)
+    )
+    assert _forgotten_k0_rank(A) == cyclic_group_algebra_k0_rank(n, p)
