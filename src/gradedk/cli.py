@@ -5,7 +5,8 @@
 
 Exit codes: 0 when no command fails verification (unmet hypotheses are
 reported, not failed), 1 when any verification fails or an invariant is
-violated while building objects, 2 for parse/name/type/config errors.
+violated while building objects, 2 for parse/name/type/config errors
+and for algebras outside the supported family.
 JSON output is deterministic: same script, seed and version give byte
 identical reports.
 """
@@ -39,6 +40,7 @@ from .gmod import (
     PresentationError,
     ProjectivePresentation,
     SplitError,
+    UnsupportedAlgebra,
     VerificationError,
     default_window,
     free_module,
@@ -329,6 +331,8 @@ class Session:
             body = kt._report(
                 "fail", [kt._check("invariant", False, f"{type(exc).__name__}: {exc}")]
             )
+        except UnsupportedAlgebra as exc:
+            raise EvalError(f"{call.name}: {exc} (line {call.line})") from exc
         return self._finish(echo, body)
 
     def _run_command_body(self, call: Call) -> dict:

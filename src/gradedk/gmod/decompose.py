@@ -9,7 +9,15 @@ Dispatch by constructor:
   degree components, so every graded projective is free;
 * finite-support algebras: split End(P)_0 into primitive idempotents and
   match the summands against a per-algebra registry of classes (shift
-  alignment by support translation, then an exact pairing test);
+  alignment by support translation, then an exact pairing test).  The
+  split tags each summand with its simple block of End(P)_0/J, and
+  summands are matched once per block: eP and fP are isomorphic at
+  shift 0 exactly when e and f lie in one block (Wedderburn: a simple
+  block is a matrix algebra, whose primitive idempotents are conjugate,
+  while a map between different blocks composes into the radical).  So
+  every summand of a block gets its block's key, and a block never
+  tests the keys other blocks of its split already hold -- though it
+  can still be a nonzero shift of one of their classes;
 * infinite support with an N-supported leading coordinate: restrict to
   the zero part, decompose slice by slice, and lift classes back along
   the induction functor (the correspondence is a bijection on classes,
@@ -127,9 +135,11 @@ class _FiniteRegistry:
                 sym.append(delta)
         return sym
 
-    def match(self, X) -> tuple:
+    def match(self, X, taken) -> tuple:
         """(block id, shift) with X isomorphic to rep(shift); registers a
-        new class when nothing matches."""
+        new class when nothing matches.  ``taken`` holds keys already
+        given to summands known not to be isomorphic to X; those
+        candidates are skipped without a test."""
         anchor, prof = self._profile(X)
         if prof is None:
             raise PresentationError("cannot match a zero module")
@@ -140,6 +150,8 @@ class _FiniteRegistry:
             base = info.anchor - anchor
             for delta in info.symmetries:
                 shift = base + delta
+                if (blk, shift) in taken:
+                    continue
                 if indec_iso(X, info.rep.shift(shift)):
                     return blk, shift
         # new class
@@ -233,9 +245,13 @@ def _decompose_classes(P: ProjectivePresentation, rng) -> dict:
         return {(0, g): m for g, m in _group_algebra_summands(P).items()}
     if A.finite_support():
         reg = _registry(A)
+        keys = {}  # split block -> class key of its summands
         out = {}
-        for summand, _blk in split_projective(P, rng):
-            key = reg.match(summand)
+        for summand, blk in split_projective(P, rng):
+            key = keys.get(blk)
+            if key is None:
+                key = reg.match(summand, set(keys.values()))
+                keys[blk] = key
             out[key] = out.get(key, 0) + 1
         return out
     # infinite support: reduce along an N-supported leading coordinate

@@ -36,6 +36,7 @@ from .presentations import (
     PresentationError,
     ProjectivePresentation,
     entries_matmul,
+    entry_mul,
 )
 
 
@@ -84,23 +85,29 @@ def _vec_to_entries(A, vec, positions, rows, cols):
 
 def hom_basis(X: ProjectivePresentation, Y: ProjectivePresentation):
     """Basis of the degree-0 maps X -> Y, as entry matrices (normalized
-    by the two idempotents)."""
+    by the two idempotents).
+
+    The spanning set is e_Y E e_X over the raw matrices E with a single
+    basis element a at (i, j).  Its (r, c) entry is Y[r][i] a X[j][c],
+    so each one is an outer product of column i of Y, a and row j of X.
+    """
     if X.algebra is not Y.algebra:
         raise PresentationError("hom spaces need one common algebra")
     A = X.algebra
-    char = A.field.char
+    F = A.field
     positions = _raw_positions(A, Y.shifts, X.shifts)
     if not positions:
         return []
     cols = []
-    for k in range(len(positions)):
-        unit = [A.field.zero] * len(positions)
-        unit[k] = A.field.one
-        raw = _vec_to_entries(A, unit, positions, Y.rank, X.rank)
-        proj = entries_matmul(entries_matmul(Y.entries, raw), X.entries)
+    for (i, j, d, b) in positions:
+        coords = [F.zero] * A.component_dim(d)
+        coords[b] = F.one
+        a = A.element(d, coords)
+        left = [entry_mul(row[i], a) for row in Y.entries]
+        proj = [[entry_mul(y, x) for x in X.entries[j]] for y in left]
         cols.append(_entries_to_vec(A, proj, positions))
     mat = [[cols[c][r] for c in range(len(cols))] for r in range(len(positions))]
-    _red, pivots = _kernel.rref(mat, char)
+    _red, pivots = _kernel.rref(mat, F.char)
     basis = []
     for c in pivots:
         vec = [mat[r][c] for r in range(len(positions))]
@@ -978,8 +985,15 @@ class EndAlgebra:
 
 def split_projective(X: ProjectivePresentation, rng):
     """Direct summands of X from a primitive idempotent decomposition of
-    End(X)_0: [(presentation, block_id)] with block ids grouping
-    isomorphic summands of this splitting."""
+    End(X)_0: [(presentation, block_id)], block_id the simple block of
+    End(X)_0/J holding the idempotent.
+
+    Two summands eX and fX are isomorphic exactly when they share a
+    block.  Idempotents lifted from one block reduce to primitive
+    idempotents of one simple algebra M_n(D), which are conjugate, and
+    conjugate idempotents give isomorphic summands.  For different
+    blocks every composite eX -> fX -> eX lies in e J e, so none is
+    invertible."""
     if X.rank == 0 or X.is_zero():
         return []
     end = EndAlgebra(X)

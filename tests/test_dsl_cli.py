@@ -132,6 +132,20 @@ def test_exit_codes(tmp_path):
     assert run("k0(matrix(Q, [0]))\n", "--field", "nonsense") == 2
 
 
+@pytest.mark.parametrize("command", ["k0", "dade"])
+def test_unsupported_algebra_is_a_user_error(tmp_path, command):
+    f = _write(tmp_path, f"{command}(tensor(matrix(Q,[0,1]), groupalg(Q,Z)))\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "gradedk.cli", str(f)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stdout + proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {command}: ")
+
+
 def _write(tmp_path, text):
     f = tmp_path / "script.gk"
     f.write_text(text)

@@ -1,5 +1,6 @@
 """Presentations, shifts, the correspondence functors, and decomposition."""
 
+import importlib
 import random
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import gradedk._kernel as kern
 from gradedk import algebra as alg
 from gradedk.algebra import HypothesisError
-from gradedk.fields import QQ
+from gradedk.fields import GF, QQ
 from gradedk.grading import GradingGroup
 from gradedk.gmod import (
     GradedMap,
@@ -33,7 +34,11 @@ from gradedk.gmod import (
     summand_classes,
     zero_module,
 )
+from gradedk.gmod.endos import split_projective
 from gradedk.gmod.swan import VerificationError
+
+# the package exports the function decompose under the submodule's name
+dec = importlib.import_module("gradedk.gmod.decompose")
 
 
 # -- presentations and shifts ---------------------------------------------------
@@ -364,3 +369,97 @@ def test_graded_map_normalization_is_idempotent(Bx):
         raw = GradedMap(P, Q, entries, normalize=False, check=False)
         for h in w:
             assert renorm.component_matrix(h) == raw.component_matrix(h)
+
+
+# -- matching by split block against a pairwise oracle ---------------------------
+
+
+def _shift_iso(X, Y):
+    """X isomorphic to some Y(s): X_h != 0 forces h + s into the support
+    of Y, so these shifts are all the candidates."""
+    h = next(iter(dec.module_support_degrees(X)))
+    return any(indec_iso(X, Y.shift(k - h)) for k in dec.module_support_degrees(Y))
+
+
+def _pairwise_types(P):
+    """Isomorphism types of the summands of one split, from indec_iso on
+    every pair alone: [representative, count] lists and, per type, the
+    index of the first type it is a shift of."""
+    types = []
+    for X, _blk in split_projective(P, random.Random(0)):
+        for t in types:
+            if indec_iso(X, t[0]):
+                t[1] += 1
+                break
+        else:
+            types.append([X, 1])
+    orbit = []
+    for k, (X, _n) in enumerate(types):
+        orbit.append(next(j for j in range(k + 1) if _shift_iso(X, types[j][0])))
+    return types, orbit
+
+
+def _assert_matches_pairwise_oracle(P):
+    A = P.algebra
+    types, orbit = _pairwise_types(P)
+    classes = summand_classes(P)
+    type_of = {}
+    for (blk, g), m in classes.items():
+        rep = dec.class_representative(A, blk).shift(g)
+        hits = [k for k, (X, _n) in enumerate(types) if indec_iso(rep, X)]
+        assert len(hits) == 1 and types[hits[0]][1] == m
+        type_of[(blk, g)] = hits[0]
+    assert sorted(type_of.values()) == list(range(len(types)))
+    for (b1, _g1), t1 in type_of.items():
+        for (b2, _g2), t2 in type_of.items():
+            assert (b1 == b2) == (orbit[t1] == orbit[t2])
+    return classes
+
+
+REGULAR_ORACLE_CASES = [
+    lambda: alg.forget_grading(alg.matrix_algebra(QQ, [0, 1, 2, 3])),
+    lambda: alg.forget_grading(alg.matrix_algebra(GF(2), [0, 1, 2, 3])),
+    lambda: alg.forget_grading(alg.group_algebra(QQ, GradingGroup(0, (6,)))),
+    lambda: alg.positive_part(alg.matrix_algebra(QQ, [0, 1, 2, 2, 3])),
+]
+
+
+@pytest.mark.parametrize("build", REGULAR_ORACLE_CASES)
+def test_block_matching_agrees_with_pairwise_oracle(build):
+    A = build()
+    R = regular_module(A)
+    # a fresh registry, then one that already holds every class
+    _assert_matches_pairwise_oracle(R)
+    _assert_matches_pairwise_oracle(R)
+
+
+def test_block_matching_on_random_positive_part_presentations():
+    A = alg.positive_part(alg.matrix_algebra(QQ, [0, 1, 2, 2, 3]))
+    one = A.group.degree([1])
+    R = regular_module(A)
+    inputs = [direct_sum(R, R.shift(one))]
+    for seed in range(4):
+        inputs.append(random_presentation(A, [[0], [1], [2]], random.Random(seed)))
+        inputs.append(random_presentation(A, [[0], [2]], random.Random(10 + seed)))
+    shifted_twice = 0
+    for P in inputs:
+        classes = _assert_matches_pairwise_oracle(P)
+        blocks = [blk for blk, _g in classes]
+        shifted_twice += len(blocks) - len(set(blocks))
+    # blocks of one split that are nonzero shifts of one class occur
+    assert shifted_twice > 0
+
+
+def test_fresh_trivially_graded_regular_module_makes_no_iso_test(monkeypatch):
+    calls = []
+    real = dec.indec_iso
+
+    def counted(X, Y):
+        calls.append((X, Y))
+        return real(X, Y)
+
+    monkeypatch.setattr(dec, "indec_iso", counted)
+    A = alg.forget_grading(alg.group_algebra(QQ, GradingGroup(0, (12,))))
+    classes = summand_classes(regular_module(A))
+    assert sorted(classes.values()) == [1] * 6  # tau(12) simple blocks
+    assert calls == []

@@ -293,3 +293,19 @@ def test_k0_rank_is_morita_invariant(n, p):
         alg.matrix_algebra(F, [[0], [1]], group=Zn), alg.group_algebra(F, Zn)
     )
     assert _forgotten_k0_rank(A) == cyclic_group_algebra_k0_rank(n, p)
+
+
+def _random_shift_multiset(seed):
+    rng = random.Random(seed)
+    return sorted(rng.randint(-2, 2) for _ in range(rng.randint(1, 7)))
+
+
+@pytest.mark.parametrize("p", [0, 2])
+@pytest.mark.parametrize("seed", range(6))
+def test_k0_rank_of_matrix_zero_part(seed, p):
+    # the zero part of M_n(F)(s) is the product of M_m(F), one factor per
+    # distinct shift of multiplicity m, so K0 is free on the distinct shifts
+    F = GF(p) if p else QQ
+    shifts = _random_shift_multiset(seed)
+    A = alg.matrix_algebra(F, shifts).zero_part()
+    assert kt.k0(A).module.total_rank() == len(set(shifts))

@@ -16,7 +16,13 @@ import pytest
 from gradedk import _kernel, algebra as alg
 from gradedk.fields import GF, QQ
 from gradedk.grading import GradingGroup
-from gradedk.gmod import EndAlgebra, endos, regular_module, split_projective
+from gradedk.gmod import (
+    EndAlgebra,
+    endos,
+    random_presentation,
+    regular_module,
+    split_projective,
+)
 from gradedk.gmod.endos import (
     FDAlgebra,
     SplitError,
@@ -27,6 +33,7 @@ from gradedk.gmod.endos import (
     primitive_idempotents,
     radical_basis,
 )
+from gradedk.gmod.presentations import entries_matmul
 
 
 def _end_of_regular(A):
@@ -436,3 +443,73 @@ def test_rational_block_budgets_are_named_when_exhausted(monkeypatch, budgets, m
         monkeypatch.setattr(endos, name, value)
     with pytest.raises(SplitError, match=message):
         split_projective(R, random.Random(0))
+
+
+# -- hom spaces: outer products against the two-product construction ------------
+
+
+def _hom_basis_two_products(X, Y):
+    """The hom space construction with two full entry-matrix products per
+    column: e_Y E e_X for each raw matrix E with one basis element."""
+    A = X.algebra
+    F = A.field
+    positions = endos._raw_positions(A, Y.shifts, X.shifts)
+    if not positions:
+        return []
+    cols = []
+    for k in range(len(positions)):
+        unit = [F.zero] * len(positions)
+        unit[k] = F.one
+        raw = endos._vec_to_entries(A, unit, positions, Y.rank, X.rank)
+        proj = entries_matmul(entries_matmul(Y.entries, raw), X.entries)
+        cols.append(endos._entries_to_vec(A, proj, positions))
+    mat = [[cols[c][r] for c in range(len(cols))] for r in range(len(positions))]
+    _red, pivots = _kernel.rref(mat, F.char)
+    return [
+        endos._vec_to_entries(
+            A, [mat[r][c] for r in range(len(positions))], positions, Y.rank, X.rank
+        )
+        for c in pivots
+    ]
+
+
+def _entry_keys(entries):
+    return [
+        [None if e is None else (e.degree, tuple(e.coords)) for e in row]
+        for row in entries
+    ]
+
+
+HOM_CASES = [
+    # (algebra builder, presentation shifts or None for the regular module,
+    #  whether two of its summands have a zero hom space)
+    (lambda: _forget(alg.matrix_algebra(QQ, [0, 0, 0])), None, False),
+    (lambda: _forget(alg.group_algebra(QQ, GradingGroup(0, (6,)))), None, True),
+    (lambda: alg.matrix_algebra(QQ, [0, 1, 2, 2, 3]).positive_part(), None, True),
+    (lambda: alg.matrix_algebra(QQ, [0, 1, 2]).positive_part(), [[0], [1]], True),
+    (lambda: _forget(alg.group_algebra(GF(5), GradingGroup(0, (4,)))), None, True),
+    (lambda: _forget(alg.matrix_algebra(GF(5), [0, 1])), None, False),
+    (lambda: alg.matrix_algebra(GF(5), [0, 1, 2]).positive_part(), None, True),
+    (lambda: alg.matrix_algebra(GF(5), [0, 1, 2]).positive_part(), [[0], [2]], True),
+]
+
+
+@pytest.mark.parametrize("build,shifts,zero_hom", HOM_CASES)
+def test_hom_basis_matches_two_product_construction(build, shifts, zero_hom):
+    A = build()
+    if shifts is None:
+        P = regular_module(A)
+    else:
+        P = random_presentation(A, shifts, random.Random(7))
+    summands = [X for X, _blk in split_projective(P, random.Random(0))]
+    assert len(summands) >= 2
+    pieces = summands + [P]
+    if A.group.dim:
+        pieces.append(summands[0].shift(A.group.degree([1])))
+    for X in pieces:
+        for Y in pieces:
+            got = endos.hom_basis(X, Y)
+            want = _hom_basis_two_products(X, Y)
+            assert [_entry_keys(e) for e in got] == [_entry_keys(e) for e in want]
+    dims = [len(endos.hom_basis(X, Y)) for X in summands for Y in summands]
+    assert (0 in dims) == zero_hom
