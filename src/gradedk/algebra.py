@@ -958,8 +958,6 @@ def is_strongly_graded(A: GradedAlgebra, window: Optional[Iterable[Degree]] = No
     degrees (and their negatives) decide the question; extra degrees may
     be supplied for belt-and-braces checking.
     """
-    from . import _kernel
-
     gens = A.group.generators()
     degrees = list(gens) + [-g for g in gens]
     if window:

@@ -39,6 +39,7 @@ from .presentations import (
     GradedMap,
     PresentationError,
     ProjectivePresentation,
+    relabel,
     restrict_rows,
 )
 from .swan import functor_S, functor_T, require_positive_support
@@ -112,15 +113,16 @@ class _FiniteRegistry:
 
     @staticmethod
     def _profile(X):
+        """(support dims, anchor, anchored profile) of X."""
         dims = module_support_degrees(X)
         if not dims:
-            return None, None
+            return dims, None, None
         anchor = min(dims, key=lambda d: d.values)
         prof = {(h - anchor): n for h, n in dims.items()}
-        return anchor, prof
+        return dims, anchor, prof
 
     @staticmethod
-    def _profile_symmetries(group, dims):
+    def _profile_symmetries(dims):
         """Translation symmetries of a finite dimension function."""
         degrees = list(dims)
         base = degrees[0]
@@ -128,7 +130,6 @@ class _FiniteRegistry:
         sym = []
         for delta in candidates:
             shifted = {}
-            ok = True
             for h, n in dims.items():
                 shifted[h - delta] = n
             if shifted == dims:
@@ -140,7 +141,7 @@ class _FiniteRegistry:
         new class when nothing matches.  ``taken`` holds keys already
         given to summands known not to be isomorphic to X; those
         candidates are skipped without a test."""
-        anchor, prof = self._profile(X)
+        dims, anchor, prof = self._profile(X)
         if prof is None:
             raise PresentationError("cannot match a zero module")
         for blk, info in enumerate(self.classes):
@@ -155,8 +156,7 @@ class _FiniteRegistry:
                 if indec_iso(X, info.rep.shift(shift)):
                     return blk, shift
         # new class
-        dims = module_support_degrees(X)
-        sym = self._profile_symmetries(self.algebra.group, dims)
+        sym = self._profile_symmetries(dims)
         stab_elems = [d for d in sym if d.is_zero() or indec_iso(X.shift(d), X)]
         stabilizer = Subgroup.from_degrees(self.algebra.group, stab_elems)
         self.classes.append(_ClassInfo(X, stabilizer, prof, anchor, sym))
@@ -271,20 +271,8 @@ def _decompose_classes(P: ProjectivePresentation, rng) -> dict:
         block = restrict_rows(tp, rows)
         if block.is_zero():
             continue
-        # reinterpret the slice over the residual zero-part algebra
-        zshifts = [Az.group.degree(s.values[1:]) for s in block.shifts]
-        zentries = []
-        for r in range(block.rank):
-            row = []
-            for c in range(block.rank):
-                ent = block.entries[r][c]
-                if ent is None:
-                    row.append(None)
-                else:
-                    zd = Az.group.degree(ent.degree.values[1:])
-                    row.append(Az.element(zd, ent.coords))
-            zentries.append(row)
-        zpres = ProjectivePresentation(Az, zshifts, zentries, check=False)
+        # the slice over the residual zero-part algebra
+        zpres = relabel(block, Az, lambda d: Az.group.degree(d.values[1:]))
         for (blk, g), m in _decompose_classes(zpres, rng).items():
             full = A.group.degree((w,) + g.values)
             key = (blk, full)
@@ -332,20 +320,7 @@ def class_representative(A: GradedAlgebra, block: int) -> ProjectivePresentation
 
 
 def _lift_representative(A, inner):
-    zpe = A.zero_part_embedded()
-    shifts = [A.group.degree((0,) + s.values) for s in inner.shifts]
-    entries = []
-    for r in range(inner.rank):
-        row = []
-        for c in range(inner.rank):
-            ent = inner.entries[r][c]
-            if ent is None:
-                row.append(None)
-            else:
-                d = A.group.degree((0,) + ent.degree.values)
-                row.append(zpe.element(d, ent.coords))
-        entries.append(row)
-    q = ProjectivePresentation(zpe, shifts, entries, check=False)
+    q = relabel(inner, A.zero_part_embedded(), lambda d: A.group.degree((0,) + d.values))
     return functor_S(q, A)
 
 

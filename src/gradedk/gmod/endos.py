@@ -16,7 +16,8 @@ the engine behind Krull-Schmidt decomposition:
   level.  Self-checks (two-sided ideal, nilpotent, clean quotient) turn
   any failure into a loud internal error instead of a wrong answer;
 * the semisimple quotient splits through its center (minimal polynomial
-  factorization plus CRT idempotents), then matrix blocks split by
+  factorization plus CRT idempotents), which also gives each simple
+  block's size r over its centre field; blocks with r > 1 split by
   corner recursion -- directly over a finite field, and over Q by
   splitting modulo a good prime, Hensel lifting, and rational
   reconstruction of subset sums (smallest subsets first, so accepted
@@ -28,7 +29,7 @@ the engine behind Krull-Schmidt decomposition:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .. import _kernel
 from ..fields import Field
@@ -381,21 +382,12 @@ def _verify_radical(fd, J):
         if not nxt:
             return
         red, piv = _kernel.rref(nxt, char)
-        nxt = [red[i] for i in range(len(piv))]
-        if len(nxt) >= len(power) and all(
-            any(x for x in row) for row in nxt
-        ) and len(piv) == len(power):
-            # dimension did not drop; detect stagnation via span equality
-            if _span_equal(power, nxt, fd.dim, char):
-                raise SplitError("computed radical is not nilpotent")
-        power = nxt
+        if len(piv) == len(power):
+            # J is an ideal (checked above), so J^(k+1) lies in J^k and
+            # an equal rank means an equal span: the powers stagnate
+            raise SplitError("computed radical is not nilpotent")
+        power = [red[i] for i in range(len(piv))]
     raise SplitError("computed radical is not nilpotent")
-
-
-def _span_equal(rows_a, rows_b, dim, char):
-    ra, pa = _kernel.rref([list(r) for r in rows_a], char)
-    rb, pb = _kernel.rref([list(r) for r in rows_b], char)
-    return [ra[i] for i in range(len(pa))] == [rb[i] for i in range(len(pb))]
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +611,8 @@ def _crt_idempotents(alg: FDAlgebra, t, minpoly_coeffs, factors):
 
 def _split_commutative(zalg: FDAlgebra, rng):
     """Complete orthogonal primitive idempotents of a commutative
-    semisimple algebra."""
+    semisimple algebra, each with the dimension of its field z * zalg:
+    [(vector, field dimension)]."""
     if zalg.dim == 0:
         return []
     work = [list(zalg.unit)]
@@ -630,7 +623,7 @@ def _split_commutative(zalg: FDAlgebra, rng):
         span = [zalg.mul_vec(z, _unit_vec(zalg, i)) for i in range(zalg.dim)]
         corner, cbasis = zalg.subalgebra([v for v in span if any(v)], z)
         if corner.dim == 1:
-            done.append(z)
+            done.append((z, corner.dim))
             continue
         found = False
         best_irreducible = 0
@@ -651,7 +644,7 @@ def _split_commutative(zalg: FDAlgebra, rng):
         if found:
             continue
         if best_irreducible == corner.dim:
-            done.append(z)
+            done.append((z, corner.dim))
         else:
             raise SplitError(
                 "could not certify or split a commutative factor within "
@@ -660,27 +653,29 @@ def _split_commutative(zalg: FDAlgebra, rng):
     return done
 
 
-def _block_matrix_size(corner: FDAlgebra):
-    zc = corner.center_basis()
-    d = len(zc)
-    if d == 0 or corner.dim % d:
+def _block_matrix_size(block_dim, d_z):
+    """r with a simple block of dimension block_dim being M_r over its
+    centre, a field of dimension d_z."""
+    if d_z == 0 or block_dim % d_z:
         raise SplitError("degenerate block (center does not divide)")
-    r2 = corner.dim // d
+    r2 = block_dim // d_z
     r = isqrt(r2)
     if r * r != r2:
         raise SplitError("block dimension is not a square over its center")
     return r
 
 
-def _split_block_modp(fd: FDAlgebra, z, rng):
-    """Split a simple block over a prime field into primitive idempotents
-    by corner recursion on reducible minimal polynomials."""
+def _split_block_modp(fd: FDAlgebra, z, d_z, rng):
+    """Split a simple block over a prime field, whose centre has dimension
+    d_z, into primitive idempotents by corner recursion on reducible
+    minimal polynomials.  A corner e * block * e is M_s over the centre,
+    so e is primitive exactly when the corner has dimension d_z."""
     stack = [z]
     out = []
     while stack:
         e = stack.pop()
         corner, cbasis = _corner(fd, e)
-        if corner.dim == 1 or _block_matrix_size(corner) == 1:
+        if corner.dim == d_z:
             out.append(e)
             continue
         found = False
@@ -720,8 +715,6 @@ def _rat_recon(s, M):
         return None
     if t1 < 0:
         r1, t1 = -r1, -t1
-    from math import gcd
-
     if gcd(t1, M) != 1 or gcd(abs(r1), t1) != 1:
         return None
     if (r1 - s * t1) % M:
@@ -772,8 +765,6 @@ def _split_block_char0(fd: FDAlgebra, z, rng):
     from ..fields import GF
 
     corner, cbasis = _corner(fd, z)
-    if corner.dim == 1 or _block_matrix_size(corner) == 1:
-        return [z]
     for q in _primes_for(corner):
         try:
             qalg = FDAlgebra(
@@ -855,32 +846,35 @@ def _reconstruct_partition(corner: FDAlgebra, zmod, lifted):
         combo, coords = hit
         accepted.append(coords)
         remaining = [t for t in remaining if t not in combo]
-    # exact orthogonality and completeness
-    total = [corner.field.zero] * corner.dim
-    for a in accepted:
-        total = [corner.field.add(x, y) for x, y in zip(total, a)]
-    if total != list(corner.unit):
+    try:
+        _verify_complete_orthogonal(corner, accepted)
+    except SplitError:
         return None
-    for i in range(len(accepted)):
-        for j in range(len(accepted)):
-            if i != j and any(corner.mul_vec(accepted[i], accepted[j])):
-                return None
     return accepted
 
 
 def split_semisimple(fd: FDAlgebra, rng):
     """Complete orthogonal primitive idempotents of a semisimple algebra,
-    tagged by central block: [(vector, block_id)]."""
+    tagged by central block: [(vector, block_id)].
+
+    A primitive central idempotent z cuts out a simple block zA, which is
+    M_r over its centre, the field zZ; r = 1 blocks need no splitting."""
     if fd.dim == 0:
         return []
+    char = fd.field.char
     zvecs = fd.center_basis()
     zalg, zbasis = fd.subalgebra(zvecs, fd.unit)
-    centrals_z = _split_commutative(zalg, rng)
     out = []
-    for blk, zq in enumerate(centrals_z):
+    for blk, (zq, d_z) in enumerate(_split_commutative(zalg, rng)):
         z = _up(zbasis, zq, fd.field, fd.dim)
-        if fd.field.char:
-            pieces = _split_block_modp(fd, z, rng)
+        # z is central, so the block zA is spanned by the z b_i
+        block_dim = _kernel.rank(
+            [fd.mul_vec(z, _unit_vec(fd, i)) for i in range(fd.dim)], char
+        )
+        if block_dim == 1 or _block_matrix_size(block_dim, d_z) == 1:
+            pieces = [z]
+        elif char:
+            pieces = _split_block_modp(fd, z, d_z, rng)
         else:
             pieces = _split_block_char0(fd, z, rng)
         out.extend((p, blk) for p in pieces)

@@ -8,10 +8,15 @@ A_{s_i + h}, so every question about P reduces to exact linear algebra
 in a fixed degree.
 
 Degree-zero maps between presentations are matrices of homogeneous
-entries intertwining the idempotents.  Maps whose source lives over the
-embedded zero part of the target algebra (or vice versa) are supported
-through a label-wise coercion, which is how the restriction and
-induction functors act on components.
+entries intertwining the idempotents.
+
+The zero part, its embedding, a trivial extension of the grading and
+the identity component read their components from the parent's basis
+labels, so a presentation moves between these algebras along a degree
+map alone (``relabel``): an entry keeps its coordinates and takes the
+degree the map gives it, or is dropped where the map gives None.  Maps
+between presentations over an algebra and over its embedded zero part
+read their source along the same degree maps.
 """
 
 from __future__ import annotations
@@ -298,43 +303,63 @@ def restrict_rows(P: ProjectivePresentation, rows) -> ProjectivePresentation:
     return ProjectivePresentation(P.algebra, shifts, entries, check=False)
 
 
-# -- coercion between an algebra and its embedded zero part -----------------
+# -- reading a presentation in a related algebra -----------------------------
 
 
-def _coercion_mode(src: GradedAlgebra, tgt: GradedAlgebra) -> str:
-    if src is tgt:
-        return "id"
-    if tgt.group.free_rank >= 1 and src is tgt.zero_part_embedded():
-        return "embed"
+def same_degree(d: Degree) -> Degree:
+    return d
+
+
+def zero_slice(d: Degree):
+    """The degree map of the projection onto the embedded zero part:
+    degrees off the first-coordinate-zero slice are dropped."""
+    return d if d.values[0] == 0 else None
+
+
+def relabel_entries(entries, B: GradedAlgebra, deg):
+    """An entry matrix read in B along the degree map ``deg``.
+
+    B's component at deg(d) carries the basis labels of the entry's
+    component at d, so each entry keeps its coordinates; an entry with
+    deg(d) None is dropped.
+    """
+    out = []
+    for row in entries:
+        new_row = []
+        for ent in row:
+            d = None if ent is None or ent.is_zero() else deg(ent.degree)
+            new_row.append(None if d is None else B.element(d, ent.coords))
+        out.append(new_row)
+    return out
+
+
+def relabel(P: ProjectivePresentation, B: GradedAlgebra, deg) -> ProjectivePresentation:
+    """P read over B along ``deg``: its shifts and idempotent entries."""
+    return ProjectivePresentation(
+        B, [deg(s) for s in P.shifts], relabel_entries(P.entries, B, deg), check=False
+    )
+
+
+def _coercion(src: GradedAlgebra, tgt: GradedAlgebra):
+    """The degree map reading src components in tgt."""
+    if src is tgt or (tgt.group.free_rank >= 1 and src is tgt.zero_part_embedded()):
+        return same_degree
     if src.group.free_rank >= 1 and tgt is src.zero_part_embedded():
-        return "project"
+        return zero_slice
     raise PresentationError(
         "maps are supported between presentations over one algebra or its "
         "embedded zero part"
     )
 
 
-def _coerce_coords(mode: str, src: GradedAlgebra, tgt: GradedAlgebra, deg: Degree, coords):
-    """Coordinates of a src component vector inside tgt's component.
-
-    Label-wise: the embedded zero part shares basis labels with its parent
-    in first-coordinate-zero degrees and is zero elsewhere.
-    """
-    if mode == "id":
+def _coerce_coords(deg, src: GradedAlgebra, tgt: GradedAlgebra, d: Degree, coords):
+    """Coordinates of a src component vector at d inside tgt's component
+    at d, the vector being dropped where ``deg`` drops d."""
+    if src is tgt:
         return coords
-    tdim = tgt.component_dim(deg)
-    if mode == "embed":
-        if not coords:
-            return [tgt.field.zero] * tdim
-        if deg.values[0] != 0:  # pragma: no cover - embed source is zero there
-            raise PresentationError("embedded zero part has support in degree zero")
-        if src.component_basis(deg) != tgt.component_basis(deg):  # pragma: no cover
-            raise PresentationError("zero part basis mismatch")
-        return list(coords)
-    # project
-    if deg.values[0] != 0:
-        return [tgt.field.zero] * tdim
-    if src.component_basis(deg) != tgt.component_basis(deg):  # pragma: no cover
+    if deg(d) is None or not coords:
+        return [tgt.field.zero] * tgt.component_dim(d)
+    if src.component_basis(d) != tgt.component_basis(d):  # pragma: no cover
         raise PresentationError("zero part basis mismatch")
     return list(coords)
 
@@ -344,14 +369,14 @@ class GradedMap:
 
     Entries live in the algebra of the target; (i, j) has degree
     (target shift i) - (source shift j).  When source and target algebras
-    differ by the zero-part embedding, source vectors are coerced
-    label-wise before multiplying.
+    differ by the zero-part embedding, source vectors are read in the
+    target along the degree map ``deg`` before multiplying.
     """
 
     def __init__(self, source: ProjectivePresentation, target: ProjectivePresentation, entries, *, normalize: bool = True, check: bool = True):
         self.source = source
         self.target = target
-        self.mode = _coercion_mode(source.algebra, target.algebra)
+        self.deg = _coercion(source.algebra, target.algebra)
         rows = target.rank
         cols = source.rank
         if len(entries) != rows or any(len(r) != cols for r in entries):
@@ -372,31 +397,8 @@ class GradedMap:
                             f"map entry ({i},{j}) has degree {ent.degree}, expected {want}"
                         )
         if normalize:
-            tgt_e = self.target.entries
-            src_e = self._source_entries_in_target()
-            self.entries = entries_matmul(entries_matmul(tgt_e, self.entries), src_e)
-
-    def _source_entries_in_target(self):
-        """Source idempotent with entries reinterpreted in the target algebra
-        (possible exactly in the label-wise coercion situations)."""
-        if self.mode == "id":
-            return self.source.entries
-        A = self.target.algebra
-        out = []
-        for i, si in enumerate(self.source.shifts):
-            row = []
-            for j, sj in enumerate(self.source.shifts):
-                ent = self.source.entries[i][j]
-                if ent is None:
-                    row.append(None)
-                    continue
-                coords = _coerce_coords(
-                    self.mode, self.source.algebra, A, ent.degree, ent.coords
-                )
-                elt = A.element(ent.degree, coords) if any(coords) else None
-                row.append(elt)
-            out.append(row)
-        return out
+            src_e = relabel_entries(source.entries, A, self.deg)
+            self.entries = entries_matmul(entries_matmul(target.entries, self.entries), src_e)
 
     # -- per-degree realization ----------------------------------------------
     def component_matrix(self, h: Degree):
@@ -420,7 +422,7 @@ class GradedMap:
                 chunk = basis_col[off : off + n_src]
                 off += n_src
                 coerced.extend(
-                    _coerce_coords(self.mode, self.source.algebra, A, d, chunk)
+                    _coerce_coords(self.deg, self.source.algebra, A, d, chunk)
                 )
             if act and coerced:
                 img = [row for row in _kernel.mat_mul(act, [[x] for x in coerced], F.char)]
@@ -449,7 +451,7 @@ class GradedMap:
 
     def compose(self, inner: "GradedMap") -> "GradedMap":
         """self o inner (same-algebra maps only)."""
-        if self.mode != "id" or inner.mode != "id":
+        if any(f.source.algebra is not f.target.algebra for f in (self, inner)):
             raise PresentationError("symbolic composition needs one common algebra")
         if inner.target is not self.source:
             raise PresentationError("composition target/source mismatch")

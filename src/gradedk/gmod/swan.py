@@ -1,14 +1,16 @@
 """The correspondence between graded projectives over A and over its
 degree-zero part along an N-supported free coordinate.
 
-T sends a presentation to the same shifts with the idempotent pushed
-through the projection onto the zero part; S reinterprets a zero-part
-idempotent inside the big algebra.  TS is literally the identity on
-presentations, and ST(P) -> P is left multiplication by the original
-idempotent, built from a degree-preserving section of P -> T(P).  The
-graded Nakayama property of N-supported algebras (a finitely generated
-module killed by restriction is zero) makes the per-window invertibility
-checks for these maps conclusive.
+Both functors read a presentation in the other algebra along a degree
+map (``presentations.relabel``).  T keeps the shifts and reads the
+idempotent in the embedded zero part along ``zero_slice``, which drops
+every entry of nonzero first degree; S reads a zero-part idempotent
+inside the big algebra with every degree kept.  TS is literally the
+identity on presentations, and ST(P) -> P is left multiplication by the
+original idempotent, built from a degree-preserving section of
+P -> T(P).  The graded Nakayama property of N-supported algebras (a
+finitely generated module killed by restriction is zero) makes the
+per-window invertibility checks for these maps conclusive.
 """
 
 from __future__ import annotations
@@ -19,7 +21,12 @@ from .presentations import (
     PresentationError,
     ProjectivePresentation,
     entries_add,
+    entries_eq,
     entries_matmul,
+    relabel,
+    relabel_entries,
+    same_degree,
+    zero_slice,
 )
 
 
@@ -42,32 +49,14 @@ def require_positive_support(A: GradedAlgebra):
         )
 
 
-def _project_entries(A: GradedAlgebra, entries):
-    """Push an entry matrix through the zero-part projection, valued in
-    the embedded zero part (entries of nonzero first degree die)."""
-    zpe = A.zero_part_embedded()
-    out = []
-    for row in entries:
-        prow = []
-        for ent in row:
-            if ent is None or ent.degree.values[0] != 0 or ent.is_zero():
-                prow.append(None)
-            else:
-                prow.append(zpe.element(ent.degree, ent.coords))
-        out.append(prow)
-    return out
-
-
-def _pi_entries(P: ProjectivePresentation):
-    return _project_entries(P.algebra, P.entries)
-
-
 def functor_T(P: ProjectivePresentation) -> ProjectivePresentation:
     """Restriction P -> P / P A_+ as a presentation over the embedded
     zero part (same shifts, idempotent entries projected)."""
     require_positive_support(P.algebra)
     zpe = P.algebra.zero_part_embedded()
-    return ProjectivePresentation(zpe, P.shifts, _pi_entries(P), check=False)
+    return ProjectivePresentation(
+        zpe, P.shifts, relabel_entries(P.entries, zpe, zero_slice), check=False
+    )
 
 
 def functor_S(Q: ProjectivePresentation, A: GradedAlgebra) -> ProjectivePresentation:
@@ -79,17 +68,7 @@ def functor_S(Q: ProjectivePresentation, A: GradedAlgebra) -> ProjectivePresenta
         raise PresentationError(
             "functor_S expects a presentation over the embedded zero part of A"
         )
-    entries = []
-    for i in range(Q.rank):
-        row = []
-        for j in range(Q.rank):
-            ent = Q.entries[i][j]
-            if ent is None:
-                row.append(None)
-            else:
-                row.append(A.element(ent.degree, ent.coords))
-        entries.append(row)
-    return ProjectivePresentation(A, Q.shifts, entries, check=False)
+    return relabel(Q, A, same_degree)
 
 
 def nu(Q: ProjectivePresentation, A: GradedAlgebra) -> GradedMap:
@@ -156,21 +135,9 @@ def psi(P: ProjectivePresentation, rng=None) -> GradedMap:
     entries = entries_matmul(lift, stp.entries)
     out = GradedMap(stp, P, entries, normalize=False)
     # the restriction of psi must be nu on T(P), entry for entry
-    projected = _project_entries(A, out.entries)
-    nu_entries = tp.entries
-    for i in range(len(projected)):
-        for j in range(len(projected)):
-            a = projected[i][j]
-            b = nu_entries[i][j]
-            if a is None and b is None:
-                continue
-            if a is None or b is None:
-                if (a is not None and not a.is_zero()) or (
-                    b is not None and not b.is_zero()
-                ):
-                    raise VerificationError("restriction of psi differs from nu")
-            elif a.degree != b.degree or a.coords != b.coords:
-                raise VerificationError("restriction of psi differs from nu")
+    projected = relabel_entries(out.entries, tp.algebra, zero_slice)
+    if not entries_eq(projected, tp.entries):
+        raise VerificationError("restriction of psi differs from nu")
     return out
 
 

@@ -23,11 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from . import intlat
-from .algebra import (
-    GradedAlgebra,
-    IdentityComponentAlgebra,
-    is_strongly_graded,
-)
+from .algebra import GradedAlgebra, is_strongly_graded
 from .grading import ShiftModule, Subgroup, induce_module, shift_module_iso
 from .gmod.decompose import (
     class_representative,
@@ -35,42 +31,7 @@ from .gmod.decompose import (
     class_stabilizer,
     summand_classes,
 )
-from .gmod.presentations import ProjectivePresentation, regular_module
-
-
-def extend_presentation(P: ProjectivePresentation, extra: int) -> ProjectivePresentation:
-    """The same module over the trivially extended algebra (new leading
-    free coordinates, support unchanged)."""
-    A = P.algebra
-    At = A.trivial_extension(extra)
-    shifts = [At.group.degree((0,) * extra + s.values) for s in P.shifts]
-    entries = []
-    for row in P.entries:
-        new_row = []
-        for ent in row:
-            if ent is None:
-                new_row.append(None)
-            else:
-                d = At.group.degree((0,) * extra + ent.degree.values)
-                new_row.append(At.element(d, ent.coords))
-        entries.append(new_row)
-    return ProjectivePresentation(At, shifts, entries, check=False)
-
-
-def embed_identity_component_module(Q: ProjectivePresentation, A: GradedAlgebra) -> ProjectivePresentation:
-    """Base change along A_0 -> A for a module over the identity component
-    (an ungraded projective placed in degree zero)."""
-    if not isinstance(Q.algebra, IdentityComponentAlgebra) or Q.algebra.parent is not A:
-        raise ValueError("module must live over the identity component of A")
-    z = A.group.zero
-    shifts = [z] * Q.rank
-    entries = []
-    for row in Q.entries:
-        new_row = []
-        for ent in row:
-            new_row.append(None if ent is None else A.element(z, ent.coords))
-        entries.append(new_row)
-    return ProjectivePresentation(A, shifts, entries, check=False)
+from .gmod.presentations import ProjectivePresentation, regular_module, relabel
 
 
 @dataclass
@@ -194,6 +155,14 @@ def _check(name, ok, detail=""):
     return {"name": name, "ok": bool(ok), "detail": detail}
 
 
+def _image(classes):
+    """A class map as the sorted ``image`` list of a correspondence."""
+    return [
+        {"class": f"P{blk}", "coset": list(g.values), "mult": m}
+        for (blk, g), m in sorted(classes.items(), key=lambda kv: (kv[0][0], kv[0][1].values))
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Dade: strongly graded algebras
 # ---------------------------------------------------------------------------
@@ -226,15 +195,14 @@ def dade_check(A: GradedAlgebra, seed: int = 0) -> dict:
     cols = []
     correspondence = []
     for o in k_a0.orbits:
-        X = embed_identity_component_module(o.representative, A)
+        # base change along A_0 -> A: the ungraded projective in degree zero
+        X = relabel(o.representative, A, lambda d: A.group.zero)
         cm = summand_classes(X, seed)
         col = [0] * len(zb)
-        images = []
-        for (blk, g), m in sorted(cm.items(), key=lambda kv: (kv[0][0], kv[0][1].values)):
+        for (blk, g), m in cm.items():
             col[index[(blk, g.values)]] = m
-            images.append({"class": f"P{blk}", "coset": list(g.values), "mult": m})
         cols.append(col)
-        correspondence.append({"source": f"Q{o.block}", "image": images})
+        correspondence.append({"source": f"Q{o.block}", "image": _image(cm)})
     square = len(cols) == len(zb)
     unimodular = False
     if square and zb:
@@ -278,16 +246,7 @@ def _induction_correspondence(A: GradedAlgebra, lhs: K0Result, rhs: K0Result, se
     for o in lhs.orbits:
         X = _lift_representative(A, o.representative)
         cm = summand_classes(X, seed)
-        entry = {
-            "source": f"Q{o.block}",
-            "image": [
-                {"class": f"P{blk}", "coset": list(g.values), "mult": m}
-                for (blk, g), m in sorted(
-                    cm.items(), key=lambda kv: (kv[0][0], kv[0][1].values)
-                )
-            ],
-        }
-        correspondence.append(entry)
+        correspondence.append({"source": f"Q{o.block}", "image": _image(cm)})
         if len(cm) != 1 or set(cm.values()) != {1}:
             ok = False
             continue
@@ -468,19 +427,10 @@ def lemma_check(A: GradedAlgebra, extra_free: int = 1, seed: int = 0) -> dict:
     ok = True
     hit = {}
     for o in lhs.orbits:
-        X = extend_presentation(o.representative, extra_free)
+        # the same module over At: new leading coordinates 0
+        X = relabel(o.representative, At, lambda d: At.group.degree((0,) * extra_free + d.values))
         cm = summand_classes(X, seed)
-        correspondence.append(
-            {
-                "source": f"Q{o.block}",
-                "image": [
-                    {"class": f"P{blk}", "coset": list(g.values), "mult": m}
-                    for (blk, g), m in sorted(
-                        cm.items(), key=lambda kv: (kv[0][0], kv[0][1].values)
-                    )
-                ],
-            }
-        )
+        correspondence.append({"source": f"Q{o.block}", "image": _image(cm)})
         if len(cm) != 1 or set(cm.values()) != {1}:
             ok = False
             continue

@@ -422,10 +422,10 @@ def _m2_f3_without_a_split_in_the_sweep():
 
 def test_candidate_budget_is_named_when_exhausted(monkeypatch):
     fd = _m2_f3_without_a_split_in_the_sweep()
-    assert len(_split_block_modp(fd, fd.unit, random.Random(0))) == 2
+    assert len(_split_block_modp(fd, fd.unit, 1, random.Random(0))) == 2
     monkeypatch.setattr(endos, "_CANDIDATE_BUDGET", 0)
     with pytest.raises(SplitError, match="_CANDIDATE_BUDGET = 0"):
-        _split_block_modp(fd, fd.unit, random.Random(0))
+        _split_block_modp(fd, fd.unit, 1, random.Random(0))
 
 
 @pytest.mark.parametrize(
