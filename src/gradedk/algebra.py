@@ -707,45 +707,30 @@ class GroupHom:
                 acc = acc + v * img
         return acc
 
+    def _lattice_matrix(self):
+        """Integer matrix over the target coordinates (rows) whose columns
+        are the images of the source generators, then the generators of
+        the target's moduli lattice."""
+        gens = [d.values for d in self.images] + list(self.target.moduli_lattice())
+        return [[g[i] for g in gens] for i in range(self.target.dim)]
+
     def kernel_subgroup(self) -> Subgroup:
         """Kernel as a subgroup of the source."""
         sdim = self.source.dim
-        tdim = self.target.dim
-        tlat = self.target.moduli_lattice()
-        # rows: target coordinates; columns: source gens then target moduli gens
-        cols = sdim + len(tlat)
-        mat = [[0] * cols for _ in range(tdim)]
-        for j in range(sdim):
-            for i in range(tdim):
-                mat[i][j] = self.images[j].values[i]
-        for k, row in enumerate(tlat):
-            for i in range(tdim):
-                mat[i][sdim + k] = row[i]
-        ker = intlat.kernel_int(mat) if tdim else [
-            [1 if i == j else 0 for i in range(cols)] for j in range(cols)
-        ]
-        rows = [v[:sdim] for v in ker]
-        return Subgroup(self.source, rows)
+        if self.target.dim:
+            ker = intlat.kernel_int(self._lattice_matrix())
+        else:
+            ker = [[1 if i == j else 0 for i in range(sdim)] for j in range(sdim)]
+        return Subgroup(self.source, [v[:sdim] for v in ker])
 
     def solve(self, target_deg: Degree) -> Optional[Degree]:
         """One preimage of target_deg, or None."""
-        sdim = self.source.dim
-        tdim = self.target.dim
-        if tdim == 0:
+        if self.target.dim == 0:
             return self.source.zero
-        tlat = self.target.moduli_lattice()
-        cols = sdim + len(tlat)
-        mat = [[0] * cols for _ in range(tdim)]
-        for j in range(sdim):
-            for i in range(tdim):
-                mat[i][j] = self.images[j].values[i]
-        for k, row in enumerate(tlat):
-            for i in range(tdim):
-                mat[i][sdim + k] = row[i]
-        x = intlat.solve_int(mat, list(target_deg.values))
+        x = intlat.solve_int(self._lattice_matrix(), list(target_deg.values))
         if x is None:
             return None
-        return self.source.degree(x[:sdim])
+        return self.source.degree(x[: self.source.dim])
 
 
 class RegradedAlgebra(GradedAlgebra):

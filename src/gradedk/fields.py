@@ -56,14 +56,6 @@ class Field:
             return (num * pow(den, p - 2, p)) % p
         return Fraction(num, den)
 
-    def parse(self, text: str):
-        """Parse "n" or "a/b"."""
-        text = text.strip()
-        if "/" in text:
-            a, b = text.split("/", 1)
-            return self.of_fraction(int(a), int(b))
-        return self.of_int(int(text))
-
     # -- arithmetic ----------------------------------------------------------
     def add(self, a, b):
         return (a + b) % self.char if self.char else a + b

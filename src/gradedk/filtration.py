@@ -164,25 +164,25 @@ def layer_dims_additive(P: ProjectivePresentation, window=None, margin: int = 2)
     return True
 
 
-def _image_subspace(map_obj: GradedMap, h: Degree, source_rows):
-    """Column span (in target component coordinates) of the map restricted
-    to source basis columns supported in the given ambient rows."""
+def _image_ranks(map_obj: GradedMap, h: Degree, row_sets):
+    """For each set of ambient rows, the rank of the map at degree h
+    restricted to the source basis columns supported in those rows."""
+    if not row_sets:
+        return []
     src_sp = map_obj.source.space(h)
     char = map_obj.target.algebra.field.char
     full = map_obj.component_matrix(h)
-    keep = []
-    offsets = src_sp.offsets
-    dims = src_sp.block_dims
-    allowed = set(source_rows)
-    for c, col in enumerate(src_sp.basis_columns):
-        support_blocks = set()
-        for b, (off, n) in enumerate(zip(offsets, dims)):
-            if any(col[off + r] for r in range(n)):
-                support_blocks.add(b)
-        if support_blocks <= allowed:
-            keep.append(c)
-    cols = [[full[r][c] for c in keep] for r in range(len(full))] if full else []
-    return cols
+    blocks = list(enumerate(zip(src_sp.offsets, src_sp.block_dims)))
+    supports = [
+        {b for b, (off, n) in blocks if any(col[off + r] for r in range(n))}
+        for col in src_sp.basis_columns
+    ]
+    ranks = []
+    for rows in row_sets:
+        keep = [c for c, support in enumerate(supports) if support <= rows]
+        cols = [[row[c] for c in keep] for row in full]
+        ranks.append(_kernel.rank(cols, char) if cols and cols[0] else 0)
+    return ranks
 
 
 def verify_section_independence(P: ProjectivePresentation, seeds=(0, 1), margin: int = 2) -> dict:
@@ -197,21 +197,13 @@ def verify_section_independence(P: ProjectivePresentation, seeds=(0, 1), margin:
     window = default_window(P.algebra, [P], margin)
     jumps = jump_degrees(P)
     canonical = layers(P)
-    char = P.algebra.field.char
+    row_sets = [set(_slice_rows(P, lambda x: x <= lam)) for lam in jumps]
     result = {"ok": True, "jumps": jumps, "per_seed": []}
     reference = None
     for seed in seeds:
         rng = random.Random(seed)
         ps = psi(P, rng)
-        profile = {}
-        for h in window:
-            dims_chain = []
-            for lam in jumps:
-                rows = _slice_rows(P, lambda x: x <= lam)
-                cols = _image_subspace(ps, h, rows)
-                r = _kernel.rank(cols, char) if cols and cols[0] else 0
-                dims_chain.append(r)
-            profile[h] = dims_chain
+        profile = {h: _image_ranks(ps, h, row_sets) for h in window}
         result["per_seed"].append({"seed": seed})
         # successive differences must equal canonical layer dims
         for h in window:

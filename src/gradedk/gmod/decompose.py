@@ -84,9 +84,9 @@ def indec_iso(X: ProjectivePresentation, Y: ProjectivePresentation) -> bool:
     us = hom_basis(X, Y)
     vs = hom_basis(Y, X)
     for u in us:
-        fu = GradedMap(X, Y, u, normalize=False, check=False)
+        fu = GradedMap(X, Y, u, check=False)
         for v in vs:
-            fv = GradedMap(Y, X, v, normalize=False, check=False)
+            fv = GradedMap(Y, X, v, check=False)
             comp = fv.compose(fu)
             if comp.is_iso_on(window):
                 return True

@@ -5,25 +5,31 @@ spaces meeting the shift pattern are; it is realized concretely as entry
 matrices.  Splitting the unit into primitive orthogonal idempotents is
 the engine behind Krull-Schmidt decomposition:
 
-* radical: the null space of the trace form in characteristic zero and
-  over GF(p) with p > dim; over GF(p) with p <= dim the chain of ideals
-  of Cohen, Ivanyos and Wales (*Finding the radical of an algebra of
-  linear transformations*, JPAA 1997), whose level i keeps the x with
-  g_i(x b) = 0 for every b, g_i the coefficient of lambda^(dim - p^i)
-  in the characteristic polynomial of left multiplication.  Level 0 is
-  the trace form; at level i >= 1, g_i is linear on the previous level,
-  so it costs one characteristic polynomial per basis vector of that
-  level.  Self-checks (two-sided ideal, nilpotent, clean quotient) turn
-  any failure into a loud internal error instead of a wrong answer;
+* radical: one chain of ideals, after Cohen, Ivanyos and Wales
+  (*Finding the radical of an algebra of linear transformations*, JPAA
+  1997), whose level i keeps the x with g_i(x b) = 0 for every b, g_i
+  the coefficient of lambda^(dim - p^i) in the characteristic polynomial
+  of left multiplication.  Level 0 is the null space of the trace form,
+  and in characteristic 0 or over GF(p) with p > dim the chain stops
+  there; at level i >= 1, g_i is linear on the previous level, so it
+  costs one characteristic polynomial per basis vector of that level.
+  Self-checks (two-sided ideal, nilpotent, clean quotient) turn any
+  failure into a loud internal error instead of a wrong answer;
 * the semisimple quotient splits through its center (minimal polynomial
   factorization plus CRT idempotents), which also gives each simple
   block's size r over its centre field; blocks with r > 1 split by
   corner recursion -- directly over a finite field, and over Q by
   splitting modulo a good prime, Hensel lifting, and rational
   reconstruction of subset sums (smallest subsets first, so accepted
-  idempotents are primitive);
-* idempotents lift through the radical by the 3e^2 - 2e^3 iteration,
-  sequentially orthogonalized; everything is verified exactly.
+  idempotents are primitive).  A corner e A e is never copied: its
+  candidates, minimal polynomials and CRT idempotents are computed in
+  the coordinates of the algebra that holds it, with e as the unit.  A
+  commutative algebra serves as its own centre, and an algebra with
+  zero radical as its own quotient.  Only a rational block gets a table
+  of its own, to be reduced modulo q;
+* one Newton lift, sequentially orthogonalized, carries idempotents
+  through the radical and through the q-adic lift alike, by the
+  3e^2 - 2e^3 iteration; everything is verified exactly.
 """
 
 from __future__ import annotations
@@ -142,22 +148,12 @@ class FDAlgebra:
     def mul_vec(self, x, y):
         return self.table(x, y)
 
-    def power(self, x, n):
-        acc = list(self.unit)
-        base = list(x)
-        while n:
-            if n & 1:
-                acc = self.mul_vec(acc, base)
-            base = self.mul_vec(base, base)
-            n >>= 1
-        return acc
-
-    def minimal_polynomial(self, x):
-        """Monic minimal polynomial (coeff list, low degree first) of x,
-        relative to this algebra's unit."""
+    def minimal_polynomial(self, x, e):
+        """Monic minimal polynomial (coeff list, low degree first) of x in
+        the corner e A e, whose unit is the idempotent e."""
         char = self.field.char
         rows = []
-        powers = [list(self.unit)]
+        powers = [list(e)]
         while True:
             cand = rows + [powers[-1]]
             mat = [list(r) for r in cand]
@@ -173,16 +169,17 @@ class FDAlgebra:
             rows.append(powers[-1])
             powers.append(self.mul_vec(powers[-1], x))
 
-    def evaluate_poly(self, coeffs, x):
-        """Evaluate a polynomial (low-first coeffs) at x, constant term
-        times the unit."""
+    def evaluate_poly(self, coeffs, x, e):
+        """Evaluate a polynomial (low-first coeffs) at x in the corner
+        e A e: the constant term times e."""
         F = self.field
         out = [F.zero] * self.dim
-        power = list(self.unit)
-        for c in coeffs:
+        power = list(e)
+        for k, c in enumerate(coeffs):
+            if k:
+                power = self.mul_vec(power, x)
             if c:
                 out = [F.add(o, F.mul(c, p)) for o, p in zip(out, power)]
-            power = self.mul_vec(power, x)
         return out
 
     def center_basis(self):
@@ -208,9 +205,7 @@ class FDAlgebra:
         """Unital subalgebra spanned by ``spanning`` (closed under product),
         with its own structure constants.  Returns (FDAlgebra, basis rows)."""
         char = self.field.char
-        mat = [list(v) for v in spanning]
-        red, pivots = _kernel.rref(mat, char)
-        basis = [red[i] for i in range(len(pivots))]
+        basis = _echelon(spanning, char)
         span = _kernel.EchelonBasis(basis, char)
 
         def express(v):
@@ -225,6 +220,12 @@ class FDAlgebra:
             for j, y in enumerate(basis)
         }
         return FDAlgebra.from_products(self.field, products, express(unit_vec)), basis
+
+
+def _echelon(vectors, char):
+    """The reduced echelon basis of the span of ``vectors``."""
+    red, pivots = _kernel.rref(vectors, char)
+    return red[: len(pivots)]
 
 
 # ---------------------------------------------------------------------------
@@ -274,55 +275,27 @@ def _charpoly_modp(M, p):
 
 
 def radical_basis(fd: FDAlgebra):
-    """Basis (list of coordinate vectors) of the Jacobson radical."""
-    char = fd.field.char
-    n = fd.dim
-    if n == 0:
-        return []
-    if char == 0 or char > n:
-        # trace form: rad = {x : tr(L_x L_y) = 0 for all y}
-        J = _kernel.nullspace(_trace_form(fd), char)
-    else:
-        J = _ciw_radical(fd)
-    _verify_radical(fd, J)
-    return J
-
-
-def _trace_form(fd):
-    """The matrix tr(L_{b_i b_j}) = sum_k c_ijk tr(L_{b_k}), where L_x is
-    left multiplication by x and tr(L_{b_k}) = sum_r c_krr."""
-    F = fd.field
-    n = fd.dim
-    trace = [F.zero] * n
-    for k, r, s, c in fd.table.items():
-        if r == s:
-            trace[k] = F.add(trace[k], c)
-    form = [[F.zero] * n for _ in range(n)]
-    for i, j, k, c in fd.table.items():
-        if trace[k]:
-            form[i][j] = F.add(form[i][j], F.mul(c, trace[k]))
-    return form
-
-
-def _ciw_radical(fd):
-    """Radical over GF(p), p <= n = dim, by the chain of Cohen, Ivanyos
-    and Wales (*Finding the radical of an algebra of linear
-    transformations*, JPAA 1997).
+    """Basis (list of coordinate vectors) of the Jacobson radical, by the
+    chain of ideals of Cohen, Ivanyos and Wales (*Finding the radical of
+    an algebra of linear transformations*, JPAA 1997).
 
     With g_i(x) the coefficient of lambda^(n - p^i) in the characteristic
-    polynomial of left multiplication L_x, the chain I_{-1} = A,
+    polynomial of left multiplication L_x, n = dim, the chain I_{-1} = A,
     I_i = {x in I_{i-1} : g_i(x b) = 0 for every b in A} is a chain of
     ideals that reaches the radical once p^(i+1) > n.  Level 0 is the
-    null space of the trace form.  At level i >= 1, g_i is
+    null space of the trace form, which is the radical already in
+    characteristic 0 and for p > n.  At level i >= 1, g_i is
     p^i-semilinear on I_{i-1}, which over GF(p) means linear, so one
     characteristic polynomial per basis vector u_t of I_{i-1} gives
     every g_i(u_a b_j) = sum_t coords_t(u_a b_j) g_i(u_t)."""
     p = fd.field.char
     n = fd.dim
-    items = list(fd.table.items())
+    if n == 0:
+        return []
     ideal = _kernel.nullspace(_trace_form(fd), p)
     pw = p
-    while ideal and pw <= n:
+    while ideal and 0 < pw <= n:
+        items = list(fd.table.items())
         span = _kernel.EchelonBasis(ideal, p)
         # column j of L_u is u b_j
         lmats = [_left_mult_modp(items, u, n, p) for u in ideal]
@@ -339,7 +312,24 @@ def _ciw_radical(fd):
             for v in _kernel.nullspace(form, p)
         ]
         pw *= p
+    _verify_radical(fd, ideal)
     return ideal
+
+
+def _trace_form(fd):
+    """The matrix tr(L_{b_i b_j}) = sum_k c_ijk tr(L_{b_k}), where L_x is
+    left multiplication by x and tr(L_{b_k}) = sum_r c_krr."""
+    F = fd.field
+    n = fd.dim
+    trace = [F.zero] * n
+    for k, r, s, c in fd.table.items():
+        if r == s:
+            trace[k] = F.add(trace[k], c)
+    form = [[F.zero] * n for _ in range(n)]
+    for i, j, k, c in fd.table.items():
+        if trace[k]:
+            form[i][j] = F.add(form[i][j], F.mul(c, trace[k]))
+    return form
 
 
 def _left_mult_modp(items, u, n, p):
@@ -435,100 +425,69 @@ class RadicalQuotient:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over a Field (for CRT idempotents)
+# polynomials through sympy (factors and CRT idempotents)
 # ---------------------------------------------------------------------------
 
 
-def _poly_trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
+def _sympy_poly(coeffs, field: Field):
+    """The polynomial with low-first coefficients ``coeffs`` over the field."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    if field.char:
+        return sympy.Poly(
+            [int(c) % field.char for c in reversed(coeffs)], x, modulus=field.char
+        )
+    return sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
+        x,
+        domain="QQ",
+    )
 
 
-def _poly_mul(F, a, b):
-    out = [F.zero] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = F.add(out[i + j], F.mul(x, y))
-    return _poly_trim(out)
+def _field_coeffs(poly, field: Field):
+    """Low-first coefficients of a sympy polynomial, as field elements."""
+    import sympy
 
-def _poly_divmod(F, a, b):
-    a = list(a)
-    b = _poly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError
-    inv = F.inv(b[-1])
-    q = [F.zero] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and _poly_trim(list(a)):
-        a = _poly_trim(a)
-        if len(a) < len(b):
-            break
-        c = F.mul(a[-1], inv)
-        d = len(a) - len(b)
-        q[d] = c
-        for i, x in enumerate(b):
-            a[i + d] = F.sub(a[i + d], F.mul(c, x))
-        a = _poly_trim(a)
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _poly_gcdext(F, a, b):
-    """g, u, v with u*a + v*b = g (g monic)."""
-    r0, r1 = _poly_trim(list(a)), _poly_trim(list(b))
-    u0, u1 = [F.one], []
-    v0, v1 = [], [F.one]
-    while r1:
-        q, r = _poly_divmod(F, r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _poly_sub(F, u0, _poly_mul(F, q, u1))
-        v0, v1 = v1, _poly_sub(F, v0, _poly_mul(F, q, v1))
-    if r0:
-        inv = F.inv(r0[-1])
-        r0 = [F.mul(inv, c) for c in r0]
-        u0 = [F.mul(inv, c) for c in u0]
-        v0 = [F.mul(inv, c) for c in v0]
-    return r0, u0, v0
-
-
-def _poly_sub(F, a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else F.zero
-        y = b[i] if i < len(b) else F.zero
-        out.append(F.sub(x, y))
-    return _poly_trim(out)
+    cl = reversed(poly.all_coeffs())
+    if field.char:
+        return [field.of_int(int(c)) for c in cl]
+    return [Fraction(sympy.Rational(c).p, sympy.Rational(c).q) for c in cl]
 
 
 def factor_irreducible(coeffs, field: Field):
     """Irreducible factors (monic, low-first coeff lists) with multiplicity,
     via sympy's exact factorization."""
-    import sympy
-
-    x = sympy.symbols("x")
-    if field.char:
-        poly = sympy.Poly(
-            [int(c) % field.char for c in reversed(coeffs)], x, modulus=field.char
-        )
-    else:
-        poly = sympy.Poly(
-            [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
-            x,
-            domain="QQ",
-        )
-    _lead, factors = poly.factor_list()
+    _lead, factors = _sympy_poly(coeffs, field).factor_list()
     out = []
     for f, mult in factors:
-        cl = list(reversed(f.all_coeffs()))
-        if field.char:
-            fc = [field.of_int(int(c)) for c in cl]
-        else:
-            fc = [Fraction(sympy.Rational(c).p, sympy.Rational(c).q) for c in cl]
+        fc = _field_coeffs(f, field)
         inv = field.inv(fc[-1])
-        fc = [field.mul(inv, c) for c in fc]
-        out.append((fc, int(mult)))
+        out.append(([field.mul(inv, c) for c in fc], int(mult)))
+    return out
+
+
+def _crt_idempotents(fd: FDAlgebra, t, e, minpoly_coeffs, factors):
+    """Primary-component idempotents of k[t] in the corner with unit e.
+
+    For a primary factor f^k of the minimal polynomial m, the polynomial
+    of degree below deg m that is 1 mod f^k and 0 mod m / f^k is unique;
+    its value at t is the idempotent."""
+    import sympy
+
+    m = _sympy_poly(minpoly_coeffs, fd.field)
+    out = []
+    for f, mult in factors:
+        fm = _sympy_poly(f, fd.field) ** mult
+        h, rem = m.div(fm)
+        if not rem.is_zero:
+            raise SplitError("primary factor does not divide the minimal polynomial")
+        try:
+            u = h.invert(fm)
+        except sympy.NotInvertible:
+            raise SplitError("primary components are not coprime") from None
+        crt = _field_coeffs((u * h).rem(m), fd.field)
+        out.append(fd.evaluate_poly(crt, t, e))
     return out
 
 
@@ -541,7 +500,9 @@ def factor_irreducible(coeffs, field: Field):
 _CANDIDATE_BUDGET = 250  # seeded random candidates after the basis sweep
 _PRIME_BUDGET = 25  # good primes tried per rational matrix block
 _QADIC_EXPONENTS = (16, 32, 64, 128)  # N of the q^N lifts tried per prime
-_NEWTON_STEPS = 64  # 3e^2 - 2e^3 steps of one q-adic idempotent refinement
+# 3e^2 - 2e^3 steps of one idempotent lift; each squares the defect, so
+# 64 steps cover any nilpotency index below 2^64
+_NEWTON_STEPS = 64
 
 
 def _unit_vec(fd, i):
@@ -550,22 +511,19 @@ def _unit_vec(fd, i):
     return v
 
 
-def _candidates(fd, rng):
-    """Deterministic sweep (basis, pairwise sums), then seeded randoms."""
-    n = fd.dim
-    for i in range(n):
-        yield _unit_vec(fd, i)
+def _candidates(F: Field, basis, rng):
+    """Elements of the span of the rows ``basis``: the rows, their pairwise
+    sums, then seeded random combinations."""
+    n = len(basis)
+    yield from basis
     for i in range(n):
         for j in range(i + 1, n):
-            v = _unit_vec(fd, i)
-            v[j] = fd.field.one
-            yield v
-    F = fd.field
-    hi = (F.char - 1) if F.char else 5
-    hi = min(hi, 5)
+            yield [F.add(a, b) for a, b in zip(basis[i], basis[j])]
+    hi = min((F.char - 1) if F.char else 5, 5)
     lo = 0 if F.char == 2 else -hi
     for _ in range(_CANDIDATE_BUDGET):
-        yield [F.of_int(rng.randint(lo, max(hi, 1))) for _ in range(n)]
+        coeffs = [F.of_int(rng.randint(lo, max(hi, 1))) for _ in range(n)]
+        yield _up(basis, coeffs, F, len(basis[0]))
 
 
 def _up(basis_rows, vec, field, dim):
@@ -576,37 +534,9 @@ def _up(basis_rows, vec, field, dim):
     return out
 
 
-def _corner(fd: FDAlgebra, e):
-    span = []
-    for i in range(fd.dim):
-        v = fd.mul_vec(fd.mul_vec(e, _unit_vec(fd, i)), e)
-        if any(v):
-            span.append(v)
-    return fd.subalgebra(span, e)
-
-
-def _crt_idempotents(alg: FDAlgebra, t, minpoly_coeffs, factors):
-    """Primary-component idempotents of the commutative subalgebra k[t]."""
-    F = alg.field
-    out = []
-    for f, mult in factors:
-        fm = list(f)
-        for _ in range(mult - 1):
-            fm = _poly_mul(F, fm, f)
-        h, rem = _poly_divmod(F, minpoly_coeffs, fm)
-        if rem:
-            raise SplitError("primary factor does not divide the minimal polynomial")
-        g, u, v = _poly_gcdext(F, h, fm)
-        if len(g) != 1:
-            raise SplitError("primary components are not coprime")
-        inv0 = F.inv(g[0])
-        u = [F.mul(inv0, c) for c in u]
-        gih = _poly_mul(F, u, h)
-        _q, gih = _poly_divmod(
-            F, gih, minpoly_coeffs
-        )  # reduce mod m
-        out.append(alg.evaluate_poly(gih, t))
-    return out
+def _corner_span(fd: FDAlgebra, e):
+    """The e b_i e, which span the corner e A e."""
+    return [fd.mul_vec(fd.mul_vec(e, _unit_vec(fd, i)), e) for i in range(fd.dim)]
 
 
 def _split_commutative(zalg: FDAlgebra, rng):
@@ -615,36 +545,30 @@ def _split_commutative(zalg: FDAlgebra, rng):
     [(vector, field dimension)]."""
     if zalg.dim == 0:
         return []
+    F = zalg.field
     work = [list(zalg.unit)]
     done = []
     while work:
         z = work.pop()
-        # z is central, so its corner z b_i z is spanned by the z b_i
-        span = [zalg.mul_vec(z, _unit_vec(zalg, i)) for i in range(zalg.dim)]
-        corner, cbasis = zalg.subalgebra([v for v in span if any(v)], z)
-        if corner.dim == 1:
-            done.append((z, corner.dim))
+        # z is central, so its corner z A z is spanned by the z b_i
+        basis = _echelon(
+            [zalg.mul_vec(z, _unit_vec(zalg, i)) for i in range(zalg.dim)], F.char
+        )
+        if len(basis) == 1:
+            done.append((z, 1))
             continue
-        found = False
-        best_irreducible = 0
-        for t in _candidates(corner, rng):
-            m = corner.minimal_polynomial(t)
-            factors = factor_irreducible(m, corner.field)
+        for t in _candidates(F, basis, rng):
+            m = zalg.minimal_polynomial(t, z)
+            factors = factor_irreducible(m, F)
             if any(mult > 1 for _f, mult in factors):
                 raise SplitError("nilpotent found in a supposedly semisimple center")
             if len(factors) >= 2:
-                for e in _crt_idempotents(corner, t, m, factors):
-                    work.append(_up(cbasis, e, zalg.field, zalg.dim))
-                found = True
+                work.extend(_crt_idempotents(zalg, t, z, m, factors))
                 break
-            best_irreducible = max(best_irreducible, len(m) - 1)
-            if best_irreducible == corner.dim:
+            if len(m) - 1 == len(basis):
                 # primitive element certificate: the factor is a field
+                done.append((z, len(basis)))
                 break
-        if found:
-            continue
-        if best_irreducible == corner.dim:
-            done.append((z, corner.dim))
         else:
             raise SplitError(
                 "could not certify or split a commutative factor within "
@@ -670,29 +594,59 @@ def _split_block_modp(fd: FDAlgebra, z, d_z, rng):
     d_z, into primitive idempotents by corner recursion on reducible
     minimal polynomials.  A corner e * block * e is M_s over the centre,
     so e is primitive exactly when the corner has dimension d_z."""
+    F = fd.field
     stack = [z]
     out = []
     while stack:
         e = stack.pop()
-        corner, cbasis = _corner(fd, e)
-        if corner.dim == d_z:
+        basis = _echelon(_corner_span(fd, e), F.char)
+        if len(basis) == d_z:
             out.append(e)
             continue
-        found = False
-        for t in _candidates(corner, rng):
-            m = corner.minimal_polynomial(t)
-            factors = factor_irreducible(m, corner.field)
+        for t in _candidates(F, basis, rng):
+            m = fd.minimal_polynomial(t, e)
+            factors = factor_irreducible(m, F)
             if len(factors) >= 2:
-                for idem in _crt_idempotents(corner, t, m, factors):
-                    stack.append(_up(cbasis, idem, fd.field, fd.dim))
-                found = True
+                stack.extend(_crt_idempotents(fd, t, e, m, factors))
                 break
-        if not found:
+        else:
             raise SplitError(
                 "failed to split a matrix block over a prime field within "
                 f"_CANDIDATE_BUDGET = {_CANDIDATE_BUDGET} random candidates"
             )
     return out
+
+
+def _lift_orthogonal(mul, unit, approx, m):
+    """Complete orthogonal idempotents lifted from approximate ones.
+
+    ``approx`` are complete orthogonal idempotents modulo a nilpotent
+    ideal: the radical (m = 0 over Q, m = p over GF(p)), or q A in
+    coordinates reduced mod m = q^N.  Each is cut down by the complement
+    of the ones lifted before it and refined by e -> 3e^2 - 2e^3; the
+    last is the remaining complement."""
+
+    def red(v):
+        return [x % m for x in v] if m else v
+
+    lifted = []
+    rest = list(unit)
+    for a in approx[:-1]:
+        e = mul(mul(rest, a), rest)
+        for _ in range(_NEWTON_STEPS):
+            sq = mul(e, e)
+            if sq == e:
+                break
+            e = red([3 * s - 2 * c for s, c in zip(sq, mul(sq, e))])
+        else:
+            raise SplitError(
+                "idempotent lifting did not converge within "
+                f"_NEWTON_STEPS = {_NEWTON_STEPS}"
+            )
+        lifted.append(e)
+        rest = red([r - x for r, x in zip(rest, e)])
+    lifted.append(rest)
+    return lifted
 
 
 # -- q-adic splitting over the rationals -------------------------------------
@@ -722,30 +676,6 @@ def _rat_recon(s, M):
     return Fraction(r1, t1)
 
 
-class _ZModAlgebra:
-    """The corner algebra with structure constants reduced mod q^N."""
-
-    def __init__(self, corner: FDAlgebra, modulus):
-        self.M = modulus
-        self.dim = corner.dim
-        self.table = corner.table.reduce(modulus)
-        self.unit = [_mod_frac(c, modulus) for c in corner.unit]
-
-    def newton_idempotent(self, e):
-        e = [x % self.M for x in e]
-        for _ in range(_NEWTON_STEPS):
-            e2 = self.table(e, e)
-            defect = [(a - b) % self.M for a, b in zip(e2, e)]
-            if not any(defect):
-                return e
-            e3 = self.table(e2, e)
-            e = [(3 * a - 2 * b) % self.M for a, b in zip(e2, e3)]
-        raise SplitError(
-            "q-adic idempotent refinement did not converge within "
-            f"_NEWTON_STEPS = {_NEWTON_STEPS}"
-        )
-
-
 def _primes_for(corner: FDAlgebra):
     import sympy
 
@@ -761,10 +691,11 @@ def _primes_for(corner: FDAlgebra):
 
 def _split_block_char0(fd: FDAlgebra, z, rng):
     """Split a simple block over Q: split mod q, Hensel lift, reconstruct
-    subset sums as exact rational idempotents (smallest subsets first)."""
+    subset sums as exact rational idempotents (smallest subsets first).
+    The corner gets a table of its own, to be reduced mod q and q^N."""
     from ..fields import GF
 
-    corner, cbasis = _corner(fd, z)
+    corner, cbasis = fd.subalgebra(_corner_span(fd, z), z)
     for q in _primes_for(corner):
         try:
             qalg = FDAlgebra(
@@ -779,9 +710,9 @@ def _split_block_char0(fd: FDAlgebra, z, rng):
             continue
         for exponent in _QADIC_EXPONENTS:
             M = q**exponent
-            zmod = _ZModAlgebra(corner, M)
-            lifted = _lift_orthogonal_modM(zmod, mod_idems)
-            found = _reconstruct_partition(corner, zmod, lifted)
+            unit = [_mod_frac(c, M) for c in corner.unit]
+            lifted = _lift_orthogonal(corner.table.reduce(M), unit, mod_idems, M)
+            found = _reconstruct_partition(corner, M, lifted)
             if found is not None:
                 return [_up(cbasis, e, fd.field, fd.dim) for e in found]
     raise SplitError(
@@ -796,23 +727,10 @@ def _mod_frac(c, q):
     return (c.numerator * pow(c.denominator, -1, q)) % q
 
 
-def _lift_orthogonal_modM(zmod: _ZModAlgebra, mod_idems):
-    lifted = []
-    fsum = [0] * zmod.dim
-    for e0 in mod_idems[:-1]:
-        comp = [(u - f) % zmod.M for u, f in zip(zmod.unit, fsum)]
-        c = zmod.table(zmod.table(comp, [x % zmod.M for x in e0]), comp)
-        c = zmod.newton_idempotent(c)
-        lifted.append(c)
-        fsum = [(a + b) % zmod.M for a, b in zip(fsum, c)]
-    last = [(u - f) % zmod.M for u, f in zip(zmod.unit, fsum)]
-    lifted.append(last)
-    return lifted
-
-
-def _reconstruct_partition(corner: FDAlgebra, zmod, lifted):
-    """Greedy subset-sum rational reconstruction: smallest subsets first,
-    each candidate verified exactly; returns the complete list or None."""
+def _reconstruct_partition(corner: FDAlgebra, M, lifted):
+    """Greedy subset-sum rational reconstruction of idempotents lifted
+    mod M: smallest subsets first, each candidate verified exactly;
+    returns the complete list or None."""
     from itertools import combinations
 
     remaining = list(range(len(lifted)))
@@ -821,13 +739,13 @@ def _reconstruct_partition(corner: FDAlgebra, zmod, lifted):
         hit = None
         for size in range(1, len(remaining) + 1):
             for combo in combinations(remaining, size):
-                sigma = [0] * zmod.dim
+                sigma = [0] * corner.dim
                 for t in combo:
-                    sigma = [(a + b) % zmod.M for a, b in zip(sigma, lifted[t])]
+                    sigma = [(a + b) % M for a, b in zip(sigma, lifted[t])]
                 coords = []
                 ok = True
                 for s in sigma:
-                    fr = _rat_recon(s, zmod.M)
+                    fr = _rat_recon(s, M)
                     if fr is None:
                         ok = False
                         break
@@ -858,19 +776,27 @@ def split_semisimple(fd: FDAlgebra, rng):
     tagged by central block: [(vector, block_id)].
 
     A primitive central idempotent z cuts out a simple block zA, which is
-    M_r over its centre, the field zZ; r = 1 blocks need no splitting."""
+    M_r over its centre, the field zZ; r = 1 blocks need no splitting.  A
+    commutative algebra is its own centre and is split as it stands."""
     if fd.dim == 0:
         return []
     char = fd.field.char
     zvecs = fd.center_basis()
-    zalg, zbasis = fd.subalgebra(zvecs, fd.unit)
+    commutative = len(zvecs) == fd.dim
+    if commutative:
+        zalg = fd
+    else:
+        zalg, zbasis = fd.subalgebra(zvecs, fd.unit)
     out = []
-    for blk, (zq, d_z) in enumerate(_split_commutative(zalg, rng)):
-        z = _up(zbasis, zq, fd.field, fd.dim)
-        # z is central, so the block zA is spanned by the z b_i
-        block_dim = _kernel.rank(
-            [fd.mul_vec(z, _unit_vec(fd, i)) for i in range(fd.dim)], char
-        )
+    for blk, (z, d_z) in enumerate(_split_commutative(zalg, rng)):
+        if commutative:
+            block_dim = d_z
+        else:
+            z = _up(zbasis, z, fd.field, fd.dim)
+            # z is central, so the block zA is spanned by the z b_i
+            block_dim = _kernel.rank(
+                [fd.mul_vec(z, _unit_vec(fd, i)) for i in range(fd.dim)], char
+            )
         if block_dim == 1 or _block_matrix_size(block_dim, d_z) == 1:
             pieces = [z]
         elif char:
@@ -903,32 +829,17 @@ def primitive_idempotents(fd: FDAlgebra, rng):
     if fd.dim == 0:
         return []
     J = radical_basis(fd)
+    if not J:
+        return split_semisimple(fd, rng)
     quo = RadicalQuotient(fd, J)
-    if J and radical_basis(quo.algebra):
+    if radical_basis(quo.algebra):
         raise SplitError("radical chain did not terminate")
     sem = split_semisimple(quo.algebra, rng)
-    if not sem:
-        return []
-    F = fd.field
-    lifted = []
-    fsum = [F.zero] * fd.dim
-    for qvec, blk in sem[:-1]:
-        comp = [F.sub(u, f) for u, f in zip(fd.unit, fsum)]
-        c = fd.mul_vec(fd.mul_vec(comp, quo.lift(qvec)), comp)
-        for _ in range(fd.dim + 2):
-            sq = fd.mul_vec(c, c)
-            if sq == c:
-                break
-            cu = fd.mul_vec(sq, c)
-            c = [F.sub(F.mul(F.of_int(3), a), F.mul(F.of_int(2), b)) for a, b in zip(sq, cu)]
-        else:
-            raise SplitError("idempotent lifting through the radical stalled")
-        lifted.append((c, blk))
-        fsum = [F.add(a, b) for a, b in zip(fsum, c)]
-    last = [F.sub(u, f) for u, f in zip(fd.unit, fsum)]
-    lifted.append((last, sem[-1][1]))
-    _verify_complete_orthogonal(fd, [v for v, _b in lifted])
-    return lifted
+    lifted = _lift_orthogonal(
+        fd.mul_vec, fd.unit, [quo.lift(v) for v, _b in sem], fd.field.char
+    )
+    _verify_complete_orthogonal(fd, lifted)
+    return [(e, blk) for e, (_v, blk) in zip(lifted, sem)]
 
 
 # ---------------------------------------------------------------------------

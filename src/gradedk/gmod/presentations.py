@@ -234,9 +234,6 @@ class ProjectivePresentation:
     def dim(self, h: Degree) -> int:
         return self.space(h).dim
 
-    def dims(self, window) -> dict:
-        return {h: self.dim(h) for h in window}
-
     def is_zero(self) -> bool:
         return entries_are_zero(self.entries)
 
@@ -370,10 +367,12 @@ class GradedMap:
     Entries live in the algebra of the target; (i, j) has degree
     (target shift i) - (source shift j).  When source and target algebras
     differ by the zero-part embedding, source vectors are read in the
-    target along the degree map ``deg`` before multiplying.
+    target along the degree map ``deg`` before multiplying.  The entries
+    are taken as given: a map f of presentations satisfies
+    e_target f e_source == f, as hom-space bases and the functors' maps do.
     """
 
-    def __init__(self, source: ProjectivePresentation, target: ProjectivePresentation, entries, *, normalize: bool = True, check: bool = True):
+    def __init__(self, source: ProjectivePresentation, target: ProjectivePresentation, entries, *, check: bool = True):
         self.source = source
         self.target = target
         self.deg = _coercion(source.algebra, target.algebra)
@@ -396,9 +395,6 @@ class GradedMap:
                         raise PresentationError(
                             f"map entry ({i},{j}) has degree {ent.degree}, expected {want}"
                         )
-        if normalize:
-            src_e = relabel_entries(source.entries, A, self.deg)
-            self.entries = entries_matmul(entries_matmul(target.entries, self.entries), src_e)
 
     # -- per-degree realization ----------------------------------------------
     def component_matrix(self, h: Degree):
@@ -459,24 +455,12 @@ class GradedMap:
             inner.source,
             self.target,
             entries_matmul(self.entries, inner.entries),
-            normalize=False,
-            check=False,
-        )
-
-    def __add__(self, other: "GradedMap"):
-        if self.source is not other.source or self.target is not other.target:
-            raise PresentationError("sum of maps with different ends")
-        return GradedMap(
-            self.source,
-            self.target,
-            entries_add(self.entries, other.entries),
-            normalize=False,
             check=False,
         )
 
 
 def identity_map(P: ProjectivePresentation) -> GradedMap:
-    return GradedMap(P, P, P.entries, normalize=False, check=False)
+    return GradedMap(P, P, P.entries, check=False)
 
 
 def component_matrix(f: GradedMap, h: Degree):

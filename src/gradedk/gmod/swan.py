@@ -75,7 +75,7 @@ def nu(Q: ProjectivePresentation, A: GradedAlgebra) -> GradedMap:
     """The natural isomorphism TS(Q) -> Q; in idempotent form it is the
     idempotent itself, the identity on every component."""
     tsq = functor_T(functor_S(Q, A))
-    return GradedMap(tsq, Q, Q.entries, normalize=False)
+    return GradedMap(tsq, Q, Q.entries)
 
 
 def _positive_correction(P: ProjectivePresentation, rng, density: int = 2):
@@ -110,13 +110,13 @@ def section(P: ProjectivePresentation, rng=None) -> GradedMap:
     entries = P.entries
     if rng is not None:
         entries = entries_add(entries, _positive_correction(P, rng))
-    return GradedMap(tp, P, entries, normalize=False)
+    return GradedMap(tp, P, entries)
 
 
 def restriction_map(P: ProjectivePresentation) -> GradedMap:
     """The quotient map P -> T(P) = P / P A_+, componentwise projection."""
     tp = functor_T(P)
-    return GradedMap(P, tp, tp.entries, normalize=False)
+    return GradedMap(P, tp, tp.entries)
 
 
 def psi(P: ProjectivePresentation, rng=None) -> GradedMap:
@@ -133,7 +133,7 @@ def psi(P: ProjectivePresentation, rng=None) -> GradedMap:
     if rng is not None:
         lift = entries_add(lift, _positive_correction(P, rng))
     entries = entries_matmul(lift, stp.entries)
-    out = GradedMap(stp, P, entries, normalize=False)
+    out = GradedMap(stp, P, entries)
     # the restriction of psi must be nu on T(P), entry for entry
     projected = relabel_entries(out.entries, tp.algebra, zero_slice)
     if not entries_eq(projected, tp.entries):

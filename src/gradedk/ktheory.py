@@ -236,16 +236,21 @@ def dade_check(A: GradedAlgebra, seed: int = 0) -> dict:
 
 def _induction_correspondence(A: GradedAlgebra, lhs: K0Result, rhs: K0Result, seed: int):
     """Match each zero-part orbit to a graded orbit via induction of its
-    representative; returns (checks, correspondence, ok)."""
+    representative; returns (checks, correspondence, ok, first), with
+    first the induced representative of the first orbit and its class
+    map, or None when there are no orbits."""
     from .gmod.decompose import _lift_representative
 
     checks = []
     correspondence = []
     ok = True
     hit_blocks = {}
+    first = None
     for o in lhs.orbits:
         X = _lift_representative(A, o.representative)
         cm = summand_classes(X, seed)
+        if first is None:
+            first = (X, cm)
         correspondence.append({"source": f"Q{o.block}", "image": _image(cm)})
         if len(cm) != 1 or set(cm.values()) != {1}:
             ok = False
@@ -274,19 +279,16 @@ def _induction_correspondence(A: GradedAlgebra, lhs: K0Result, rhs: K0Result, se
             f"{len(hit_blocks)} of {len(rhs.orbits)} graded orbits hit",
         )
     )
-    return checks, correspondence, ok and surjective
+    return checks, correspondence, ok and surjective, first
 
 
-def _equivariance_samples(A: GradedAlgebra, lhs: K0Result, rhs: K0Result, seed: int):
+def _equivariance_samples(A: GradedAlgebra, first, seed: int):
     """Spot-check Z[G]-linearity: inducing a shifted representative lands
-    on the shifted class."""
-    from .gmod.decompose import _lift_representative
-
-    if not lhs.orbits:
+    on the shifted class.  ``first`` is an induced representative with
+    its class map, as `_induction_correspondence` returns it."""
+    if first is None:
         return True
-    o = lhs.orbits[0]
-    X = _lift_representative(A, o.representative)
-    base = summand_classes(X, seed)
+    X, base = first
     (blk0, g0), _ = next(iter(base.items()))
     stab = class_stabilizer(A, blk0)
     for gen in A.group.generators():
@@ -321,9 +323,9 @@ def theorem1_check(A: GradedAlgebra, seed: int = 0) -> dict:
     induced = induce_module(lhs.module, A.group)
     iso = shift_module_iso(induced, rhs.module)
     hyp.append(_check("induced_module_isomorphic", iso, induced.describe()))
-    checks, correspondence, ok = _induction_correspondence(A, lhs, rhs, seed)
+    checks, correspondence, ok, first = _induction_correspondence(A, lhs, rhs, seed)
     hyp.extend(checks)
-    equi = _equivariance_samples(A, lhs, rhs, seed)
+    equi = _equivariance_samples(A, first, seed)
     hyp.append(_check("shift_equivariance_samples", equi))
     verdict = "pass" if (iso and ok and equi) else "fail"
     return _report(

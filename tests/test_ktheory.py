@@ -1,5 +1,6 @@
 """K0 computation and the theorem-level drivers."""
 
+import importlib
 import random
 
 import pytest
@@ -140,6 +141,24 @@ def test_theorem1_group_algebra(Bx):
     # one orbit whose stabilizer is the residual Z/2
     orb = rep["rhs_basis"]
     assert len(orb) == 1 and orb[0]["stabilizer"] == [[0, 1]]
+
+
+def test_theorem1_decomposes_each_induced_representative_once(monkeypatch):
+    # the correspondence and the equivariance samples share the
+    # decomposition of the first induced representative
+    decompose = importlib.import_module("gradedk.gmod.decompose")
+    calls = []
+    split = decompose.split_projective
+
+    def counting(P, rng):
+        calls.append(P)
+        return split(P, rng)
+
+    monkeypatch.setattr(decompose, "split_projective", counting)
+    B = alg.group_algebra(QQ, GradingGroup(0, (2,)))
+    rep = kt.theorem1_check(alg.polynomial_extension(B, [1, 1]))
+    assert rep["verdict"] == "pass"
+    assert len(calls) == 5
 
 
 def test_theorem1_matrix_with_torsion_shifts():

@@ -445,6 +445,37 @@ def test_rational_block_budgets_are_named_when_exhausted(monkeypatch, budgets, m
         split_projective(R, random.Random(0))
 
 
+def test_radical_lift_budget_is_named_when_exhausted(monkeypatch):
+    # F2[Z6] has a radical and two blocks, so one idempotent is lifted
+    # through the radical by the same Newton iteration as the q-adic lift
+    R = regular_module(_forget(alg.group_algebra(GF(2), GradingGroup(0, (6,)))))
+    assert len(split_projective(R, random.Random(0))) == 2
+    monkeypatch.setattr(endos, "_NEWTON_STEPS", 0)
+    with pytest.raises(SplitError, match="_NEWTON_STEPS = 0"):
+        split_projective(R, random.Random(0))
+
+
+# -- corners, centres and quotients in the coordinates of the algebra --------------
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_commutative_split_builds_no_subalgebra(monkeypatch, field):
+    # a commutative End(P)_0 is its own centre, its blocks are fields, and
+    # every corner of the centre split is read in the algebra's own basis
+    calls = []
+    subalgebra = FDAlgebra.subalgebra
+
+    def counting(self, spanning, unit_vec):
+        calls.append(len(spanning))
+        return subalgebra(self, spanning, unit_vec)
+
+    monkeypatch.setattr(FDAlgebra, "subalgebra", counting)
+    A = _forget(alg.group_algebra(field, GradingGroup(0, (12,))))
+    parts = split_projective(regular_module(A), random.Random(0))
+    assert len(parts) == (6 if field.char == 0 else 2)
+    assert calls == []
+
+
 # -- hom spaces: outer products against the two-product construction ------------
 
 
