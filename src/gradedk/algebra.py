@@ -3,11 +3,15 @@
 Every algebra answers two queries exactly and deterministically: a finite
 basis of any degree component, and structure constants for products of
 basis elements.  The family is closed under the operations the K-theory
-layer needs (degree-zero part, positive truncation, trivial extension of
-the grading, regrading along a group homomorphism), and each constructor
-reports per-coordinate support bounds so that component queries stay
-finite even for algebras with infinite support such as polynomial
-extensions.
+layer needs (degree-zero part, positive truncation, identity component,
+trivial extension of the grading, regrading along a group homomorphism),
+and each constructor reports per-coordinate support bounds so that
+component queries stay finite even for algebras with infinite support
+such as polynomial extensions.
+
+The first four are slices: one :class:`SliceAlgebra` reads its parent
+along a degree map.  Each is cached on the parent, so repeated calls
+return the same object.
 
 Support bounds use ``None`` for an unbounded side.  The first free
 coordinate of the grading group is the distinguished one: the functors in
@@ -51,11 +55,7 @@ class GradedAlgebra:
         self.field = field
         self._basis_cache = {}
         self._mul_cache = {}
-        self._zero_part = None
-        self._zero_part_embedded = None
-        self._identity_component = None
-        self._positive_part = None
-        self._trivial_ext = {}
+        self._slices = {}  # zero part, positive part, ... by name; extensions by k
         self._registry = None  # decomposition class registry, set lazily
 
     # -- abstract hooks --------------------------------------------------
@@ -180,37 +180,37 @@ class GradedAlgebra:
         lo, _hi = self.support_bounds()[0]
         return lo is not None and lo >= 0
 
-    # -- derived algebras (cached so module categories share instances) ----
+    # -- slices (cached so module categories share instances) -------------
+    def _slice(self, key, build, *args) -> "GradedAlgebra":
+        hit = self._slices.get(key)
+        if hit is None:
+            hit = self._slices[key] = build(self, *args)
+        return hit
+
     def zero_part(self) -> "GradedAlgebra":
         if self.group.free_rank < 1:
             raise AlgebraError("no distinguished free coordinate to restrict along")
-        if self._zero_part is None:
-            self._zero_part = ZeroPartAlgebra(self)
-        return self._zero_part
+        return self._slice("zero_part", _zero_part)
 
     def zero_part_embedded(self) -> "GradedAlgebra":
         """The degree-zero part, kept graded by the full group with
         support in 0 x (rest)."""
-        if self._zero_part_embedded is None:
-            self._zero_part_embedded = self.zero_part().trivial_extension(1)
-        return self._zero_part_embedded
+        return self._slice(
+            "zero_part_embedded", lambda a: a.zero_part().trivial_extension(1)
+        )
 
     def identity_component(self) -> "GradedAlgebra":
-        if self._identity_component is None:
-            self._identity_component = IdentityComponentAlgebra(self)
-        return self._identity_component
+        return self._slice("identity_component", _identity_component)
 
     def positive_part(self) -> "GradedAlgebra":
-        if self._positive_part is None:
-            self._positive_part = PositivePartAlgebra(self)
-        return self._positive_part
+        if self.group.free_rank < 1:
+            raise AlgebraError("parent has no free coordinate to truncate along")
+        return self._slice("positive_part", _positive_part)
 
     def trivial_extension(self, extra: int = 1) -> "GradedAlgebra":
         if extra < 1:
             return self
-        if extra not in self._trivial_ext:
-            self._trivial_ext[extra] = TrivialExtensionAlgebra(self, extra)
-        return self._trivial_ext[extra]
+        return self._slice(extra, _trivial_extension, extra)
 
     def __repr__(self):
         return f"<{self.describe()} over {self.field.describe()}>"
@@ -260,11 +260,6 @@ class HomogeneousElement:
         A = self.algebra
         coords = A.mul_coords(self.degree, self.coords, other.degree, other.coords)
         return HomogeneousElement(A, self.degree + other.degree, tuple(coords))
-
-
-def mul(a: HomogeneousElement, b: HomogeneousElement) -> HomogeneousElement:
-    """Product of homogeneous elements; degree(ab) = degree(a) + degree(b)."""
-    return a * b
 
 
 # ---------------------------------------------------------------------------
@@ -540,143 +535,89 @@ class TensorProductAlgebra(GradedAlgebra):
         return f"({self.left.describe()}) (x) ({self.right.describe()})"
 
 
-class ZeroPartAlgebra(GradedAlgebra):
+class SliceAlgebra(GradedAlgebra):
+    """A parent algebra read along a degree map ``to_parent``: the component
+    at d is the parent's at ``to_parent(d)``, empty where that is None, and
+    products and unit are the parent's.  Bounds and description are fixed."""
+
+    def __init__(self, parent, group, to_parent, bounds, radius, description):
+        super().__init__(group, parent.field)
+        self.parent = parent
+        self.to_parent = to_parent
+        self._bounds = bounds
+        self._radius = radius
+        self._description = description
+
+    def _component_basis(self, deg):
+        d = self.to_parent(deg)
+        return () if d is None else self.parent.component_basis(d)
+
+    def _mul_labels(self, da, la, db, lb):
+        return self.parent._mul_labels(self.to_parent(da), la, self.to_parent(db), lb)
+
+    def one_terms(self):
+        return self.parent.one_terms()
+
+    def support_bounds(self):
+        return self._bounds
+
+    def support_radius(self):
+        return self._radius
+
+    def describe(self):
+        return self._description
+
+
+def _zero_part(a: GradedAlgebra) -> SliceAlgebra:
     """Degree-zero part along the first free coordinate, residually graded."""
-
-    def __init__(self, parent: GradedAlgebra):
-        if parent.group.free_rank < 1:
-            raise AlgebraError("parent has no free coordinate to restrict along")
-        group = GradingGroup(parent.group.free_rank - 1, parent.group.torsion_moduli)
-        super().__init__(group, parent.field)
-        self.parent = parent
-
-    def _embed(self, deg):
-        return self.parent.group.degree((0,) + deg.values)
-
-    def _component_basis(self, deg):
-        return self.parent.component_basis(self._embed(deg))
-
-    def _mul_labels(self, da, la, db, lb):
-        return self.parent._mul_labels(self._embed(da), la, self._embed(db), lb)
-
-    def one_terms(self):
-        return self.parent.one_terms()
-
-    def support_bounds(self):
-        return self.parent.support_bounds()[1:]
-
-    def support_radius(self):
-        return self.parent.support_radius()[1:]
-
-    def describe(self):
-        return f"zero_part({self.parent.describe()})"
+    g = a.group
+    return SliceAlgebra(
+        a,
+        GradingGroup(g.free_rank - 1, g.torsion_moduli),
+        lambda d: g.degree((0,) + d.values),
+        a.support_bounds()[1:],
+        a.support_radius()[1:],
+        f"zero_part({a.describe()})",
+    )
 
 
-class PositivePartAlgebra(GradedAlgebra):
+def _positive_part(a: GradedAlgebra) -> SliceAlgebra:
     """Subalgebra spanned by components with first free coordinate >= 0."""
-
-    def __init__(self, parent: GradedAlgebra):
-        if parent.group.free_rank < 1:
-            raise AlgebraError("parent has no free coordinate to truncate along")
-        super().__init__(parent.group, parent.field)
-        self.parent = parent
-
-    def _component_basis(self, deg):
-        if deg.values[0] < 0:
-            return ()
-        return self.parent.component_basis(deg)
-
-    def _mul_labels(self, da, la, db, lb):
-        return self.parent._mul_labels(da, la, db, lb)
-
-    def one_terms(self):
-        return self.parent.one_terms()
-
-    def support_bounds(self):
-        bounds = list(self.parent.support_bounds())
-        lo, hi = bounds[0]
-        lo = 0 if lo is None else max(0, lo)
-        hi = hi if hi is None else max(hi, 0)
-        bounds[0] = (lo, hi)
-        return tuple(bounds)
-
-    def support_radius(self):
-        return self.parent.support_radius()
-
-    def describe(self):
-        return f"positive_part({self.parent.describe()})"
+    bounds = list(a.support_bounds())
+    lo, hi = bounds[0]
+    bounds[0] = (0 if lo is None else max(0, lo), hi if hi is None else max(hi, 0))
+    return SliceAlgebra(
+        a,
+        a.group,
+        lambda d: d if d.values[0] >= 0 else None,
+        tuple(bounds),
+        a.support_radius(),
+        f"positive_part({a.describe()})",
+    )
 
 
-class IdentityComponentAlgebra(GradedAlgebra):
+def _identity_component(a: GradedAlgebra) -> SliceAlgebra:
     """The identity component A_0, as an algebra over the trivial group."""
-
-    def __init__(self, parent: GradedAlgebra):
-        super().__init__(TRIVIAL_GROUP, parent.field)
-        self.parent = parent
-
-    def _component_basis(self, deg):
-        return self.parent.component_basis(self.parent.group.zero)
-
-    def _mul_labels(self, da, la, db, lb):
-        z = self.parent.group.zero
-        return self.parent._mul_labels(z, la, z, lb)
-
-    def one_terms(self):
-        return self.parent.one_terms()
-
-    def support_bounds(self):
-        return ()
-
-    def support_radius(self):
-        return ()
-
-    def describe(self):
-        return f"identity_component({self.parent.describe()})"
+    z = a.group.zero
+    return SliceAlgebra(
+        a, TRIVIAL_GROUP, lambda d: z, (), (), f"identity_component({a.describe()})"
+    )
 
 
-class TrivialExtensionAlgebra(GradedAlgebra):
-    """The same algebra, graded by Z^extra x G with support in 0 x G."""
-
-    def __init__(self, parent: GradedAlgebra, extra: int):
-        group = GradingGroup(parent.group.free_rank + extra, parent.group.torsion_moduli)
-        super().__init__(group, parent.field)
-        self.parent = parent
-        self.extra = extra
-
-    def _restrict(self, deg):
-        if any(deg.values[: self.extra]):
-            return None
-        return self.parent.group.degree(deg.values[self.extra :])
-
-    def _component_basis(self, deg):
-        r = self._restrict(deg)
-        return () if r is None else self.parent.component_basis(r)
-
-    def _mul_labels(self, da, la, db, lb):
-        ra = self._restrict(da)
-        rb = self._restrict(db)
-        return self.parent._mul_labels(ra, la, rb, lb)
-
-    def one_terms(self):
-        return self.parent.one_terms()
-
-    def support_bounds(self):
-        return tuple([(0, 0)] * self.extra) + self.parent.support_bounds()
-
-    def support_radius(self):
-        return tuple([0] * self.extra) + self.parent.support_radius()
-
-    def zero_part(self):
-        if self._zero_part is None:
-            self._zero_part = (
-                self.parent
-                if self.extra == 1
-                else self.parent.trivial_extension(self.extra - 1)
-            )
-        return self._zero_part
-
-    def describe(self):
-        return f"triv_ext({self.parent.describe()}, {self.extra})"
+def _trivial_extension(a: GradedAlgebra, extra: int) -> SliceAlgebra:
+    """The same algebra, graded by Z^extra x G with support in 0 x G.  Its
+    zero part is the extension by one coordinate less."""
+    g = a.group
+    ext = SliceAlgebra(
+        a,
+        GradingGroup(g.free_rank + extra, g.torsion_moduli),
+        lambda d: None if any(d.values[:extra]) else g.degree(d.values[extra:]),
+        ((0, 0),) * extra + a.support_bounds(),
+        (0,) * extra + a.support_radius(),
+        f"triv_ext({a.describe()}, {extra})",
+    )
+    ext._slices["zero_part"] = a.trivial_extension(extra - 1)
+    return ext
 
 
 class GroupHom:
@@ -930,9 +871,7 @@ def project_pi(a: HomogeneousElement) -> HomogeneousElement:
     zpe = A.zero_part_embedded()
     if a.degree.values[0] != 0:
         return zpe.zero_element(a.degree)
-    # labels agree between A and its embedded zero part at these degrees
-    if zpe.component_basis(a.degree) != A.component_basis(a.degree):
-        raise AlgebraError("zero part basis mismatch")  # pragma: no cover
+    # the embedded zero part reads A's own components at these degrees
     return zpe.element(a.degree, a.coords)
 
 

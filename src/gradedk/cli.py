@@ -214,7 +214,9 @@ class Session:
             k = self._kwarg(call, "k", 1)
             if len(call.args) > 1:
                 k = self.eval(call.args[1])
-            return self._expect_algebra(call, 0).trivial_extension(int(k))
+            if not isinstance(k, int) or k < 0:
+                raise EvalError("trivial_extension: k must be an integer >= 0")
+            return self._expect_algebra(call, 0).trivial_extension(k)
         if name == "group":
             rank = self._kwarg(call, "rank", 0)
             moduli = self._kwarg(call, "moduli", [])
@@ -283,7 +285,10 @@ class Session:
                 coords = []
                 for c in cell:
                     if isinstance(c, Fraction):
-                        coords.append(F.of_fraction(c.numerator, c.denominator))
+                        try:
+                            coords.append(F.of_fraction(c.numerator, c.denominator))
+                        except ZeroDivisionError as exc:
+                            raise EvalError(f"proj: entry ({i},{j}): {exc}") from None
                     else:
                         coords.append(F.of_int(int(c)))
                 row.append(A.element(d, coords) if any(coords) else None)
@@ -363,10 +368,10 @@ class Session:
                 if gamma.torsion_moduli:
                     raise EvalError("lemma: the extension factor must be Z^k")
                 extra = gamma.free_rank
-            elif isinstance(gamma, int):
+            elif isinstance(gamma, int) and gamma >= 0:
                 extra = gamma
             else:
-                raise EvalError("lemma: second argument must be Z^k or an integer")
+                raise EvalError("lemma: second argument must be Z^k or an integer >= 0")
             return kt.lemma_check(A, extra, self.seed)
         if name == "basis":
             deg = self._kwarg(call, "deg")

@@ -260,6 +260,8 @@ class _Parser:
         if t.kind == "FRAC":
             self.next()
             a, b = t.text.split("/")
+            if not int(b):
+                raise ParseError(f"zero denominator in {t.text}", t.line, t.col)
             return Frac(int(a), int(b))
         if t.kind == "PUNCT" and t.text == "[":
             return self.parse_list()

@@ -150,24 +150,29 @@ class FDAlgebra:
 
     def minimal_polynomial(self, x, e):
         """Monic minimal polynomial (coeff list, low degree first) of x in
-        the corner e A e, whose unit is the idempotent e."""
-        char = self.field.char
-        rows = []
-        powers = [list(e)]
+        the corner e A e, whose unit is the idempotent e.
+
+        Each power x^n (x^0 = e) is reduced once against the echelon rows
+        of the earlier powers, tracking which combination of powers it
+        is; the first power that reduces to zero gives the polynomial."""
+        F = self.field
+        rows = []  # (pivot, row scaled to 1 there, its combination of powers)
+        power = list(e)
         while True:
-            cand = rows + [powers[-1]]
-            mat = [list(r) for r in cand]
-            if _kernel.rank(mat, char) < len(cand):
-                # solve for the dependency of the last power on the earlier ones
-                a = [[rows[i][r] for i in range(len(rows))] for r in range(self.dim)]
-                b = [[powers[-1][r]] for r in range(self.dim)]
-                sol = _kernel.solve(a, b, char)
-                if sol is None:  # pragma: no cover
-                    raise SplitError("minimal polynomial bookkeeping failed")
-                coeffs = [self.field.neg(srow[0]) for srow in sol]
-                return coeffs + [self.field.one]
-            rows.append(powers[-1])
-            powers.append(self.mul_vec(powers[-1], x))
+            v = list(power)
+            comb = [F.zero] * len(rows) + [F.one]
+            for p, row, rcomb in rows:
+                c = v[p]
+                if c:
+                    v = [F.sub(a, F.mul(c, b)) if b else a for a, b in zip(v, row)]
+                    for i, b in enumerate(rcomb):
+                        comb[i] = F.sub(comb[i], F.mul(c, b))
+            p = next((i for i, a in enumerate(v) if a), None)
+            if p is None:
+                return comb
+            inv = F.inv(v[p])
+            rows.append((p, [F.mul(inv, a) for a in v], [F.mul(inv, a) for a in comb]))
+            power = self.mul_vec(power, x)
 
     def evaluate_poly(self, coeffs, x, e):
         """Evaluate a polynomial (low-first coeffs) at x in the corner
@@ -472,12 +477,13 @@ def _crt_idempotents(fd: FDAlgebra, t, e, minpoly_coeffs, factors):
 
     For a primary factor f^k of the minimal polynomial m, the polynomial
     of degree below deg m that is 1 mod f^k and 0 mod m / f^k is unique;
-    its value at t is the idempotent."""
+    its value at t is the idempotent.  These polynomials sum to 1, so the
+    last idempotent is e minus the others."""
     import sympy
 
     m = _sympy_poly(minpoly_coeffs, fd.field)
     out = []
-    for f, mult in factors:
+    for f, mult in factors[:-1]:
         fm = _sympy_poly(f, fd.field) ** mult
         h, rem = m.div(fm)
         if not rem.is_zero:
@@ -488,7 +494,11 @@ def _crt_idempotents(fd: FDAlgebra, t, e, minpoly_coeffs, factors):
             raise SplitError("primary components are not coprime") from None
         crt = _field_coeffs((u * h).rem(m), fd.field)
         out.append(fd.evaluate_poly(crt, t, e))
-    return out
+    F = fd.field
+    last = list(e)
+    for v in out:
+        last = [F.sub(a, b) for a, b in zip(last, v)]
+    return out + [last]
 
 
 # ---------------------------------------------------------------------------

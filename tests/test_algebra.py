@@ -226,3 +226,145 @@ def test_support_degrees_finite(M5):
     L = alg.group_algebra(QQ, GradingGroup(1, ()))
     with pytest.raises(AlgebraError):
         L.support_degrees()
+
+
+# -- slices: zero part, positive part, identity component, trivial extension --
+
+# (support_bounds, support_radius, describe()) of each slice
+SLICE_VALUES = {
+    ("M5", "zero_part"): ((), (), "zero_part(M5(Q)(0,1,2,2,3))"),
+    ("M5", "positive_part"): (((0, 3),), (3,), "positive_part(M5(Q)(0,1,2,2,3))"),
+    ("M5", "identity_component"): ((), (), "identity_component(M5(Q)(0,1,2,2,3))"),
+    ("M5", "trivial_extension(1)"): (
+        ((0, 0), (-3, 3)), (0, 3), "triv_ext(M5(Q)(0,1,2,2,3), 1)"
+    ),
+    ("M5", "trivial_extension(2)"): (
+        ((0, 0), (0, 0), (-3, 3)), (0, 0, 3), "triv_ext(M5(Q)(0,1,2,2,3), 2)"
+    ),
+    ("Qx", "zero_part"): ((), (), "zero_part(M1(Q)(0)[x;1])"),
+    ("Qx", "positive_part"): (((0, None),), (1,), "positive_part(M1(Q)(0)[x;1])"),
+    ("Qx", "identity_component"): ((), (), "identity_component(M1(Q)(0)[x;1])"),
+    ("Qx", "trivial_extension(1)"): (
+        ((0, 0), (0, None)), (0, 1), "triv_ext(M1(Q)(0)[x;1], 1)"
+    ),
+    ("Qx", "trivial_extension(2)"): (
+        ((0, 0), (0, 0), (0, None)), (0, 0, 1), "triv_ext(M1(Q)(0)[x;1], 2)"
+    ),
+    ("Bx", "zero_part"): ((), (), "zero_part(triv_ext(Q[Z/2], 1)[x;(1,1)])"),
+    ("Bx", "positive_part"): (
+        ((0, None),), (1,), "positive_part(triv_ext(Q[Z/2], 1)[x;(1,1)])"
+    ),
+    ("Bx", "identity_component"): (
+        (), (), "identity_component(triv_ext(Q[Z/2], 1)[x;(1,1)])"
+    ),
+    ("Bx", "trivial_extension(1)"): (
+        ((0, 0), (0, None)), (0, 1), "triv_ext(triv_ext(Q[Z/2], 1)[x;(1,1)], 1)"
+    ),
+    ("Bx", "trivial_extension(2)"): (
+        ((0, 0), (0, 0), (0, None)),
+        (0, 0, 1),
+        "triv_ext(triv_ext(Q[Z/2], 1)[x;(1,1)], 2)",
+    ),
+    ("M201x", "zero_part"): (
+        ((-1, 1),), (1,), "zero_part(triv_ext(M2(Q)(0,1), 1)[x;(1,0)])"
+    ),
+    ("M201x", "positive_part"): (
+        ((0, None), (-1, 1)),
+        (1, 1),
+        "positive_part(triv_ext(M2(Q)(0,1), 1)[x;(1,0)])",
+    ),
+    ("M201x", "identity_component"): (
+        (), (), "identity_component(triv_ext(M2(Q)(0,1), 1)[x;(1,0)])"
+    ),
+    ("M201x", "trivial_extension(1)"): (
+        ((0, 0), (0, None), (-1, 1)),
+        (0, 1, 1),
+        "triv_ext(triv_ext(M2(Q)(0,1), 1)[x;(1,0)], 1)",
+    ),
+    ("M201x", "trivial_extension(2)"): (
+        ((0, 0), (0, 0), (0, None), (-1, 1)),
+        (0, 0, 1, 1),
+        "triv_ext(triv_ext(M2(Q)(0,1), 1)[x;(1,0)], 2)",
+    ),
+    ("forget(M5)", "identity_component"): (
+        (), (), "identity_component(regrade(M5(Q)(0,1,2,2,3) -> 1))"
+    ),
+    ("forget(M5)", "trivial_extension(1)"): (
+        ((0, 0),), (0,), "triv_ext(regrade(M5(Q)(0,1,2,2,3) -> 1), 1)"
+    ),
+    ("forget(M5)", "trivial_extension(2)"): (
+        ((0, 0), (0, 0)), (0, 0), "triv_ext(regrade(M5(Q)(0,1,2,2,3) -> 1), 2)"
+    ),
+}
+
+
+def _slices(A):
+    """Each slice of A with the map from its degrees to A's (None: empty)."""
+    g = A.group
+
+    def extension(k):
+        return lambda d: None if any(d.values[:k]) else g.degree(d.values[k:])
+
+    out = {
+        "identity_component": (A.identity_component(), lambda d: g.zero),
+        "trivial_extension(1)": (A.trivial_extension(1), extension(1)),
+        "trivial_extension(2)": (A.trivial_extension(2), extension(2)),
+    }
+    if g.free_rank:
+        out["zero_part"] = (A.zero_part(), lambda d: g.degree((0,) + d.values))
+        out["positive_part"] = (
+            A.positive_part(),
+            lambda d: d if d.values[0] >= 0 else None,
+        )
+    return out
+
+
+def _window(group, radius):
+    for free in itertools.product(range(-radius, radius + 1), repeat=group.free_rank):
+        for t in group.torsion_elements():
+            yield group.degree(free + t.torsion_part)
+
+
+def _unit(n, i):
+    return [QQ.one if j == i else QQ.zero for j in range(n)]
+
+
+@pytest.mark.parametrize("name", ["M5", "Qx", "Bx", "M201x", "forget(M5)"])
+def test_slices_read_the_parent_along_their_maps(name, request):
+    A = (
+        alg.forget_grading(request.getfixturevalue("M5"))
+        if name == "forget(M5)"
+        else request.getfixturevalue(name)
+    )
+    slices = _slices(A)
+    assert {kind for n, kind in SLICE_VALUES if n == name} == set(slices)
+    for kind, (S, to_parent) in slices.items():
+        assert S.field == A.field
+        assert (S.support_bounds(), S.support_radius(), S.describe()) == SLICE_VALUES[
+            (name, kind)
+        ]
+        for d in _window(S.group, 2):
+            p = to_parent(d)
+            assert S.component_basis(d) == (() if p is None else A.component_basis(p))
+        assert S.one().coords == A.one().coords
+        nonempty = [d for d in _window(S.group, 1) if S.component_dim(d)]
+        for da, db in itertools.product(nonempty, repeat=2):
+            pa, pb = to_parent(da), to_parent(db)
+            na, nb = S.component_dim(da), S.component_dim(db)
+            for i in range(na):
+                for j in range(nb):
+                    x, y = _unit(na, i), _unit(nb, j)
+                    assert S.mul_coords(da, x, db, y) == A.mul_coords(pa, x, pb, y)
+    for kind, (S, _to_parent) in _slices(A).items():
+        assert S is slices[kind][0]
+    assert A.trivial_extension(0) is A
+    for k in (1, 2, 3):
+        assert A.trivial_extension(k).zero_part() is A.trivial_extension(k - 1)
+    if A.group.free_rank:
+        assert A.zero_part_embedded() is A.zero_part().trivial_extension(1)
+        assert A.zero_part_embedded() is A.zero_part_embedded()
+    else:
+        with pytest.raises(AlgebraError, match="no distinguished free coordinate"):
+            A.zero_part()
+        with pytest.raises(AlgebraError, match="no free coordinate to truncate"):
+            A.positive_part()

@@ -1,10 +1,15 @@
 """The input language and the command-line driver."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gradedk import cli
 from gradedk.cli import EvalError, Session, run_text
@@ -146,6 +151,30 @@ def test_unsupported_algebra_is_a_user_error(tmp_path, command):
     assert len(lines) == 1 and lines[0].startswith(f"error: {command}: ")
 
 
+@pytest.mark.parametrize(
+    "script",
+    [
+        "k0(matrix(Q, [1/0]))",
+        "P = proj(matrix(F2,[0]), shifts=[0], idem=[[[1/2]]])",
+        "k0(regrade_mod(matrix(Q,[0,1]), 2/0))",
+        "k0(trivial_extension(matrix(Q,[0,1]), -1))",
+        "k0(trivial_extension(matrix(Q,[0,1]), 1/2))",
+        "lemma(matrix(Q,[0,1]), -2)",
+    ],
+)
+def test_bad_literal_is_a_user_error(tmp_path, capsys, script):
+    assert cli.main([str(_write(tmp_path, script + "\n"))]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_zero_extension_count_is_valid(tmp_path):
+    script = "k0(trivial_extension(matrix(Q,[0,1]), 0))\nlemma(matrix(Q,[0,1]), 0)\n"
+    assert cli.main([str(_write(tmp_path, script))]) == 0
+
+
 def _write(tmp_path, text):
     f = tmp_path / "script.gk"
     f.write_text(text)
@@ -213,3 +242,93 @@ def test_command_surface_matches_interface():
     for r in reports:
         for key in ("hypothesis_checks", "lhs_basis", "rhs_basis", "correspondence", "verdict", "seed", "version"):
             assert key in r
+
+
+# -- fuzz: scripts from the constructor grammar ---------------------------------
+
+_FIELDS = st.sampled_from(["Q", "F2", "F3"])
+_SHIFTS = st.sampled_from(["-2", "-1", "0", "1", "2", "1/0", "2/0", "1/2", "-1/2"])
+_COUNTS = st.sampled_from(["-2", "-1", "0", "1", "2", "1/2", "1/0", "Z", "Z^2"])
+_BASES = st.one_of(
+    st.builds(
+        lambda F, s: f"matrix({F}, [{', '.join(s)}])",
+        _FIELDS,
+        st.lists(_SHIFTS, min_size=1, max_size=3),
+    ),
+    st.builds(
+        lambda F, G: f"groupalg({F}, {G})", _FIELDS, st.sampled_from(["Z", "Z2", "Z3"])
+    ),
+    st.builds(lambda F, d: f"poly(matrix({F}, [0]), deg=[{d}])", _FIELDS, _SHIFTS),
+    st.builds(
+        lambda F, G, a, b: f"poly(groupalg({F}, {G}), deg=[{a}, {b}])",
+        _FIELDS,
+        st.sampled_from(["Z2", "Z3"]),
+        _SHIFTS,
+        _SHIFTS,
+    ),
+)
+
+
+def _derived(inner):
+    return st.one_of(
+        inner,
+        st.builds(
+            lambda f, X: f"{f}({X})",
+            st.sampled_from(["zero_part", "positive_part", "identity_component", "forget"]),
+            inner,
+        ),
+        st.builds(lambda X, k: f"trivial_extension({X}, {k})", inner, _COUNTS),
+        st.builds(
+            lambda X, n: f"regrade_mod({X}, {n})",
+            inner,
+            st.sampled_from(["2", "3", "0", "1/2", "2/0"]),
+        ),
+    )
+
+
+_ALGEBRAS = _derived(_derived(_BASES))
+_COMMANDS = st.one_of(
+    st.builds(
+        lambda c, X: f"{c}({X})",
+        st.sampled_from(["k0", "dade", "quillen", "theorem1", "corollary"]),
+        _ALGEBRAS,
+    ),
+    st.builds(lambda X, d: f"basis({X}, deg=[{d}])", _ALGEBRAS, _SHIFTS),
+    st.builds(lambda X, k: f"lemma({X}, {k})", _ALGEBRAS, _COUNTS),
+    st.builds(
+        lambda c, X, a, b: f"{c}(free({X}, shifts=[[{a}], [{b}]]))",
+        st.sampled_from(["swan", "filtration"]),
+        _ALGEBRAS,
+        _SHIFTS,
+        _SHIFTS,
+    ),
+    st.builds(
+        lambda F, c: f"P = proj(matrix({F}, [0]), shifts=[0], idem=[[[{c}]]])\nk0(P)",
+        _FIELDS,
+        st.sampled_from(["0", "1", "2", "1/2", "1/3", "1/0"]),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example("k0(matrix(Q, [1/0]))\n")
+@example("P = proj(matrix(F2,[0]), shifts=[0], idem=[[[1/2]]])\n")
+@example("k0(regrade_mod(matrix(Q,[0,1]), 2/0))\n")
+@example("k0(trivial_extension(matrix(Q,[0,1]), -1))\n")
+@example("k0(trivial_extension(matrix(Q,[0,1]), 1/2))\n")
+@example("lemma(matrix(Q,[0,1]), -2)\n")
+@given(st.lists(_COMMANDS, min_size=1, max_size=2).map(lambda cs: "\n".join(cs) + "\n"))
+def test_generated_scripts_exit_cleanly(script):
+    """Every script ends in exit 0, 1 or 2, never in an escaped exception;
+    a user error (exit 2) prints one error line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "script.gk")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(script)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([path, "--json"])
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
