@@ -196,6 +196,29 @@ class Bilinear:
             return [Fraction(v) if v else _QZERO for v in acc]
         return [Fraction(v, den) if v else _QZERO for v in acc]
 
+    def left(self, x, n):
+        """The dense ``out_dim`` x n matrix of y -> B(x, y), for y in a
+        space of dimension n: column b is B(x, e_b).  x's denominators are
+        cleared once and the entries summed as ints."""
+        m = self.modulus
+        if m:
+            xs = [(i, a) for i, a in enumerate(x) if a]
+            den = 1
+        else:
+            xs, dx = _cleared(x)
+            den = dx * self.den
+        acc = [[0] * n for _ in range(self.out_dim)]
+        rows = self.rows
+        for i, a in xs:
+            row = rows.get(i)
+            if row:
+                for j, cell in row.items():
+                    for k, c in cell:
+                        acc[k][j] += a * c
+        if m:
+            return [[v % m for v in r] for r in acc]
+        return [[Fraction(v, den) if v else _QZERO for v in r] for r in acc]
+
     def items(self):
         """Every nonzero structure constant as ``(i, j, k, c)``, c exact."""
         m = self.modulus

@@ -5,8 +5,9 @@
 
 Exit codes: 0 when no command fails verification (unmet hypotheses are
 reported, not failed), 1 when any verification fails or an invariant is
-violated while building objects, 2 for parse/name/type/config errors
-and for algebras outside the supported family.
+violated while building objects, 2 for parse/name/type/config errors,
+for malformed algebras and degrees, and for algebras outside the
+supported family.
 JSON output is deterministic: same script, seed and version give byte
 identical reports.
 """
@@ -149,6 +150,10 @@ class Session:
         name = call.name
         try:
             return self._dispatch(call)
+        except (AlgebraError, GradingError) as exc:
+            # an algebra or degree that cannot be built from a script's
+            # arguments is malformed input, not a failed invariant
+            raise EvalError(f"{name}: {exc} (line {call.line})") from exc
         except (EvalError, *INVARIANT_ERRORS, HypothesisError):
             raise
         except (TypeError, ValueError, IndexError, KeyError) as exc:
@@ -377,7 +382,10 @@ class Session:
             deg = self._kwarg(call, "deg")
             if deg is None:
                 deg = self._arg(call, 1, "deg")
-            d = A.group.degree([deg] if isinstance(deg, int) else deg)
+            try:
+                d = A.group.degree([deg] if isinstance(deg, int) else deg)
+            except (TypeError, ValueError) as exc:  # GradingError among them
+                raise EvalError(f"basis: {exc} (line {call.line})") from exc
             labels = [str(lbl) for lbl in A.component_basis(d)]
             return kt._report(
                 "pass",

@@ -69,12 +69,17 @@ def _slice_rows(P: ProjectivePresentation, pred):
 
 def _induced_from_rows(P: ProjectivePresentation, rows) -> ProjectivePresentation:
     """The induced presentation on a union of slices: restricted idempotent
-    of T(P), read back inside the algebra of P."""
-    if not rows:
-        return zero_module(P.algebra)
-    tp = functor_T(P)
-    block = restrict_rows(tp, rows)
-    return functor_S(block, P.algebra)
+    of T(P), read back inside the algebra of P.  Built once per P and
+    rows."""
+    key = ("slice", tuple(rows))
+    hit = P._derived.get(key)
+    if hit is None:
+        if rows:
+            hit = functor_S(restrict_rows(functor_T(P), rows), P.algebra)
+        else:
+            hit = zero_module(P.algebra)
+        P._derived[key] = hit
+    return hit
 
 
 def filter_module(P: ProjectivePresentation, t: int) -> ProjectivePresentation:

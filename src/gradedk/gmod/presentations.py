@@ -10,6 +10,11 @@ in a fixed degree.
 Degree-zero maps between presentations are matrices of homogeneous
 entries intertwining the idempotents.
 
+A presentation does not change once built, so the presentations derived
+from it -- restriction T and induction S (``swan``), the induced slices
+of its filtration and its shifts -- are built once and kept in its
+``_derived`` dict, and their component spaces with them.
+
 The zero part, its embedding, a trivial extension of the grading and
 the identity component read their components from the parent's basis
 labels, so a presentation moves between these algebras along a degree
@@ -154,32 +159,24 @@ class ComponentSpace:
 def _entries_component_matrix(tgt_alg, entries, src_degrees, src_dims, tgt_degrees, tgt_dims):
     """Matrix (stacked tgt components) x (stacked src components) of the
     entry matrix acting by left multiplication; src vectors are already
-    coerced into tgt_alg coordinates."""
+    coerced into tgt_alg coordinates.  Block (i, j) is the matrix of left
+    multiplication by entry (i, j), read from the pair tensor."""
     F = tgt_alg.field
-    n_rows = sum(tgt_dims)
-    n_cols = sum(src_dims)
-    mat = [[F.zero] * n_cols for _ in range(n_rows)]
+    mat = [[F.zero] * sum(src_dims) for _ in range(sum(tgt_dims))]
     col = 0
-    tgt_offsets = []
-    off = 0
-    for d in tgt_dims:
-        tgt_offsets.append(off)
-        off += d
     for j, (dj, nj) in enumerate(zip(src_degrees, src_dims)):
-        for b in range(nj):
-            x = tgt_alg.basis_element(dj, b)
-            for i in range(len(entries)):
+        if nj:
+            base = 0
+            for i, ni in enumerate(tgt_dims):
                 ent = entries[i][j]
-                if ent is None:
-                    continue
-                prod = ent * x
-                if prod.degree != tgt_degrees[i]:  # pragma: no cover
-                    raise PresentationError("entry degree bookkeeping failed")
-                base = tgt_offsets[i]
-                for r, c in enumerate(prod.coords):
-                    if c:
-                        mat[base + r][col] = F.add(mat[base + r][col], c)
-            col += 1
+                if ent is not None:
+                    if ent.degree + dj != tgt_degrees[i]:  # pragma: no cover
+                        raise PresentationError("entry degree bookkeeping failed")
+                    block = tgt_alg.pair_tensor(ent.degree, dj).left(ent.coords, nj)
+                    for r in range(ni):
+                        mat[base + r][col : col + nj] = block[r]
+                base += ni
+        col += nj
     return mat
 
 
@@ -196,6 +193,9 @@ class ProjectivePresentation:
             raise PresentationError("idempotent matrix shape must match the shifts")
         self.entries = [list(row) for row in entries]
         self._spaces = {}
+        # presentations derived from this one, each built once: T, S over an
+        # algebra, induced filtration slices and shifts (see swan, filtration)
+        self._derived = {}
         if check:
             self._validate()
 
@@ -238,10 +238,17 @@ class ProjectivePresentation:
         return entries_are_zero(self.entries)
 
     def shift(self, g: Degree) -> "ProjectivePresentation":
-        """The shifted module P(g): component(P(g), h) = component(P, g+h)."""
-        return ProjectivePresentation(
-            self.algebra, tuple(s + g for s in self.shifts), self.entries, check=False
-        )
+        """The shifted module P(g): component(P(g), h) = component(P, g+h).
+        P(0) is P, and each other P(g) is built once."""
+        if g.is_zero():
+            return self
+        key = ("shift", g)
+        hit = self._derived.get(key)
+        if hit is None:
+            hit = self._derived[key] = ProjectivePresentation(
+                self.algebra, tuple(s + g for s in self.shifts), self.entries, check=False
+            )
+        return hit
 
     def __repr__(self):
         return (
@@ -410,22 +417,22 @@ class GradedMap:
         act = _entries_component_matrix(
             A, self.entries, src_degrees, coerced_dims, tgt_sp.block_degrees, tgt_sp.block_dims
         )
-        cols = []
+        # coerced source basis vectors as the columns of one matrix
+        coerced = [[] for _ in range(sum(coerced_dims))]
         for basis_col in src_sp.basis_columns:
-            coerced = []
+            vec = []
             off = 0
             for d, n_src in zip(src_degrees, src_sp.block_dims):
                 chunk = basis_col[off : off + n_src]
                 off += n_src
-                coerced.extend(
-                    _coerce_coords(self.deg, self.source.algebra, A, d, chunk)
-                )
-            if act and coerced:
-                img = [row for row in _kernel.mat_mul(act, [[x] for x in coerced], F.char)]
-                vec = [r[0] for r in img]
-            else:
-                vec = [F.zero] * tgt_sp.ambient_dim
-            cols.append(tgt_sp.express(vec))
+                vec.extend(_coerce_coords(self.deg, self.source.algebra, A, d, chunk))
+            for row, x in zip(coerced, vec):
+                row.append(x)
+        if coerced:
+            images = _kernel.mat_mul(act, coerced, F.char)
+        else:
+            images = [[F.zero] * src_sp.dim for _ in range(tgt_sp.ambient_dim)]
+        cols = [tgt_sp.express([row[c] for row in images]) for c in range(src_sp.dim)]
         # assemble (dim target) x (dim source)
         out = [[F.zero] * src_sp.dim for _ in range(tgt_sp.dim)]
         for c, col in enumerate(cols):

@@ -51,24 +51,31 @@ def require_positive_support(A: GradedAlgebra):
 
 def functor_T(P: ProjectivePresentation) -> ProjectivePresentation:
     """Restriction P -> P / P A_+ as a presentation over the embedded
-    zero part (same shifts, idempotent entries projected)."""
-    require_positive_support(P.algebra)
-    zpe = P.algebra.zero_part_embedded()
-    return ProjectivePresentation(
-        zpe, P.shifts, relabel_entries(P.entries, zpe, zero_slice), check=False
-    )
+    zero part (same shifts, idempotent entries projected).  Built once
+    per P."""
+    hit = P._derived.get("T")
+    if hit is None:
+        require_positive_support(P.algebra)
+        zpe = P.algebra.zero_part_embedded()
+        hit = P._derived["T"] = ProjectivePresentation(
+            zpe, P.shifts, relabel_entries(P.entries, zpe, zero_slice), check=False
+        )
+    return hit
 
 
 def functor_S(Q: ProjectivePresentation, A: GradedAlgebra) -> ProjectivePresentation:
     """Induction along the inclusion of the zero part: the same idempotent
-    read inside A."""
-    require_positive_support(A)
-    zpe = A.zero_part_embedded()
-    if Q.algebra is not zpe:
-        raise PresentationError(
-            "functor_S expects a presentation over the embedded zero part of A"
-        )
-    return relabel(Q, A, same_degree)
+    read inside A.  Built once per Q and A."""
+    key = ("S", A)
+    hit = Q._derived.get(key)
+    if hit is None:
+        require_positive_support(A)
+        if Q.algebra is not A.zero_part_embedded():
+            raise PresentationError(
+                "functor_S expects a presentation over the embedded zero part of A"
+            )
+        hit = Q._derived[key] = relabel(Q, A, same_degree)
+    return hit
 
 
 def nu(Q: ProjectivePresentation, A: GradedAlgebra) -> GradedMap:

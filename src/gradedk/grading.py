@@ -28,6 +28,14 @@ class GradingError(ValueError):
 
 @dataclass(frozen=True)
 class GradingGroup:
+    """Z^free_rank x Z/n_1 x ... x Z/n_t.
+
+    ``degree`` interns: one :class:`Degree` per reduced value tuple, kept
+    in a table on the group together with the raw tuples already read, so
+    a repeated lookup skips validation and reduction.  Equality stays by
+    value, also between degrees of two equal groups.
+    """
+
     free_rank: int
     torsion_moduli: tuple = ()
 
@@ -40,12 +48,17 @@ class GradingGroup:
         if list(mods) != sorted(mods):
             raise GradingError("torsion moduli must be sorted ascending")
         object.__setattr__(self, "torsion_moduli", mods)
+        object.__setattr__(self, "_degrees", {})  # raw or reduced tuple -> Degree
 
     @property
     def dim(self) -> int:
         return self.free_rank + len(self.torsion_moduli)
 
     def degree(self, values: Sequence[int]) -> "Degree":
+        key = values if type(values) is tuple else tuple(values)
+        hit = self._degrees.get(key)
+        if hit is not None:
+            return hit
         values = tuple(int(v) for v in values)
         if len(values) != self.dim:
             raise GradingError(
@@ -55,7 +68,11 @@ class GradingGroup:
         reduced = values[:m] + tuple(
             v % n for v, n in zip(values[m:], self.torsion_moduli)
         )
-        return Degree(self, reduced)
+        hit = self._degrees.get(reduced)
+        if hit is None:
+            hit = self._degrees[reduced] = Degree(self, reduced)
+        self._degrees[key] = hit
+        return hit
 
     @property
     def zero(self) -> "Degree":
@@ -107,13 +124,37 @@ class GradingGroup:
 TRIVIAL_GROUP = GradingGroup(0, ())
 
 
-@dataclass(frozen=True)
 class Degree:
-    group: GradingGroup
-    values: tuple
+    """An element of a grading group; build one with ``GradingGroup.degree``.
+
+    Immutable, compared by value, with its hash computed once.
+    """
+
+    __slots__ = ("group", "values", "_hash")
+
+    def __init__(self, group: GradingGroup, values: tuple):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_hash", hash((group, values)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Degree is immutable")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Degree):
+            return NotImplemented
+        return self.values == other.values and self.group == other.group
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"Degree(group={self.group!r}, values={self.values!r})"
 
     def _check(self, other: "Degree"):
-        if self.group != other.group:
+        if self.group is not other.group and self.group != other.group:
             raise GradingError("degrees belong to different grading groups")
 
     def __add__(self, other: "Degree") -> "Degree":

@@ -170,6 +170,35 @@ def test_bad_literal_is_a_user_error(tmp_path, capsys, script):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "script",
+    [
+        "k0(poly(matrix(Q,[0]), deg=[0]))",
+        "k0(zero_part(forget(matrix(Q,[0,1]))))",
+        "basis(matrix(Q,[0,1]), deg=[0,0])",
+        "A = zero_part(forget(matrix(Q,[0,1])))\nk0(A)",
+        "basis(matrix(Q,[0,1]), deg=Q)",
+    ],
+)
+def test_malformed_algebra_or_degree_is_a_user_error(tmp_path, capsys, script):
+    assert cli.main([str(_write(tmp_path, script + "\n"))]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_algebra_error_from_a_computation_is_a_failure(tmp_path, monkeypatch):
+    def broken(A, seed=0):
+        raise cli.AlgebraError("support is not finite")
+
+    monkeypatch.setattr(cli.kt, "k0", broken)
+    reports = run_text("k0(matrix(Q, [0, 1]))\n")
+    assert reports[0]["verdict"] == "fail"
+    assert "AlgebraError" in reports[0]["hypothesis_checks"][0]["detail"]
+    assert cli.main([str(_write(tmp_path, "k0(matrix(Q, [0, 1]))\n"))]) == 1
+
+
 def test_zero_extension_count_is_valid(tmp_path):
     script = "k0(trivial_extension(matrix(Q,[0,1]), 0))\nlemma(matrix(Q,[0,1]), 0)\n"
     assert cli.main([str(_write(tmp_path, script))]) == 0

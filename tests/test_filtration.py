@@ -17,6 +17,7 @@ from gradedk.gmod import (
     random_presentation,
     regular_module,
 )
+from gradedk.gmod import presentations as pres
 
 
 def test_filter_of_shifted_line(Qx):
@@ -137,3 +138,28 @@ def test_filtered_module_assembly(M201x):
 def test_hypothesis_gate(M5):
     with pytest.raises(HypothesisError):
         filt.jump_degrees(regular_module(M5))
+
+
+def test_repeated_section_independence_builds_no_component_space(Qx, monkeypatch):
+    P = random_presentation(Qx, [[0], [-1], [2]], random.Random(4))
+    assert filt.verify_section_independence(P, seeds=(0, 1))["ok"]
+    builds = []
+    real = pres.ComponentSpace
+
+    def counted(Q, h):
+        builds.append(h)
+        return real(Q, h)
+
+    monkeypatch.setattr(pres, "ComponentSpace", counted)
+    assert filt.verify_section_independence(P, seeds=(0, 1))["ok"]
+    assert builds == []
+    # the counter does see builds: a new module makes some
+    Q = random_presentation(Qx, [[0], [1]], random.Random(5))
+    filt.verify_section_independence(Q, seeds=(0,))
+    assert builds
+
+
+def test_induced_slices_are_built_once(Qx):
+    P = random_presentation(Qx, [[0], [-1], [2]], random.Random(4))
+    assert all(a is b for a, b in zip(filt.layers(P), filt.layers(P)))
+    assert filt.filter_module(P, 5) is filt.filter_module(P, 5)

@@ -464,3 +464,80 @@ def test_fresh_trivially_graded_regular_module_makes_no_iso_test(monkeypatch):
     classes = summand_classes(regular_module(A))
     assert sorted(classes.values()) == [1] * 6  # tau(12) simple blocks
     assert calls == []
+
+
+# -- derived presentations are built once ------------------------------------------
+
+
+def test_functors_and_shifts_return_one_object_per_input(Bx):
+    P = random_presentation(Bx, [[0, 0], [1, 1]], random.Random(2))
+    tp = functor_T(P)
+    assert functor_T(P) is tp
+    assert functor_S(tp, Bx) is functor_S(tp, Bx)
+    g = Bx.deg([1, 1])
+    assert P.shift(g) is P.shift(g)
+    assert P.shift(g) is not P.shift(Bx.deg([1, 0]))
+    assert P.shift(Bx.group.zero) is P
+
+
+def test_failed_gates_store_nothing(M5, Bx):
+    R = regular_module(M5)
+    for _ in range(2):
+        with pytest.raises(HypothesisError):
+            functor_T(R)
+    assert "T" not in R._derived
+    Q = regular_module(Bx.zero_part_embedded())
+    with pytest.raises(HypothesisError):
+        functor_S(Q, M5)
+    with pytest.raises(PresentationError):
+        functor_S(regular_module(Bx), Bx)
+    assert Q._derived == {}
+
+
+def test_shared_shift_keeps_its_component_spaces(Qx):
+    P = free_module(Qx, [[0], [-1]])
+    g = Qx.deg([2])
+    h = Qx.deg([1])
+    space = P.shift(g).space(h)
+    assert P.shift(g).space(h) is space
+    assert space.dim == P.dim(g + h)
+
+
+# -- cross-path oracle: the matrix-algebra special case against the registry -------
+
+
+class _NoMatrixDispatch:
+    """Stands in for MatrixAlgebra in decompose: no algebra is one, so every
+    matrix algebra takes the generic registry path."""
+
+
+def _matrix_oracle_modules(A):
+    R = regular_module(A)
+    mods = [R, direct_sum(R, R.shift(A.deg([1]))), free_module(A, [[0], [2], [-1]])]
+    return mods + [random_presentation(A, [[0], [1], [3]], random.Random(s)) for s in range(3)]
+
+
+def _translated_multiset(classes):
+    """(shift - least shift, multiplicity) over a class multiset whose keys
+    all name one class, and that least shift."""
+    assert len({blk for blk, _g in classes}) == 1
+    least = min((g for _blk, g in classes), key=lambda d: d.values)
+    return sorted(((g - least).values, m) for (_blk, g), m in classes.items()), least
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_matrix_special_case_agrees_with_registry_path(monkeypatch, field):
+    special_alg = alg.matrix_algebra(field, [0, 1, 2, 2, 3])
+    special = [summand_classes(P) for P in _matrix_oracle_modules(special_alg)]
+    generic_alg = alg.matrix_algebra(field, [0, 1, 2, 2, 3])
+    monkeypatch.setattr(dec, "MatrixAlgebra", _NoMatrixDispatch)
+    generic = [summand_classes(P) for P in _matrix_oracle_modules(generic_alg)]
+    assert generic_alg._registry is not None  # the generic path did run
+    offsets = set()
+    for want, got in zip(special, generic):
+        want_set, want_least = _translated_multiset(want)
+        got_set, got_least = _translated_multiset(got)
+        assert got_set == want_set
+        offsets.add(got_least - want_least)
+    # one registry representative: a single translation for every module
+    assert len(offsets) == 1

@@ -55,6 +55,29 @@ def test_torsion_reduced_eagerly():
     assert (3 * d).values == (0, 1)
 
 
+def test_degrees_are_interned_per_reduced_value():
+    G = GradingGroup(0, (2,))
+    assert G.degree((3,)) is G.degree((1,))
+    assert G.degree([1]) is G.degree((1,)) is G.degree((-1,))
+    assert Z.degree([4]) + Z.degree([-4]) is Z.zero
+
+
+def test_degrees_of_equal_groups_are_equal_by_value():
+    G, H = GradingGroup(1, (2,)), GradingGroup(1, (2,))
+    a, b = G.degree([5, 3]), H.degree([5, 1])
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert {a: "x"}[b] == "x"
+    assert a + b == G.degree([10, 0])
+    assert a != H.degree([5, 0]) and a != GradingGroup(2, ()).degree([5, 1])
+
+
+def test_degree_is_immutable():
+    d = Z.degree([1])
+    with pytest.raises(AttributeError):
+        d.values = (2,)
+
+
 def test_degree_json():
     assert ZxZ2.degree([2, 1]).to_json() == [2, 1]
     assert GradingGroup.from_json({"rank": 1, "moduli": [2]}) == ZxZ2

@@ -247,6 +247,34 @@ def test_bilinear_items_lists_the_merged_constants(modulus):
     assert sorted(table.items()) == [(0, 2, 0, c), (1, 0, 2, doubled)]
 
 
+@pytest.mark.parametrize("modulus", [0, 5, 59**16])
+def test_bilinear_left_columns_are_products_with_basis_vectors(modulus):
+    rng = random.Random(15 + modulus % 97)
+    if modulus:
+        coeff = lambda: rng.randrange(-12, 12)
+        entry = lambda: rng.randrange(modulus)
+        zero, one = 0, 1
+    else:
+        coeff = entry = lambda: _rand_fraction(rng)
+        zero, one = Fraction(0), Fraction(1)
+    for _ in range(25):
+        n, m, out_dim = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        cells = {}
+        for i in range(n):
+            for j in range(m):
+                if rng.random() < 0.5:
+                    cells[(i, j)] = [(rng.randrange(out_dim), coeff()) for _ in range(2)]
+        table = Bilinear(cells, out_dim, modulus)
+        x = _sparse_vec(rng, n, entry)
+        left = table.left(x, m)
+        assert len(left) == out_dim and all(len(row) == m for row in left)
+        for b in range(m):
+            e_b = [one if j == b else zero for j in range(m)]
+            assert [row[b] for row in left] == table(x, e_b)
+        if not modulus:
+            assert all(type(v) is Fraction for row in left for v in row)
+
+
 def test_solve_detects_inconsistency():
     a = [[Fraction(1)], [Fraction(1)]]
     b = [[Fraction(0)], [Fraction(1)]]
