@@ -1,27 +1,34 @@
 """Krull-Schmidt decomposition and graded isomorphism testing.
 
-Dispatch by constructor:
+One reduction per algebra, chosen by constructor in :func:`_registry`
+and kept in ``A._registry``.  Its ``count(P, rng)`` gives the summands
+of P as {(block id, shift): multiplicity}, and ``classes[block id]`` is
+one :class:`_ClassInfo` per class:
 
-* matrix algebras: every indecomposable is a shift of the first column
-  module, with multiplicities read off from ranks against the first
-  column idempotent;
-* group algebras of the grading group: strongly graded with simple
-  degree components, so every graded projective is free;
-* finite-support algebras: split End(P)_0 into primitive idempotents and
-  match the summands against a per-algebra registry of classes (shift
-  alignment by support translation, then an exact pairing test).  The
-  split tags each summand with its simple block of End(P)_0/J, and
-  summands are matched once per block: eP and fP are isomorphic at
-  shift 0 exactly when e and f lie in one block (Wedderburn: a simple
-  block is a matrix algebra, whose primitive idempotents are conjugate,
-  while a map between different blocks composes into the radical).  So
-  every summand of a block gets its block's key, and a block never
-  tests the keys other blocks of its split already hold -- though it
-  can still be a nonzero shift of one of their classes;
-* infinite support with an N-supported leading coordinate: restrict to
-  the zero part, decompose slice by slice, and lift classes back along
-  the induction functor (the correspondence is a bijection on classes,
-  so labels are (zero-part class, full shift)).
+* matrix algebras: one class, the first column module; the multiplicity
+  of column(g) is the rank against the first column idempotent in
+  degree -g;
+* group algebras of the grading group: one class, the regular module;
+  they are strongly graded with simple degree components, so every
+  graded projective is free;
+* finite-support algebras (:class:`_FiniteRegistry`): split End(P)_0 into
+  primitive idempotents and match the summands against the classes
+  registered so far (shift alignment by support translation, then an
+  exact pairing test).  The split tags each summand with its simple
+  block of End(P)_0/J, and summands are matched once per block: eP and
+  fP are isomorphic at shift 0 exactly when e and f lie in one block
+  (Wedderburn: a simple block is a matrix algebra, whose primitive
+  idempotents are conjugate, while a map between different blocks
+  composes into the radical).  So every summand of a block gets its
+  block's key, and a block never tests the keys other blocks of its
+  split already hold -- though it can still be a nonzero shift of one
+  of their classes;
+* infinite support with an N-supported leading coordinate
+  (:class:`_Induction`): restrict to the zero part, count slice by slice
+  with the zero part's reduction, and lift classes back along the
+  induction functor (the correspondence is a bijection on classes, so
+  labels are (zero-part class, full shift), and each record is the zero
+  part's, induced).
 
 Class identities are (block id, shift modulo the class stabilizer);
 two presentations are isomorphic iff their class multisets agree.
@@ -30,6 +37,7 @@ two presentations are isomorphic iff their class multisets agree.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 from .. import _kernel
 from ..algebra import GradedAlgebra, GroupAlgebraA, MatrixAlgebra
@@ -39,10 +47,11 @@ from .presentations import (
     GradedMap,
     PresentationError,
     ProjectivePresentation,
+    regular_module,
     relabel,
     restrict_rows,
 )
-from .swan import functor_S, functor_T, require_positive_support
+from .swan import functor_S, functor_T
 
 
 class UnsupportedAlgebra(ValueError):
@@ -93,19 +102,32 @@ def indec_iso(X: ProjectivePresentation, Y: ProjectivePresentation) -> bool:
     return False
 
 
+@dataclass(eq=False)
 class _ClassInfo:
-    __slots__ = ("rep", "stabilizer", "dim_profile", "anchor", "symmetries")
+    """One class of indecomposables: its representative at shift zero,
+    its stabilizer {g : rep(g) = rep} and a registration-order-independent
+    signature that orders K0 bases.  A finite-support class also keeps
+    what matching reads: its shift-normalized dimension profile, its
+    anchor (lex-min support degree of rep) and the translation symmetries
+    of the profile."""
 
-    def __init__(self, rep, stabilizer, dim_profile, anchor, symmetries):
-        self.rep = rep
-        self.stabilizer = stabilizer
-        self.dim_profile = dim_profile  # dict shift-normalized degree -> dim
-        self.anchor = anchor  # lex-min support degree of rep
-        self.symmetries = symmetries  # translation symmetries of the profile
+    _rep: object  # a presentation, or a function building it on first read
+    stabilizer: Subgroup
+    signature: tuple
+    dim_profile: dict = None
+    anchor: object = None
+    symmetries: list = None
+
+    @property
+    def rep(self) -> ProjectivePresentation:
+        if callable(self._rep):
+            self._rep = self._rep()
+        return self._rep
 
 
 class _FiniteRegistry:
-    """Classes of indecomposables over one finite-support algebra."""
+    """Classes of indecomposables over one finite-support algebra, in
+    the order they were first met."""
 
     def __init__(self, algebra):
         self.algebra = algebra
@@ -159,30 +181,99 @@ class _FiniteRegistry:
         sym = self._profile_symmetries(dims)
         stab_elems = [d for d in sym if d.is_zero() or indec_iso(X.shift(d), X)]
         stabilizer = Subgroup.from_degrees(self.algebra.group, stab_elems)
-        self.classes.append(_ClassInfo(X, stabilizer, prof, anchor, sym))
+        signature = ("profile", tuple(sorted((d.values, n) for d, n in prof.items())))
+        self.classes.append(_ClassInfo(X, stabilizer, signature, prof, anchor, sym))
         return len(self.classes) - 1, self.algebra.group.zero
 
+    def count(self, P, rng) -> dict:
+        keys = {}  # split block -> class key of its summands
+        out = {}
+        for summand, blk in split_projective(P, rng):
+            key = keys.get(blk)
+            if key is None:
+                key = keys[blk] = self.match(summand, set(keys.values()))
+            out[key] = out.get(key, 0) + 1
+        return out
 
-def _registry(A) -> _FiniteRegistry:
+
+class _ClosedForm:
+    """One class, block 0, counted by a closed rule ``count(P, rng)``."""
+
+    def __init__(self, count, rep, stabilizer, signature):
+        self.count = count
+        self.classes = [_ClassInfo(rep, stabilizer, signature)]
+
+
+class _Induction:
+    """Reduction along an N-supported leading coordinate, through the
+    zero part's reduction."""
+
+    def __init__(self, algebra):
+        self.algebra = algebra
+        self.classes = {}  # zero-part block id -> its record, induced
+
+    def count(self, P, rng) -> dict:
+        A = self.algebra
+        Az = A.zero_part()
+        tp = functor_T(P)
+        slices = {}
+        for i, s in enumerate(P.shifts):
+            slices.setdefault(s.values[0], []).append(i)
+        out = {}
+        for w, rows in sorted(slices.items()):
+            block = restrict_rows(tp, rows)
+            if block.is_zero():
+                continue
+            # the slice over the residual zero-part algebra
+            zpres = relabel(block, Az, lambda d: Az.group.degree(d.values[1:]))
+            inner = _registry(Az)
+            for (blk, g), m in inner.count(zpres, rng).items():
+                if blk not in self.classes:
+                    self.classes[blk] = self._induced(inner.classes[blk])
+                key = (blk, A.group.degree((w,) + g.values))
+                out[key] = out.get(key, 0) + m
+        return out
+
+    def _induced(self, info):
+        A = self.algebra
+        return _ClassInfo(
+            lambda: lift_from_zero_part(A, info.rep),
+            info.stabilizer.prepend_free(1),
+            ("restrict",) + info.signature,
+        )
+
+
+def _registry(A):
+    """The reduction of A, chosen by constructor and built on first use."""
     if A._registry is None:
-        A._registry = _FiniteRegistry(A)
+        if isinstance(A, MatrixAlgebra):
+            z = A.group.zero
+            e11 = A.basis_element(z, A.component_basis(z).index((0, 0)))
+            column = ProjectivePresentation(A, (z,), [[e11]], check=False)
+            reduction = _ClosedForm(
+                _matrix_count, column, Subgroup.trivial(A.group), ("matrix-column",)
+            )
+        elif isinstance(A, GroupAlgebraA):
+            reduction = _ClosedForm(
+                _group_algebra_count, regular_module(A), Subgroup.full(A.group), ("free",)
+            )
+        elif A.finite_support():
+            reduction = _FiniteRegistry(A)
+        elif A.positively_supported():
+            reduction = _Induction(A)
+        else:
+            raise UnsupportedAlgebra(
+                f"decomposition over {A.describe()} needs finite support or an "
+                "N-supported leading coordinate"
+            )
+        A._registry = reduction
     return A._registry
 
 
-def _matrix_column(A: MatrixAlgebra) -> ProjectivePresentation:
-    z = A.group.zero
-    basis0 = A.component_basis(z)
-    i0 = basis0.index((0, 0))
-    F = A.field
-    coords = tuple(F.one if i == i0 else F.zero for i in range(len(basis0)))
-    e11 = A.element(z, coords)
-    return ProjectivePresentation(A, (z,), [[e11]], check=False)
-
-
-def _matrix_summands(P: ProjectivePresentation):
-    """Multiset of column-module shifts for presentations over a matrix
-    algebra: multiplicity of column(g) is the rank against the first
-    matrix column in degree -g."""
+def _matrix_count(P: ProjectivePresentation, _rng) -> dict:
+    """Column-module shifts for presentations over a matrix algebra:
+    multiplicity of column(g) is the rank against the first matrix
+    column in degree -g."""
     A = P.algebra
     char = A.field.char
     cand = set()
@@ -206,7 +297,7 @@ def _matrix_summands(P: ProjectivePresentation):
         sub = [[row[c] for c in cols] for row in sp.matrix]
         r = _kernel.rank(sub, char) if sub else 0
         if r:
-            out[-h] = r
+            out[(0, -h)] = r
     # the multiplicities must reproduce the component dimensions
     col_dim = {}
     for s in A.shifts:
@@ -214,7 +305,7 @@ def _matrix_summands(P: ProjectivePresentation):
         col_dim[d] = col_dim.get(d, 0) + 1
     module_degrees = {d - s for d in A.support_degrees() for s in P.shifts}
     for h in module_degrees:
-        total = sum(m * col_dim.get(g + h, 0) for g, m in out.items())
+        total = sum(m * col_dim.get(g + h, 0) for (_blk, g), m in out.items())
         if total != P.dim(h):
             raise UnsupportedAlgebra(
                 "matrix-algebra decomposition bookkeeping failed"
@@ -222,7 +313,7 @@ def _matrix_summands(P: ProjectivePresentation):
     return out
 
 
-def _group_algebra_summands(P: ProjectivePresentation):
+def _group_algebra_count(P: ProjectivePresentation, _rng) -> dict:
     A = P.algebra
     z = A.group.zero
     r = P.dim(z)
@@ -230,108 +321,32 @@ def _group_algebra_summands(P: ProjectivePresentation):
     for g in gens + [z]:
         if P.dim(g) != r:  # pragma: no cover - would contradict Dade freeness
             raise UnsupportedAlgebra("non-free projective over a group algebra")
-    return {z: r} if r else {}
+    return {(0, z): r} if r else {}
 
 
-def _decompose_classes(P: ProjectivePresentation, rng) -> dict:
-    """dict (block id, shift Degree) -> multiplicity; block ids refer to
-    the base registry of the algebra's reduction chain."""
-    A = P.algebra
-    if P.rank == 0 or P.is_zero():
-        return {}
-    if isinstance(A, MatrixAlgebra):
-        return {(0, g): m for g, m in _matrix_summands(P).items()}
-    if isinstance(A, GroupAlgebraA):
-        return {(0, g): m for g, m in _group_algebra_summands(P).items()}
-    if A.finite_support():
-        reg = _registry(A)
-        keys = {}  # split block -> class key of its summands
-        out = {}
-        for summand, blk in split_projective(P, rng):
-            key = keys.get(blk)
-            if key is None:
-                key = reg.match(summand, set(keys.values()))
-                keys[blk] = key
-            out[key] = out.get(key, 0) + 1
-        return out
-    # infinite support: reduce along an N-supported leading coordinate
-    if not A.positively_supported():
-        raise UnsupportedAlgebra(
-            f"decomposition over {A.describe()} needs finite support or an "
-            "N-supported leading coordinate"
-        )
-    require_positive_support(A)
-    tp = functor_T(P)
-    Az = A.zero_part()
-    out = {}
-    slices = {}
-    for i, s in enumerate(P.shifts):
-        slices.setdefault(s.values[0], []).append(i)
-    for w, rows in sorted(slices.items()):
-        block = restrict_rows(tp, rows)
-        if block.is_zero():
-            continue
-        # the slice over the residual zero-part algebra
-        zpres = relabel(block, Az, lambda d: Az.group.degree(d.values[1:]))
-        for (blk, g), m in _decompose_classes(zpres, rng).items():
-            full = A.group.degree((w,) + g.values)
-            key = (blk, full)
-            out[key] = out.get(key, 0) + m
-    return out
+def class_info(A: GradedAlgebra, block: int) -> _ClassInfo:
+    """The record of a class id that a decomposition over A returned:
+    ``rep`` (the indecomposable at shift zero), ``stabilizer``
+    {g : rep(g) = rep} and ``signature`` (a registration-order-independent
+    invariant, used to order K0 bases canonically)."""
+    return _registry(A).classes[block]
 
 
-def class_signature(A: GradedAlgebra, block: int):
-    """A registration-order-independent invariant of a class, used to
-    order K0 bases canonically."""
-    if isinstance(A, MatrixAlgebra):
-        return ("matrix-column",)
-    if isinstance(A, GroupAlgebraA):
-        return ("free",)
-    if A.finite_support():
-        info = _registry(A).classes[block]
-        return ("profile", tuple(sorted((d.values, n) for d, n in info.dim_profile.items())))
-    return ("restrict",) + class_signature(A.zero_part(), block)
-
-
-def class_stabilizer(A: GradedAlgebra, block: int) -> Subgroup:
-    """Stabilizer {g : rep(g) = rep} of a registry class, recursively."""
-    if isinstance(A, MatrixAlgebra):
-        return Subgroup.trivial(A.group)
-    if isinstance(A, GroupAlgebraA):
-        return Subgroup.full(A.group)
-    if A.finite_support():
-        return _registry(A).classes[block].stabilizer
-    return class_stabilizer(A.zero_part(), block).prepend_free(1)
-
-
-def class_representative(A: GradedAlgebra, block: int) -> ProjectivePresentation:
-    """The registered indecomposable with shift zero for a class id."""
-    if isinstance(A, MatrixAlgebra):
-        return _matrix_column(A)
-    if isinstance(A, GroupAlgebraA):
-        from .presentations import regular_module
-
-        return regular_module(A)
-    if A.finite_support():
-        return _registry(A).classes[block].rep
-    inner = class_representative(A.zero_part(), block)
-    lifted = _lift_representative(A, inner)
-    return lifted
-
-
-def _lift_representative(A, inner):
-    q = relabel(inner, A.zero_part_embedded(), lambda d: A.group.degree((0,) + d.values))
+def lift_from_zero_part(A: GradedAlgebra, X: ProjectivePresentation) -> ProjectivePresentation:
+    """Induction of X, a presentation over the zero part of A: X read
+    over the embedded zero part (leading coordinate 0), then in A."""
+    q = relabel(X, A.zero_part_embedded(), lambda d: A.group.degree((0,) + d.values))
     return functor_S(q, A)
 
 
 def summand_classes(P: ProjectivePresentation, seed: int = 0) -> dict:
     """Canonical class multiset: (block, shift mod class stabilizer) -> mult."""
-    rng = random.Random(seed)
-    raw = _decompose_classes(P, rng)
+    if P.rank == 0 or P.is_zero():
+        return {}
+    reduction = _registry(P.algebra)
     out = {}
-    for (blk, g), m in raw.items():
-        stab = class_stabilizer(P.algebra, blk)
-        key = (blk, stab.reduce(g))
+    for (blk, g), m in reduction.count(P, random.Random(seed)).items():
+        key = (blk, reduction.classes[blk].stabilizer.reduce(g))
         out[key] = out.get(key, 0) + m
     return out
 
@@ -342,7 +357,7 @@ def decompose(P: ProjectivePresentation, seed: int = 0):
     items = sorted(classes.items(), key=lambda kv: (kv[0][1].values, kv[0][0]))
     out = []
     for (blk, g), m in items:
-        rep = class_representative(P.algebra, blk).shift(g)
+        rep = class_info(P.algebra, blk).rep.shift(g)
         out.append((rep, m))
     return out
 

@@ -68,16 +68,16 @@ def _raw_positions(A, tgt_shifts, src_shifts):
 
 
 def _entries_to_vec(A, entries, positions):
-    F = A.field
+    zero = A.field.zero
     vec = []
     for (i, j, d, b) in positions:
         ent = entries[i][j]
-        vec.append(F.zero if ent is None else ent.coords[b])
+        vec.append(zero if ent is None else ent.coords[b])
     return vec
 
 
 def _vec_to_entries(A, vec, positions, rows, cols):
-    F = A.field
+    zero = A.field.zero
     acc = {}
     for val, (i, j, d, b) in zip(vec, positions):
         if val:
@@ -85,7 +85,7 @@ def _vec_to_entries(A, vec, positions, rows, cols):
     entries = [[None] * cols for _ in range(rows)]
     for (i, j, d), comp in acc.items():
         n = A.component_dim(d)
-        coords = [comp.get(b, F.zero) for b in range(n)]
+        coords = [comp.get(b, zero) for b in range(n)]
         entries[i][j] = A.element(d, coords)
     return entries
 

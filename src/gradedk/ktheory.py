@@ -25,12 +25,7 @@ from typing import Dict, List
 from . import intlat
 from .algebra import GradedAlgebra, is_strongly_graded
 from .grading import ShiftModule, Subgroup, induce_module, shift_module_iso
-from .gmod.decompose import (
-    class_representative,
-    class_signature,
-    class_stabilizer,
-    summand_classes,
-)
+from .gmod.decompose import class_info, lift_from_zero_part, summand_classes
 from .gmod.presentations import ProjectivePresentation, regular_module, relabel
 
 
@@ -61,14 +56,8 @@ class K0Result:
         blocks = sorted({blk for blk, _g in reg_classes})
         orbits = []
         for blk in blocks:
-            orbits.append(
-                K0Orbit(
-                    blk,
-                    class_representative(algebra, blk),
-                    class_stabilizer(algebra, blk),
-                    class_signature(algebra, blk),
-                )
-            )
+            info = class_info(algebra, blk)
+            orbits.append(K0Orbit(blk, info.rep, info.stabilizer, info.signature))
         orbits.sort(key=lambda o: (o.signature, o.stabilizer.rows, o.block))
         self.orbits = orbits
         self.module = self._build_module()
@@ -234,20 +223,26 @@ def dade_check(A: GradedAlgebra, seed: int = 0) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _induction_correspondence(A: GradedAlgebra, lhs: K0Result, rhs: K0Result, seed: int):
-    """Match each zero-part orbit to a graded orbit via induction of its
-    representative; returns (checks, correspondence, ok, first), with
-    first the induced representative of the first orbit and its class
-    map, or None when there are no orbits."""
-    from .gmod.decompose import _lift_representative
+def _orbit_correspondence(lhs: K0Result, rhs: K0Result, carry, seed: int):
+    """Carry each orbit representative of ``lhs`` into the algebra of
+    ``rhs``, whose group has extra leading free coordinates, and match its
+    class map against the orbits of ``rhs``.
 
-    checks = []
+    Returns (correspondence, ok, hit, unstable, first): ok says that
+    every image is one class of multiplicity one, no two coincide, and
+    each has the lhs stabilizer with the extra coordinates prepended;
+    hit counts the graded orbits hit; unstable lists the lhs blocks whose
+    stabilizer differs; first is the first carried representative with
+    its class map, or None when there are no orbits.
+    """
+    extra_free = rhs.group.free_rank - lhs.group.free_rank
     correspondence = []
     ok = True
-    hit_blocks = {}
+    hit = set()
+    unstable = []
     first = None
     for o in lhs.orbits:
-        X = _lift_representative(A, o.representative)
+        X = carry(o.representative)
         cm = summand_classes(X, seed)
         if first is None:
             first = (X, cm)
@@ -255,42 +250,25 @@ def _induction_correspondence(A: GradedAlgebra, lhs: K0Result, rhs: K0Result, se
         if len(cm) != 1 or set(cm.values()) != {1}:
             ok = False
             continue
-        (blk, g), _m = next(iter(cm.items()))
-        if blk in hit_blocks:
+        (blk, _g), _m = next(iter(cm.items()))
+        if blk in hit:
             ok = False
-        hit_blocks[blk] = o.block
-        stab_lhs = o.stabilizer.prepend_free(1)
-        stab_rhs = class_stabilizer(A, blk)
-        if stab_lhs != stab_rhs:
+        hit.add(blk)
+        if class_info(rhs.algebra, blk).stabilizer != o.stabilizer.prepend_free(extra_free):
             ok = False
-            checks.append(
-                _check(
-                    f"stabilizer_match_Q{o.block}",
-                    False,
-                    "induced stabilizer differs",
-                )
-            )
-    surjective = len(hit_blocks) == len(rhs.orbits)
-    checks.append(_check("induced_classes_are_basis_classes", ok))
-    checks.append(
-        _check(
-            "orbit_bijection",
-            surjective and ok,
-            f"{len(hit_blocks)} of {len(rhs.orbits)} graded orbits hit",
-        )
-    )
-    return checks, correspondence, ok and surjective, first
+            unstable.append(o.block)
+    return correspondence, ok, len(hit), unstable, first
 
 
 def _equivariance_samples(A: GradedAlgebra, first, seed: int):
     """Spot-check Z[G]-linearity: inducing a shifted representative lands
     on the shifted class.  ``first`` is an induced representative with
-    its class map, as `_induction_correspondence` returns it."""
+    its class map, as `_orbit_correspondence` returns it."""
     if first is None:
         return True
     X, base = first
     (blk0, g0), _ = next(iter(base.items()))
-    stab = class_stabilizer(A, blk0)
+    stab = class_info(A, blk0).stabilizer
     for gen in A.group.generators():
         shifted = summand_classes(X.shift(gen), seed)
         want = {(blk0, stab.reduce(g0 + gen)): 1}
@@ -323,11 +301,17 @@ def theorem1_check(A: GradedAlgebra, seed: int = 0) -> dict:
     induced = induce_module(lhs.module, A.group)
     iso = shift_module_iso(induced, rhs.module)
     hyp.append(_check("induced_module_isomorphic", iso, induced.describe()))
-    checks, correspondence, ok, first = _induction_correspondence(A, lhs, rhs, seed)
-    hyp.extend(checks)
+    correspondence, ok, hit, unstable, first = _orbit_correspondence(
+        lhs, rhs, lambda X: lift_from_zero_part(A, X), seed
+    )
+    for blk in unstable:
+        hyp.append(_check(f"stabilizer_match_Q{blk}", False, "induced stabilizer differs"))
+    hyp.append(_check("induced_classes_are_basis_classes", ok))
+    bijective = ok and hit == len(rhs.orbits)
+    hyp.append(_check("orbit_bijection", bijective, f"{hit} of {len(rhs.orbits)} graded orbits hit"))
     equi = _equivariance_samples(A, first, seed)
     hyp.append(_check("shift_equivariance_samples", equi))
-    verdict = "pass" if (iso and ok and equi) else "fail"
+    verdict = "pass" if (iso and bijective and equi) else "fail"
     return _report(
         verdict,
         hyp,
@@ -425,24 +409,14 @@ def lemma_check(A: GradedAlgebra, extra_free: int = 1, seed: int = 0) -> dict:
     induced = induce_module(lhs.module, At.group)
     iso = shift_module_iso(induced, rhs.module)
     hyp.append(_check("induced_module_isomorphic", iso, induced.describe()))
-    correspondence = []
-    ok = True
-    hit = {}
-    for o in lhs.orbits:
-        # the same module over At: new leading coordinates 0
-        X = relabel(o.representative, At, lambda d: At.group.degree((0,) * extra_free + d.values))
-        cm = summand_classes(X, seed)
-        correspondence.append({"source": f"Q{o.block}", "image": _image(cm)})
-        if len(cm) != 1 or set(cm.values()) != {1}:
-            ok = False
-            continue
-        (blk, g), _m = next(iter(cm.items()))
-        if blk in hit:
-            ok = False
-        hit[blk] = o.block
-        if class_stabilizer(At, blk) != o.stabilizer.prepend_free(extra_free):
-            ok = False
-    ok = ok and len(hit) == len(rhs.orbits)
+    # the same module over At: new leading coordinates 0
+    correspondence, ok, hit, _unstable, _first = _orbit_correspondence(
+        lhs,
+        rhs,
+        lambda X: relabel(X, At, lambda d: At.group.degree((0,) * extra_free + d.values)),
+        seed,
+    )
+    ok = ok and hit == len(rhs.orbits)
     hyp.append(_check("class_bijection", ok))
     verdict = "pass" if (iso and ok) else "fail"
     return _report(

@@ -406,7 +406,7 @@ def _assert_matches_pairwise_oracle(P):
     classes = summand_classes(P)
     type_of = {}
     for (blk, g), m in classes.items():
-        rep = dec.class_representative(A, blk).shift(g)
+        rep = dec.class_info(A, blk).rep.shift(g)
         hits = [k for k, (X, _n) in enumerate(types) if indec_iso(rep, X)]
         assert len(hits) == 1 and types[hits[0]][1] == m
         type_of[(blk, g)] = hits[0]
@@ -532,7 +532,7 @@ def test_matrix_special_case_agrees_with_registry_path(monkeypatch, field):
     generic_alg = alg.matrix_algebra(field, [0, 1, 2, 2, 3])
     monkeypatch.setattr(dec, "MatrixAlgebra", _NoMatrixDispatch)
     generic = [summand_classes(P) for P in _matrix_oracle_modules(generic_alg)]
-    assert generic_alg._registry is not None  # the generic path did run
+    assert isinstance(generic_alg._registry, dec._FiniteRegistry)  # the generic path did run
     offsets = set()
     for want, got in zip(special, generic):
         want_set, want_least = _translated_multiset(want)

@@ -1,7 +1,10 @@
 """K0 computation and the theorem-level drivers."""
 
 import importlib
+import json
 import random
+import re
+from types import SimpleNamespace
 
 import pytest
 from sympy import divisors, n_order, totient
@@ -20,6 +23,8 @@ from gradedk.gmod import (
     free_module,
     random_presentation,
     regular_module,
+    split_projective,
+    summand_classes,
 )
 
 
@@ -231,6 +236,101 @@ def test_lemma_group_algebra_rank2_extension():
     rep = kt.lemma_check(B, 2)
     assert rep["verdict"] == "pass"
     assert rep["data"]["extended_algebra"].startswith("triv_ext")
+
+
+# ---------------------------------------------------------------------------
+# The orbit correspondence reports each failure under its own check name
+# ---------------------------------------------------------------------------
+
+
+def _misreport_stabilizer(monkeypatch, A, block):
+    """``class_info`` as ktheory reads it, but with the full group as the
+    stabilizer of one class of A."""
+    real = kt.class_info
+
+    def patched(B, blk):
+        info = real(B, blk)
+        if B is not A or blk != block:
+            return info
+        return SimpleNamespace(
+            rep=info.rep, stabilizer=Subgroup.full(A.group), signature=info.signature
+        )
+
+    monkeypatch.setattr(kt, "class_info", patched)
+
+
+def test_theorem1_reports_a_stabilizer_mismatch(monkeypatch):
+    A = alg.polynomial_extension(alg.matrix_algebra(QQ, [0, 1]).zero_part(), [1])
+    _misreport_stabilizer(monkeypatch, A, 1)
+    rep = kt.theorem1_check(A)
+    assert rep["verdict"] == "fail"
+    assert rep["hypothesis_checks"] == [
+        {"name": "leading_free_coordinate", "ok": True, "detail": ""},
+        {
+            "name": "support_in_N_x_G",
+            "ok": True,
+            "detail": "support bounds along the leading coordinate: (0, None)",
+        },
+        {"name": "induced_module_isomorphic", "ok": False, "detail": "free Z[Z]-module of rank 2"},
+        {"name": "stabilizer_match_Q1", "ok": False, "detail": "induced stabilizer differs"},
+        {"name": "induced_classes_are_basis_classes", "ok": False, "detail": ""},
+        {"name": "orbit_bijection", "ok": False, "detail": "2 of 2 graded orbits hit"},
+        {"name": "shift_equivariance_samples", "ok": True, "detail": ""},
+    ]
+
+
+def test_lemma_reports_a_stabilizer_mismatch(monkeypatch):
+    B = alg.matrix_algebra(QQ, [0, 1]).zero_part()
+    _misreport_stabilizer(monkeypatch, B.trivial_extension(1), 1)
+    rep = kt.lemma_check(B, 1)
+    assert rep["verdict"] == "fail"
+    assert rep["hypothesis_checks"] == [
+        {
+            "name": "support_in_identity_slice",
+            "ok": True,
+            "detail": "the extension places the algebra in degree zero of the new "
+            "1 free coordinate(s) by construction",
+        },
+        {"name": "induced_module_isomorphic", "ok": False, "detail": "free Z[Z]-module of rank 2"},
+        {"name": "class_bijection", "ok": False, "detail": ""},
+    ]
+
+
+# ---------------------------------------------------------------------------
+# K0 bases are ordered by class signatures, not by registration order
+# ---------------------------------------------------------------------------
+
+
+def _triangular():
+    return alg.matrix_algebra(QQ, [0, 1, 2]).positive_part()
+
+
+def _triangular_x():
+    return alg.polynomial_extension(_triangular(), [1, 0])
+
+
+def _module_json_by_orbit_position(res):
+    """The K0 module as JSON, each class id replaced by its orbit's position."""
+    position = {f"P{o.block}": f"P{i}" for i, o in enumerate(res.orbits)}
+    return re.sub(r"P\d+", lambda m: position[m.group()], json.dumps(res.module.to_json()))
+
+
+@pytest.mark.parametrize("build", [_triangular, _triangular_x])
+def test_k0_basis_order_ignores_registration_order(build):
+    fresh = kt.k0(build())
+    A = build()
+    # register the classes first from single summands, in reverse order,
+    # over the algebra that holds the registry
+    base = A if A.finite_support() else A.zero_part()
+    summands = split_projective(regular_module(base), random.Random(0))
+    for X, _blk in reversed(summands):
+        summand_classes(X)
+    warm = kt.k0(A)
+    assert [o.block for o in warm.orbits] != [o.block for o in fresh.orbits]
+    assert [(o.signature, o.stabilizer) for o in warm.orbits] == [
+        (o.signature, o.stabilizer) for o in fresh.orbits
+    ]
+    assert _module_json_by_orbit_position(warm) == _module_json_by_orbit_position(fresh)
 
 
 def test_k0_seed_invariance(M5):
