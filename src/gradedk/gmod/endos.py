@@ -2,8 +2,12 @@
 
 End(P)_0 of a presentation is finite-dimensional whenever the component
 spaces meeting the shift pattern are; it is realized concretely as entry
-matrices.  Splitting the unit into primitive orthogonal idempotents is
-the engine behind Krull-Schmidt decomposition:
+matrices.  For a free module F = A(s_1) + ... + A(s_k) every entry matrix
+of the right degrees is an endomorphism, so End(F)_0 has the raw
+positions (i, j, d, b) as its basis and its table is read straight from
+the algebra's pair tensors.  Splitting the unit into primitive
+orthogonal idempotents is the engine behind Krull-Schmidt
+decomposition:
 
 * radical: one chain of ideals, after Cohen, Ivanyos and Wales
   (*Finding the radical of an algebra of linear transformations*, JPAA
@@ -44,6 +48,7 @@ from .presentations import (
     ProjectivePresentation,
     entries_matmul,
     entry_mul,
+    identity_entries,
 )
 
 
@@ -68,11 +73,29 @@ def _raw_positions(A, tgt_shifts, src_shifts):
 
 
 def _entries_to_vec(A, entries, positions):
+    """The coordinates of an entry matrix at ``positions``.  A nonzero
+    entry whose degree is not its position's, or that has no position,
+    is not a map of degree 0 and raises SplitError."""
     zero = A.field.zero
     vec = []
+    read = set()
     for (i, j, d, b) in positions:
-        ent = entries[i][j]
-        vec.append(zero if ent is None else ent.coords[b])
+        if b == 0:
+            ent = entries[i][j]
+            coords = None
+            if ent is not None:
+                read.add((i, j))
+                if ent.degree == d:
+                    coords = ent.coords
+                elif any(ent.coords):
+                    raise SplitError(
+                        f"entry ({i},{j}) has degree {ent.degree}, expected {d}"
+                    )
+        vec.append(zero if coords is None else coords[b])
+    for i, row in enumerate(entries):
+        for j, ent in enumerate(row):
+            if ent is not None and (i, j) not in read and any(ent.coords):
+                raise SplitError(f"entry ({i},{j}) is nonzero in a zero component")
     return vec
 
 
@@ -510,6 +533,8 @@ def _crt_idempotents(fd: FDAlgebra, t, e, minpoly_coeffs, factors):
 _CANDIDATE_BUDGET = 250  # seeded random candidates after the basis sweep
 _PRIME_BUDGET = 25  # good primes tried per rational matrix block
 _QADIC_EXPONENTS = (16, 32, 64, 128)  # N of the q^N lifts tried per prime
+# subsets of lifted idempotents one reconstruction tries, smallest first
+_SUBSET_BUDGET = 4096
 # 3e^2 - 2e^3 steps of one idempotent lift; each squares the defect, so
 # 64 steps cover any nilpotency index below 2^64
 _NEWTON_STEPS = 64
@@ -740,15 +765,23 @@ def _mod_frac(c, q):
 def _reconstruct_partition(corner: FDAlgebra, M, lifted):
     """Greedy subset-sum rational reconstruction of idempotents lifted
     mod M: smallest subsets first, each candidate verified exactly;
-    returns the complete list or None."""
+    returns the complete list or None.  At most _SUBSET_BUDGET subsets
+    are tried in all."""
     from itertools import combinations
 
     remaining = list(range(len(lifted)))
     accepted = []
+    tried = 0
     while remaining:
         hit = None
         for size in range(1, len(remaining) + 1):
             for combo in combinations(remaining, size):
+                tried += 1
+                if tried > _SUBSET_BUDGET:
+                    raise SplitError(
+                        f"rational reconstruction of {len(lifted)} lifted "
+                        f"idempotents ran out of _SUBSET_BUDGET = {_SUBSET_BUDGET} subsets"
+                    )
                 sigma = [0] * corner.dim
                 for t in combo:
                     sigma = [(a + b) % M for a, b in zip(sigma, lifted[t])]
@@ -857,30 +890,70 @@ def primitive_idempotents(fd: FDAlgebra, rng):
 # ---------------------------------------------------------------------------
 
 
+def _free_table(A, positions):
+    """Structure constants of End(F)_0, F free, in the raw positions.
+
+    (E_ij a)(E_jk b) = E_ik ab, so each cell is one cell of the pair
+    tensor of the two entry degrees, moved to the positions of block
+    (i, k).  Cells come in the order of the positions, as products in
+    that basis would."""
+    blocks = [(i, j, d, x) for x, (i, j, d, b) in enumerate(positions) if b == 0]
+    start = {(i, j): x for i, j, _d, x in blocks}
+    cells = {}
+    for i, j, d1, x0 in blocks:
+        right = []
+        for jj, k, d2, y0 in blocks:
+            z0 = start.get((i, k))
+            if jj == j and z0 is not None:
+                tensor = A.pair_tensor(d1, d2)
+                right.append((tensor.rows, tensor.den, y0, z0))
+        for b1 in range(A.component_dim(d1)):
+            for rows, den, y0, z0 in right:
+                for b2, cell in rows.get(b1, {}).items():
+                    cells[x0 + b1, y0 + b2] = [
+                        (z0 + b3, c if den == 1 else Fraction(c, den))
+                        for b3, c in cell
+                    ]
+    return _kernel.Bilinear(cells, len(positions), A.field.char)
+
+
 class EndAlgebra:
-    """The degree-zero endomorphism algebra of a presentation."""
+    """The degree-zero endomorphism algebra End(X)_0 of a presentation,
+    as ``fd``, an FDAlgebra in a basis of entry matrices.
+
+    ``positions`` are the raw coordinates (i, j, d, b) of an entry
+    matrix.  For a free module, whose entries are the identity, the
+    basis is the positions themselves and the table comes from the pair
+    tensors.  Otherwise the basis is ``hom_basis(X, X)`` and each
+    product is an entry-matrix product read back in that basis.
+    ``coords_of`` and ``to_entries`` convert between the two forms."""
 
     def __init__(self, X: ProjectivePresentation):
         self.module = X
         A = X.algebra
         self.positions = _raw_positions(A, X.shifts, X.shifts)
-        self.basis_entries = hom_basis(X, X)
-        self.basis_vecs = [
-            _entries_to_vec(A, e, self.positions) for e in self.basis_entries
-        ]
-        self.dim = len(self.basis_entries)
+        if X.entries == identity_entries(A, X.shifts):
+            self.dim = len(self.positions)
+            self._span = None
+            unit = _entries_to_vec(A, X.entries, self.positions)
+            self.fd = FDAlgebra(A.field, _free_table(A, self.positions), unit)
+            return
+        basis_entries = hom_basis(X, X)
+        self.basis_vecs = [_entries_to_vec(A, e, self.positions) for e in basis_entries]
+        self.dim = len(basis_entries)
         self._span = _kernel.EchelonBasis(self.basis_vecs, A.field.char)
         products = {
             (i, j): self.coords_of(entries_matmul(x, y))
-            for i, x in enumerate(self.basis_entries)
-            for j, y in enumerate(self.basis_entries)
+            for i, x in enumerate(basis_entries)
+            for j, y in enumerate(basis_entries)
         }
         unit = self.coords_of(X.entries) if self.dim else []
         self.fd = FDAlgebra.from_products(A.field, products, unit)
 
     def coords_of(self, entries):
-        A = self.module.algebra
-        vec = _entries_to_vec(A, entries, self.positions)
+        vec = _entries_to_vec(self.module.algebra, entries, self.positions)
+        if self._span is None:
+            return vec
         sol = self._span.coords(vec)
         if sol is None:
             raise SplitError("entry matrix escaped the endomorphism space")
@@ -889,10 +962,13 @@ class EndAlgebra:
     def to_entries(self, vec):
         A = self.module.algebra
         F = A.field
-        raw = [F.zero] * len(self.positions)
-        for c, bvec in zip(vec, self.basis_vecs):
-            if c:
-                raw = [F.add(a, F.mul(c, b)) for a, b in zip(raw, bvec)]
+        if self._span is None:
+            raw = vec
+        else:
+            raw = [F.zero] * len(self.positions)
+            for c, bvec in zip(vec, self.basis_vecs):
+                if c:
+                    raw = [F.add(a, F.mul(c, b)) for a, b in zip(raw, bvec)]
         return _vec_to_entries(
             A, raw, self.positions, self.module.rank, self.module.rank
         )

@@ -19,9 +19,11 @@ from gradedk.grading import GradingGroup
 from gradedk.gmod import (
     EndAlgebra,
     endos,
+    free_module,
     random_presentation,
     regular_module,
     split_projective,
+    summand_classes,
 )
 from gradedk.gmod.endos import (
     FDAlgebra,
@@ -33,7 +35,7 @@ from gradedk.gmod.endos import (
     primitive_idempotents,
     radical_basis,
 )
-from gradedk.gmod.presentations import entries_matmul
+from gradedk.gmod.presentations import ProjectivePresentation, entries_matmul
 
 
 def _end_of_regular(A):
@@ -219,6 +221,23 @@ def test_coords_of_refuses_non_endomorphisms():
     assert end.coords_of(P.entries) == end.fd.unit
     with pytest.raises(SplitError):
         end.coords_of([[A.one()]])
+
+
+def test_coords_of_refuses_entries_of_the_wrong_degree():
+    # End(F)_0 of F = A(0) + A(1) needs degree s_0 - s_1 = -1 at (0, 1);
+    # an element of degree +1 there is not a map of degree 0
+    A = alg.matrix_algebra(QQ, [0, 1, 2])
+    end = EndAlgebra(free_module(A, [[0], [1]]))
+    one = A.one()
+    up = A.basis_element(A.deg([1]), 0)
+    assert end.coords_of([[one, None], [None, one]]) == end.fd.unit
+    with pytest.raises(SplitError, match="expected"):
+        end.coords_of([[one, up], [None, one]])
+    # over the positive part A_(-1) is zero, so nothing may stand at (0, 1)
+    B = A.positive_part()
+    end = EndAlgebra(free_module(B, [[0], [1]]))
+    with pytest.raises(SplitError, match="zero component"):
+        end.coords_of([[B.one(), B.basis_element(B.deg([1]), 0)], [None, B.one()]])
 
 
 def _assert_central(fd, zvecs):
@@ -434,6 +453,8 @@ def test_candidate_budget_is_named_when_exhausted(monkeypatch):
         ({"_PRIME_BUDGET": 0}, "_PRIME_BUDGET = 0"),
         ({"_PRIME_BUDGET": 1, "_QADIC_EXPONENTS": ()}, r"_QADIC_EXPONENTS = \(\)"),
         ({"_NEWTON_STEPS": 0}, "_NEWTON_STEPS = 0"),
+        # two lifted idempotents, each found alone: the second subset is one too many
+        ({"_SUBSET_BUDGET": 1}, "_SUBSET_BUDGET = 1"),
     ],
 )
 def test_rational_block_budgets_are_named_when_exhausted(monkeypatch, budgets, message):
@@ -544,3 +565,82 @@ def test_hom_basis_matches_two_product_construction(build, shifts, zero_hom):
             assert [_entry_keys(e) for e in got] == [_entry_keys(e) for e in want]
     dims = [len(endos.hom_basis(X, Y)) for X in summands for Y in summands]
     assert (0 in dims) == zero_hom
+
+
+# -- End(F)_0 of a free module: the pair-tensor table against entry products ------
+
+
+M5_SHIFTS = [0, 1, 2, 2, 3]
+
+
+def _free_corpus():
+    out = []
+    for F in (QQ, GF(2)):
+        for shifts in ([0] * 4, M5_SHIFTS, [0] * 7):
+            out.append((lambda F=F, s=shifts: _forget(alg.matrix_algebra(F, s)), None))
+        out.append((lambda F=F: alg.matrix_algebra(F, M5_SHIFTS).zero_part(), None))
+    for F in (QQ, GF(2), GF(7)):
+        for moduli in ((12,), (15,), (16,), (2, 6)):
+            out.append((lambda F=F, m=moduli: _forget(alg.group_algebra(F, GradingGroup(0, m))), None))
+    out.append((lambda: _forget(alg.group_algebra(QQ, GradingGroup(0, (6,)))), [[], [], []]))
+    out.append((lambda: alg.matrix_algebra(QQ, M5_SHIFTS).positive_part(), [[0], [1], [1]]))
+    for F in (QQ, GF(2), GF(7)):
+        out.append((lambda F=F: alg.matrix_algebra(F, [0, 1, 2]), [[0], [2]]))
+    return out
+
+
+def _end_table_from_entry_products(X):
+    """End(X)_0 the generic way: ``hom_basis``, entry-matrix products,
+    and coordinates read in the positions, which for a free module is
+    the basis ``hom_basis`` returns."""
+    A = X.algebra
+    F = A.field
+    positions = endos._raw_positions(A, X.shifts, X.shifts)
+    basis = endos.hom_basis(X, X)
+    n = len(positions)
+    assert [endos._entries_to_vec(A, e, positions) for e in basis] == [
+        [F.one if r == c else F.zero for r in range(n)] for c in range(n)
+    ]
+    products = {
+        (i, j): endos._entries_to_vec(A, entries_matmul(x, y), positions)
+        for i, x in enumerate(basis)
+        for j, y in enumerate(basis)
+    }
+    unit = endos._entries_to_vec(A, X.entries, positions)
+    return FDAlgebra.from_products(F, products, unit)
+
+
+@pytest.mark.parametrize("build,shifts", _free_corpus())
+def test_free_end_table_matches_entry_products(build, shifts):
+    A = build()
+    X = regular_module(A) if shifts is None else free_module(A, shifts)
+    got = EndAlgebra(X).fd
+    want = _end_table_from_entry_products(X)
+    assert got.dim == want.dim
+    assert got.table.rows == want.table.rows
+    assert got.table.den == want.table.den
+    assert got.unit == want.unit
+
+
+def test_conjugated_free_presentation_agrees_with_its_free_counterpart(monkeypatch):
+    # e = g diag(1, 1, 0) g^-1 for g = 1 - x E_02 has e F = A(1) + A(0), but
+    # its entries are not the identity, so End(eF)_0 comes from hom_basis
+    A = alg.matrix_algebra(QQ, [0, 1, 2]).positive_part()
+    s = [A.deg([1]), A.deg([0]), A.deg([0])]
+    one = A.one()
+    x = A.element(s[0] - s[2], [QQ.of_int(k + 2) for k in range(A.component_dim(s[0] - s[2]))])
+    P = ProjectivePresentation(A, s, [[one, None, x], [None, one, None], [None, None, None]])
+    free = free_module(A, [[1], [0]])
+    calls = []
+    hom_basis = endos.hom_basis
+
+    def counting(X, Y):
+        calls.append(X)
+        return hom_basis(X, Y)
+
+    monkeypatch.setattr(endos, "hom_basis", counting)
+    EndAlgebra(free)
+    assert calls == []
+    EndAlgebra(P)
+    assert calls == [P]
+    assert summand_classes(P) == summand_classes(free)
