@@ -57,8 +57,10 @@ class EchelonBasis:
         self._free = [[(c, row[c]) for c in free if row[c]] for row in red]
         self._transform = [row[n:] for row in red]
 
-    def _pivot_reads(self, vec):
-        """The pivot entries of ``vec`` if it lies in the span, else None."""
+    def pivot_reads(self, vec):
+        """The pivot entries of ``vec`` if it lies in the span, else None:
+        its coordinates in the reduced rows R.  The check reads only each
+        row's nonzero free entries."""
         char = self.char
         if self.dim and len(vec) != self.ambient_dim:
             raise ValueError("vector length does not match the basis")
@@ -80,11 +82,11 @@ class EchelonBasis:
 
     def contains(self, vec):
         """Whether ``vec`` lies in the span of the basis."""
-        return self._pivot_reads(vec) is not None
+        return self.pivot_reads(vec) is not None
 
     def coords(self, vec):
         """Coordinates of ``vec`` in the basis, or None outside its span."""
-        d = self._pivot_reads(vec)
+        d = self.pivot_reads(vec)
         if d is None:
             return None
         char = self.char

@@ -29,8 +29,10 @@ decomposition:
   candidates, minimal polynomials and CRT idempotents are computed in
   the coordinates of the algebra that holds it, with e as the unit.  A
   commutative algebra serves as its own centre, and an algebra with
-  zero radical as its own quotient.  Only a rational block gets a table
-  of its own, to be reduced modulo q;
+  zero radical as its own quotient.  No block gets a table of its own
+  over Q: a rational block's table mod q is read from the parent's at
+  the pivots of the block's echelon rows, and its q-adic lift runs in
+  the parent's coordinates;
 * one Newton lift, sequentially orthogonalized, carries idempotents
   through the radical and through the q-adic lift alike, by the
   3e^2 - 2e^3 iteration; everything is verified exactly.
@@ -711,11 +713,14 @@ def _rat_recon(s, M):
     return Fraction(r1, t1)
 
 
-def _primes_for(corner: FDAlgebra):
+def _primes_for(fd: FDAlgebra, z, rows):
+    """Good primes for the block spanned by ``rows``: none divides a
+    denominator of the parent's table, of z or of the rows, so each
+    reduces the block and its structure constants."""
     import sympy
 
-    q = max(53, corner.dim + 2)
-    dens = [corner.table.den] + [Fraction(c).denominator for c in corner.unit]
+    q = max(53, len(rows) + 2)
+    dens = {fd.table.den} | {c.denominator for v in (z, *rows) for c in v}
     seen = 0
     while seen < _PRIME_BUDGET:
         q = int(sympy.nextprime(q))
@@ -724,18 +729,40 @@ def _primes_for(corner: FDAlgebra):
             seen += 1
 
 
-def _split_block_char0(fd: FDAlgebra, z, rng):
-    """Split a simple block over Q: split mod q, Hensel lift, reconstruct
-    subset sums as exact rational idempotents (smallest subsets first).
-    The corner gets a table of its own, to be reduced mod q and q^N."""
+def _block_table_modq(fd: FDAlgebra, rows, q):
+    """The structure constants mod q of the subalgebra spanned by the
+    reduced echelon ``rows``, in that basis.  Each product of two rows is
+    taken with the parent's table mod q; its coordinates are its pivot
+    entries, and a product outside the span raises SplitError."""
+    table = fd.table.reduce(q)
+    vecs = [[_mod_frac(c, q) if c else 0 for c in row] for row in rows]
+    span = _kernel.EchelonBasis(vecs, q)
+    cells = {}
+    for i, x in enumerate(vecs):
+        for j, y in enumerate(vecs):
+            coords = span.pivot_reads(table(x, y))
+            if coords is None:
+                raise SplitError("subalgebra is not closed")
+            cells[i, j] = enumerate(coords)
+    return _kernel.Bilinear(cells, len(rows), q)
+
+
+def _split_block_char0(fd: FDAlgebra, z, rows, rng):
+    """Split a simple block zA over Q, spanned by the reduced echelon
+    ``rows``: split mod q, Hensel lift, reconstruct subset sums as exact
+    rational idempotents (smallest subsets first).
+
+    No rational table of the block is built.  Its table mod q is read
+    from the parent's at the rows' pivots.  The rows embed the block in
+    the parent as an algebra map, so the lift runs in the parent's
+    coordinates mod q^N and its pivot entries are the block's lift."""
     from ..fields import GF
 
-    corner, cbasis = fd.subalgebra(_corner_span(fd, z), z)
-    for q in _primes_for(corner):
+    pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
+    for q in _primes_for(fd, z, rows):
+        qtable = _block_table_modq(fd, rows, q)
         try:
-            qalg = FDAlgebra(
-                GF(q), corner.table.reduce(q), [_mod_frac(c, q) for c in corner.unit]
-            )
+            qalg = FDAlgebra(GF(q), qtable, [_mod_frac(z[p], q) for p in pivots])
             if radical_basis(qalg):
                 continue  # bad prime: modular algebra degenerated
             mod_idems = [
@@ -745,11 +772,15 @@ def _split_block_char0(fd: FDAlgebra, z, rng):
             continue
         for exponent in _QADIC_EXPONENTS:
             M = q**exponent
-            unit = [_mod_frac(c, M) for c in corner.unit]
-            lifted = _lift_orthogonal(corner.table.reduce(M), unit, mod_idems, M)
-            found = _reconstruct_partition(corner, M, lifted)
+            rows_m = [[_mod_frac(x, M) if x else 0 for x in row] for row in rows]
+            approx = _kernel.mat_mul(mod_idems, rows_m, M)
+            unit = [_mod_frac(c, M) for c in z]
+            lifted = _lift_orthogonal(fd.table.reduce(M), unit, approx, M)
+            found = _reconstruct_partition(
+                fd, z, rows, M, [[v[p] for p in pivots] for v in lifted]
+            )
             if found is not None:
-                return [_up(cbasis, e, fd.field, fd.dim) for e in found]
+                return found
     raise SplitError(
         "q-adic splitting failed for a rational matrix block within "
         f"_PRIME_BUDGET = {_PRIME_BUDGET} primes and "
@@ -762,13 +793,15 @@ def _mod_frac(c, q):
     return (c.numerator * pow(c.denominator, -1, q)) % q
 
 
-def _reconstruct_partition(corner: FDAlgebra, M, lifted):
+def _reconstruct_partition(fd: FDAlgebra, z, rows, M, lifted):
     """Greedy subset-sum rational reconstruction of idempotents lifted
-    mod M: smallest subsets first, each candidate verified exactly;
-    returns the complete list or None.  At most _SUBSET_BUDGET subsets
-    are tried in all."""
+    mod M, given in the basis ``rows`` of the block zA: smallest subsets
+    first, each candidate verified exactly in the parent; returns the
+    complete list, in the parent's coordinates, or None.  At most
+    _SUBSET_BUDGET subsets are tried in all."""
     from itertools import combinations
 
+    F = fd.field
     remaining = list(range(len(lifted)))
     accepted = []
     tried = 0
@@ -782,7 +815,7 @@ def _reconstruct_partition(corner: FDAlgebra, M, lifted):
                         f"rational reconstruction of {len(lifted)} lifted "
                         f"idempotents ran out of _SUBSET_BUDGET = {_SUBSET_BUDGET} subsets"
                     )
-                sigma = [0] * corner.dim
+                sigma = [0] * len(rows)
                 for t in combo:
                     sigma = [(a + b) % M for a, b in zip(sigma, lifted[t])]
                 coords = []
@@ -793,22 +826,22 @@ def _reconstruct_partition(corner: FDAlgebra, M, lifted):
                         ok = False
                         break
                     coords.append(fr)
-                if not ok:
+                if not ok or not any(coords):
                     continue
-                sq = corner.mul_vec(coords, coords)
-                if sq != coords or not any(coords):
+                e = _up(rows, coords, F, fd.dim)
+                if fd.mul_vec(e, e) != e:
                     continue
-                hit = (combo, coords)
+                hit = (combo, e)
                 break
             if hit:
                 break
         if hit is None:
             return None
-        combo, coords = hit
-        accepted.append(coords)
+        combo, e = hit
+        accepted.append(e)
         remaining = [t for t in remaining if t not in combo]
     try:
-        _verify_complete_orthogonal(corner, accepted)
+        _verify_complete_orthogonal(FDAlgebra(F, fd.table, z), accepted)
     except SplitError:
         return None
     return accepted
@@ -836,16 +869,17 @@ def split_semisimple(fd: FDAlgebra, rng):
             block_dim = d_z
         else:
             z = _up(zbasis, z, fd.field, fd.dim)
-            # z is central, so the block zA is spanned by the z b_i
-            block_dim = _kernel.rank(
+            # z is central, so the block zA = zAz is spanned by the z b_i
+            rows = _echelon(
                 [fd.mul_vec(z, _unit_vec(fd, i)) for i in range(fd.dim)], char
             )
+            block_dim = len(rows)
         if block_dim == 1 or _block_matrix_size(block_dim, d_z) == 1:
             pieces = [z]
         elif char:
             pieces = _split_block_modp(fd, z, d_z, rng)
         else:
-            pieces = _split_block_char0(fd, z, rng)
+            pieces = _split_block_char0(fd, z, rows, rng)
         out.extend((p, blk) for p in pieces)
     _verify_complete_orthogonal(fd, [p for p, _b in out])
     return out

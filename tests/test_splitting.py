@@ -497,6 +497,96 @@ def test_commutative_split_builds_no_subalgebra(monkeypatch, field):
     assert calls == []
 
 
+@pytest.mark.parametrize("n", [2, 5])
+def test_rational_block_split_builds_no_block_subalgebra(monkeypatch, n):
+    # M_n(Q) has a centre of dimension 1; the block itself is split mod q
+    # from the parent's table, so only the centres of the algebra and of
+    # its reduction mod q get a subalgebra
+    calls = []
+    subalgebra = FDAlgebra.subalgebra
+
+    def counting(self, spanning, unit_vec):
+        calls.append(len(spanning))
+        return subalgebra(self, spanning, unit_vec)
+
+    monkeypatch.setattr(FDAlgebra, "subalgebra", counting)
+    A = _forget(alg.matrix_algebra(QQ, [0] * n))
+    assert len(split_projective(regular_module(A), random.Random(0))) == n
+    assert calls and set(calls) == {1}
+
+
+def _rational_block_corpus():
+    Z3 = GradingGroup(0, (3,))
+    out = [
+        (lambda n=n: regular_module(_forget(alg.matrix_algebra(QQ, [0] * n))))
+        for n in range(2, 6)
+    ]
+    out.append(lambda: regular_module(alg.matrix_algebra(QQ, M5_SHIFTS).zero_part()))
+    out.append(
+        lambda: free_module(
+            _forget(alg.group_algebra(QQ, GradingGroup(0, (6,)))), [[], [], []]
+        )
+    )
+    out.append(
+        lambda: regular_module(
+            _forget(
+                alg.tensor_product(
+                    alg.matrix_algebra(QQ, [[0], [0], [1]], group=Z3),
+                    alg.group_algebra(QQ, Z3),
+                )
+            )
+        )
+    )
+    return out
+
+
+def _first_corner_prime(corner):
+    """The first good prime of a rational corner table: above
+    max(53, dim + 1), dividing no denominator of its table or unit."""
+    import sympy
+
+    dens = [corner.table.den] + [Fraction(c).denominator for c in corner.unit]
+    q = int(sympy.nextprime(max(53, corner.dim + 2)))
+    while any(d % q == 0 for d in dens):
+        q = int(sympy.nextprime(q))
+    return q
+
+
+@pytest.mark.parametrize("build", _rational_block_corpus())
+def test_block_table_mod_q_matches_the_rational_corner_table(monkeypatch, build):
+    blocks = []
+    split_block = endos._split_block_char0
+
+    def recording(fd, z, rows, rng):
+        blocks.append((fd, z, rows))
+        return split_block(fd, z, rows, rng)
+
+    monkeypatch.setattr(endos, "_split_block_char0", recording)
+    split_projective(build(), random.Random(0))
+    assert blocks
+    for fd, z, rows in blocks:
+        corner, basis = fd.subalgebra(endos._corner_span(fd, z), z)
+        assert rows == basis
+        q = next(endos._primes_for(fd, z, rows))
+        assert q == _first_corner_prime(corner)
+        got = endos._block_table_modq(fd, rows, q)
+        want = corner.table.reduce(q)
+        assert got.out_dim == want.out_dim
+        assert got.rows == want.rows
+
+
+def test_block_table_mod_q_refuses_rows_not_closed_under_the_product():
+    fd = _end_of_regular(_forget(alg.matrix_algebra(QQ, [0, 0])))
+    units = [endos._unit_vec(fd, b) for b in range(fd.dim)]
+    assert endos._block_table_modq(fd, units, 53).rows == fd.table.reduce(53).rows
+    # the off-diagonal matrix units square to zero, but their two
+    # products are the diagonal ones
+    rows = [u for u in units if not any(fd.mul_vec(u, u))]
+    assert len(rows) == 2
+    with pytest.raises(SplitError, match="not closed"):
+        endos._block_table_modq(fd, rows, 53)
+
+
 # -- hom spaces: outer products against the two-product construction ------------
 
 
