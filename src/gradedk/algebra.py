@@ -156,22 +156,8 @@ class GradedAlgebra:
         """All degrees with a nonzero component (finite support only)."""
         if not self.finite_support():
             raise AlgebraError("support is not finite")
-        bounds = self.support_bounds()
-        out = []
-
-        def rec(i, acc):
-            if i == len(bounds):
-                for t in self.group.torsion_elements():
-                    d = self.group.degree(tuple(acc) + t.torsion_part)
-                    if self.component_dim(d):
-                        out.append(d)
-                return
-            lo, hi = bounds[i]
-            for v in range(lo, hi + 1):
-                rec(i + 1, acc + [v])
-
-        rec(0, [])
-        return out
+        ranges = [range(lo, hi + 1) for lo, hi in self.support_bounds()]
+        return [d for d in self.group.box(ranges) if self.component_dim(d)]
 
     def positively_supported(self) -> bool:
         """Support contained in N x (rest) along the first free coordinate."""
@@ -472,16 +458,7 @@ class TensorProductAlgebra(GradedAlgebra):
             if lo is None or hi is None:
                 raise AlgebraError("unbounded tensor component enumeration")
             ranges.append(range(lo, hi + 1))
-
-        def rec(i, acc):
-            if i == m:
-                for t in self.group.torsion_elements():
-                    yield self.group.degree(tuple(acc) + t.torsion_part)
-                return
-            for v in ranges[i]:
-                yield from rec(i + 1, acc + [v])
-
-        yield from rec(0, [])
+        return self.group.box(ranges)
 
     def _component_basis(self, deg):
         out = []

@@ -71,6 +71,8 @@ INVARIANT_ERRORS = (
     GradingError,
 )
 
+_REQUIRED = object()  # the default of an argument that must be given
+
 
 def _jsonable(x):
     if isinstance(x, Fraction):
@@ -129,22 +131,25 @@ class Session:
             return self._call(node)
         raise EvalError(f"cannot evaluate {node!r}")
 
-    def _arg(self, call, i, name=None):
-        if i < len(call.args):
+    def _arg(self, call, i, name=None, default=_REQUIRED):
+        """Argument ``i`` by position (None: keyword only), else keyword
+        ``name``, else ``default``.  An argument given both ways is an
+        error, whichever of the two would be read."""
+        keyed = [v for k, v in call.kwargs if k == name] if name else []
+        if i is not None and i < len(call.args):
+            if keyed:
+                raise EvalError(
+                    f"{call.name}: argument {name} given both by position "
+                    f"and by keyword (line {call.line})"
+                )
             return self.eval(call.args[i])
-        if name is not None:
-            for k, v in call.kwargs:
-                if k == name:
-                    return self.eval(v)
+        if keyed:
+            return self.eval(keyed[0])
+        if default is not _REQUIRED:
+            return default
         raise EvalError(
             f"{call.name} missing argument {name or i} (line {call.line})"
         )
-
-    def _kwarg(self, call, name, default=None):
-        for k, v in call.kwargs:
-            if k == name:
-                return self.eval(v)
-        return default
 
     def _call(self, call: Call):
         name = call.name
@@ -179,7 +184,7 @@ class Session:
         if name == "matrix":
             field = self._expect_field(call, 0)
             shifts = self._arg(call, 1, "shifts")
-            group = self._kwarg(call, "group")
+            group = self._arg(call, None, "group", None)
             if group is not None and not isinstance(group, GradingGroup):
                 raise EvalError("matrix: group= must be a grading group")
             g = group or GradingGroup(1, ())
@@ -192,9 +197,7 @@ class Session:
             return alg.group_algebra(field, group)
         if name == "poly":
             base = self._expect_algebra(call, 0)
-            deg = self._kwarg(call, "deg")
-            if deg is None:
-                deg = self._arg(call, 1, "deg")
+            deg = self._arg(call, 1, "deg")
             if not isinstance(deg, list):
                 raise EvalError("poly: deg must be a degree vector")
             return alg.polynomial_extension(base, deg)
@@ -216,30 +219,24 @@ class Session:
                 raise EvalError("regrade_mod: modulus must be an integer >= 2")
             return alg.regrade_mod(self._expect_algebra(call, 0), n)
         if name == "trivial_extension":
-            k = self._kwarg(call, "k", 1)
-            if len(call.args) > 1:
-                k = self.eval(call.args[1])
+            k = self._arg(call, 1, "k", 1)
             if not isinstance(k, int) or k < 0:
                 raise EvalError("trivial_extension: k must be an integer >= 0")
             return self._expect_algebra(call, 0).trivial_extension(k)
         if name == "group":
-            rank = self._kwarg(call, "rank", 0)
-            moduli = self._kwarg(call, "moduli", [])
+            rank = self._arg(call, None, "rank", 0)
+            moduli = self._arg(call, None, "moduli", [])
             return GradingGroup(int(rank), tuple(int(m) for m in moduli))
         if name == "free":
             A = self._expect_algebra(call, 0)
-            shifts = self._kwarg(call, "shifts")
-            if shifts is None:
-                shifts = self._arg(call, 1, "shifts")
+            shifts = self._arg(call, 1, "shifts")
             return free_module(A, self._degrees(A.group, shifts, "free"))
         if name == "proj":
             return self._proj(call)
         if name == "random_proj":
             A = self._expect_algebra(call, 0)
-            shifts = self._kwarg(call, "shifts")
-            if shifts is None:
-                shifts = self._arg(call, 1, "shifts")
-            seed = self._kwarg(call, "seed", self.seed)
+            shifts = self._arg(call, 1, "shifts")
+            seed = self._arg(call, None, "seed", self.seed)
             rng = random.Random(int(seed))
             return random_presentation(
                 A, self._degrees(A.group, shifts, "random_proj"), rng
@@ -260,8 +257,8 @@ class Session:
 
     def _proj(self, call: Call):
         A = self._expect_algebra(call, 0)
-        shifts = self._degrees(A.group, self._kwarg(call, "shifts"), "proj")
-        idem_raw = self._kwarg(call, "idem")
+        shifts = self._degrees(A.group, self._arg(call, None, "shifts", None), "proj")
+        idem_raw = self._arg(call, None, "idem", None)
         if idem_raw is None:
             raise EvalError("proj: idem=[[...]] is required")
         k = len(shifts)
@@ -379,9 +376,7 @@ class Session:
                 raise EvalError("lemma: second argument must be Z^k or an integer >= 0")
             return kt.lemma_check(A, extra, self.seed)
         if name == "basis":
-            deg = self._kwarg(call, "deg")
-            if deg is None:
-                deg = self._arg(call, 1, "deg")
+            deg = self._arg(call, 1, "deg")
             try:
                 d = A.group.degree([deg] if isinstance(deg, int) else deg)
             except (TypeError, ValueError) as exc:  # GradingError among them

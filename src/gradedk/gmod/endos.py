@@ -25,14 +25,14 @@ decomposition:
   corner recursion -- directly over a finite field, and over Q by
   splitting modulo a good prime, Hensel lifting, and rational
   reconstruction of subset sums (smallest subsets first, so accepted
-  idempotents are primitive).  A corner e A e is never copied: its
-  candidates, minimal polynomials and CRT idempotents are computed in
-  the coordinates of the algebra that holds it, with e as the unit.  A
-  commutative algebra serves as its own centre, and an algebra with
-  zero radical as its own quotient.  No block gets a table of its own
-  over Q: a rational block's table mod q is read from the parent's at
-  the pivots of the block's echelon rows, and its q-adic lift runs in
-  the parent's coordinates;
+  idempotents are primitive).  Neither the centre nor a corner e A e is
+  copied: their candidates, minimal polynomials and CRT idempotents are
+  computed in the coordinates of the algebra that holds them, with e as
+  the unit (the centre's z as the unit of its corner zZ), and an
+  algebra with zero radical serves as its own quotient.  No block gets
+  a table of its own over Q: a rational block's table mod q is read
+  from the parent's at the pivots of the block's echelon rows, and its
+  q-adic lift runs in the parent's coordinates;
 * one Newton lift, sequentially orthogonalized, carries idempotents
   through the radical and through the q-adic lift alike, by the
   3e^2 - 2e^3 iteration; everything is verified exactly.
@@ -230,26 +230,6 @@ class FDAlgebra:
                 row[col] = F.add(row[col], v)
         rows = [rows[r] for r in sorted(rows) if any(rows[r])]
         return _kernel.nullspace(rows or [[F.zero] * d], F.char)
-
-    def subalgebra(self, spanning, unit_vec):
-        """Unital subalgebra spanned by ``spanning`` (closed under product),
-        with its own structure constants.  Returns (FDAlgebra, basis rows)."""
-        char = self.field.char
-        basis = _echelon(spanning, char)
-        span = _kernel.EchelonBasis(basis, char)
-
-        def express(v):
-            sol = span.coords(v)
-            if sol is None:
-                raise SplitError("subalgebra is not closed")
-            return sol
-
-        products = {
-            (i, j): express(self.mul_vec(x, y))
-            for i, x in enumerate(basis)
-            for j, y in enumerate(basis)
-        }
-        return FDAlgebra.from_products(self.field, products, express(unit_vec)), basis
 
 
 def _echelon(vectors, char):
@@ -576,31 +556,30 @@ def _corner_span(fd: FDAlgebra, e):
     return [fd.mul_vec(fd.mul_vec(e, _unit_vec(fd, i)), e) for i in range(fd.dim)]
 
 
-def _split_commutative(zalg: FDAlgebra, rng):
-    """Complete orthogonal primitive idempotents of a commutative
-    semisimple algebra, each with the dimension of its field z * zalg:
-    [(vector, field dimension)]."""
-    if zalg.dim == 0:
-        return []
-    F = zalg.field
-    work = [list(zalg.unit)]
+def _split_commutative(fd: FDAlgebra, zvecs, rng):
+    """Complete orthogonal primitive idempotents of the semisimple centre
+    Z of ``fd``, spanned by the rows ``zvecs``, each with the dimension of
+    its field zZ: [(vector, field dimension)], in fd's coordinates.
+
+    Z is not copied: each corner zZ is spanned by the z c_i, and its
+    candidates, minimal polynomials and CRT idempotents are computed in
+    fd with z as the unit.  A commutative fd passes its unit vectors."""
+    F = fd.field
+    work = [list(fd.unit)]
     done = []
     while work:
         z = work.pop()
-        # z is central, so its corner z A z is spanned by the z b_i
-        basis = _echelon(
-            [zalg.mul_vec(z, _unit_vec(zalg, i)) for i in range(zalg.dim)], F.char
-        )
+        basis = _echelon([fd.mul_vec(z, c) for c in zvecs], F.char)
         if len(basis) == 1:
             done.append((z, 1))
             continue
         for t in _candidates(F, basis, rng):
-            m = zalg.minimal_polynomial(t, z)
+            m = fd.minimal_polynomial(t, z)
             factors = factor_irreducible(m, F)
             if any(mult > 1 for _f, mult in factors):
                 raise SplitError("nilpotent found in a supposedly semisimple center")
             if len(factors) >= 2:
-                work.extend(_crt_idempotents(zalg, t, z, m, factors))
+                work.extend(_crt_idempotents(fd, t, z, m, factors))
                 break
             if len(m) - 1 == len(basis):
                 # primitive element certificate: the factor is a field
@@ -852,23 +831,21 @@ def split_semisimple(fd: FDAlgebra, rng):
     tagged by central block: [(vector, block_id)].
 
     A primitive central idempotent z cuts out a simple block zA, which is
-    M_r over its centre, the field zZ; r = 1 blocks need no splitting.  A
-    commutative algebra is its own centre and is split as it stands."""
+    M_r over its centre, the field zZ; r = 1 blocks need no splitting.
+    The centre Z is split in fd's own coordinates; a commutative algebra
+    is its own centre, so its blocks are fields."""
     if fd.dim == 0:
         return []
     char = fd.field.char
     zvecs = fd.center_basis()
     commutative = len(zvecs) == fd.dim
-    if commutative:
-        zalg = fd
-    else:
-        zalg, zbasis = fd.subalgebra(zvecs, fd.unit)
+    if not commutative:
+        _verify_centre_closed(fd, zvecs)
     out = []
-    for blk, (z, d_z) in enumerate(_split_commutative(zalg, rng)):
+    for blk, (z, d_z) in enumerate(_split_commutative(fd, zvecs, rng)):
         if commutative:
             block_dim = d_z
         else:
-            z = _up(zbasis, z, fd.field, fd.dim)
             # z is central, so the block zA = zAz is spanned by the z b_i
             rows = _echelon(
                 [fd.mul_vec(z, _unit_vec(fd, i)) for i in range(fd.dim)], char
@@ -883,6 +860,15 @@ def split_semisimple(fd: FDAlgebra, rng):
         out.extend((p, blk) for p in pieces)
     _verify_complete_orthogonal(fd, [p for p, _b in out])
     return out
+
+
+def _verify_centre_closed(fd: FDAlgebra, zvecs):
+    """The span of ``zvecs`` must hold the unit and every product c_i c_j."""
+    in_span = _kernel.EchelonBasis(zvecs, fd.field.char).contains
+    if not in_span(fd.unit) or not all(
+        in_span(fd.mul_vec(x, y)) for x in zvecs for y in zvecs
+    ):
+        raise SplitError("centre is not a unital subalgebra")
 
 
 def _verify_complete_orthogonal(fd: FDAlgebra, idems):

@@ -10,7 +10,7 @@ window forces one everywhere), which is why the default margin is small.
 
 from __future__ import annotations
 
-from itertools import product
+from math import prod
 
 from ..algebra import GradedAlgebra
 
@@ -28,14 +28,7 @@ def default_window(A: GradedAlgebra, presentations=(), margin: int = 2):
                 s = max(s, abs(sh.values[j]))
         spans.append(s + radius[j] + margin)
     ranges = [range(-s, s + 1) for s in spans]
-    torsion = list(A.group.torsion_elements())
-    size = len(torsion)
-    for r in ranges:
-        size *= len(r)
+    size = prod(A.group.torsion_moduli) * prod(len(r) for r in ranges)
     if size > WINDOW_CAP:
         raise ValueError(f"verification window too large ({size} degrees)")
-    out = []
-    for free in product(*ranges) if m else [()]:
-        for t in torsion:
-            out.append(A.group.degree(tuple(free) + t.torsion_part))
-    return out
+    return list(A.group.box(ranges))

@@ -17,6 +17,7 @@ contributes a free Z[x, 1/x] factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from . import intlat
@@ -97,14 +98,16 @@ class GradingGroup:
 
     def torsion_elements(self) -> Iterable["Degree"]:
         """All elements of the torsion part (free coordinates zero)."""
-        def rec(i, acc):
-            if i == len(self.torsion_moduli):
-                yield self.degree((0,) * self.free_rank + tuple(acc))
-                return
-            for v in range(self.torsion_moduli[i]):
-                yield from rec(i + 1, acc + [v])
+        return self.box([range(1)] * self.free_rank)
 
-        yield from rec(0, [])
+    def box(self, ranges) -> Iterable["Degree"]:
+        """The degrees whose free coordinates lie in ``ranges``, one range
+        per free coordinate, with every torsion part: the product over the
+        free ranges first, and for each free part the torsion elements."""
+        torsion = list(product(*(range(n) for n in self.torsion_moduli)))
+        for free in product(*ranges):
+            for t in torsion:
+                yield self.degree(free + t)
 
     def is_trivial(self) -> bool:
         return self.dim == 0
@@ -445,9 +448,10 @@ class ShiftModule:
     ``action`` holds one permutation of the class list per group generator
     (free generators first, then torsion generators).  When ``stabilizers``
     is omitted, the stabilizer of an orbit is its label stabilizer, so the
-    classes are the honest Z-basis.  Explicit stabilizers may cut deeper
-    (e.g. a trivial stabilizer on a fixed label yields a free Laurent
-    factor); they must be contained in the label stabilizer.
+    classes are the honest Z-basis.  Explicit stabilizers, one list of
+    generating degrees per orbit in the order the orbits are found, may
+    cut deeper (e.g. a trivial stabilizer on a fixed label yields a free
+    Laurent factor); they must be contained in the label stabilizer.
     """
 
     def __init__(self, group: GradingGroup, classes, action, stabilizers=None):
@@ -492,8 +496,8 @@ class ShiftModule:
             for x in members:
                 seen[x] = True
             stab = label_stab
-            if stabilizers is not None:
-                given = self._stab_for(stabilizers, orbit_index, members)
+            if stabilizers is not None and orbit_index < len(stabilizers):
+                given = stabilizers[orbit_index]
                 if given is not None:
                     for g in given:
                         if not label_stab.contains(g):
@@ -507,13 +511,6 @@ class ShiftModule:
             orbit_index += 1
         return tuple(orbits)
 
-    def _stab_for(self, stabilizers, orbit_index, members):
-        if isinstance(stabilizers, dict):
-            for x in members:
-                if self.classes[x] in stabilizers:
-                    return stabilizers[self.classes[x]]
-            return None
-        return stabilizers[orbit_index] if orbit_index < len(stabilizers) else None
 
     def _orbit_from(self, start):
         dim = self.group.dim

@@ -199,6 +199,50 @@ def test_algebra_error_from_a_computation_is_a_failure(tmp_path, monkeypatch):
     assert cli.main([str(_write(tmp_path, "k0(matrix(Q, [0, 1]))\n"))]) == 1
 
 
+@pytest.mark.parametrize(
+    "by_position,by_keyword,both",
+    [
+        (
+            "k0(trivial_extension(matrix(Q,[0,1]), 2))",
+            "k0(trivial_extension(matrix(Q,[0,1]), k=2))",
+            "k0(trivial_extension(matrix(Q,[0,1]), 2, k=3))",
+        ),
+        (
+            "k0(poly(matrix(Q,[0]), [1]))",
+            "k0(poly(matrix(Q,[0]), deg=[1]))",
+            "k0(poly(matrix(Q,[0]), [1], deg=[2]))",
+        ),
+        (
+            "swan(free(positive_part(matrix(Q,[0,1])), [[0],[1]]))",
+            "swan(free(positive_part(matrix(Q,[0,1])), shifts=[[0],[1]]))",
+            "swan(free(positive_part(matrix(Q,[0,1])), [[0],[1]], shifts=[[0]]))",
+        ),
+        (
+            "filtration(random_proj(positive_part(matrix(Q,[0,1])), [[0],[1]], seed=3))",
+            "filtration(random_proj(positive_part(matrix(Q,[0,1])), shifts=[[0],[1]], seed=3))",
+            "filtration(random_proj(positive_part(matrix(Q,[0,1])), [[0],[1]], shifts=[[0]], seed=3))",
+        ),
+        (
+            "basis(matrix(Q,[0,1]), [1])",
+            "basis(matrix(Q,[0,1]), deg=[1])",
+            "basis(matrix(Q,[0,1]), [1], deg=[-1])",
+        ),
+    ],
+    ids=["trivial_extension", "poly", "free", "random_proj", "basis"],
+)
+def test_argument_given_both_ways_is_a_user_error(tmp_path, capsys, by_position, by_keyword, both):
+    # one lookup: position or keyword read alike, never both at once
+    strip = lambda reports: [{k: v for k, v in r.items() if k != "command"} for r in reports]
+    assert strip(run_text(by_position + "\n")) == strip(run_text(by_keyword + "\n"))
+    with pytest.raises(EvalError, match="given both by position and by keyword"):
+        run_text(both + "\n")
+    assert cli.main([str(_write(tmp_path, both + "\n"))]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_zero_extension_count_is_valid(tmp_path):
     script = "k0(trivial_extension(matrix(Q,[0,1]), 0))\nlemma(matrix(Q,[0,1]), 0)\n"
     assert cli.main([str(_write(tmp_path, script))]) == 0

@@ -72,6 +72,23 @@ def test_degrees_of_equal_groups_are_equal_by_value():
     assert a != H.degree([5, 0]) and a != GradingGroup(2, ()).degree([5, 1])
 
 
+def test_box_runs_the_free_ranges_first_then_the_torsion_elements():
+    G = GradingGroup(2, (2, 3))
+    ranges = [range(-1, 1), range(0, 2)]
+    assert list(G.box(ranges)) == [
+        G.degree([a, b, s, t])
+        for a in ranges[0]
+        for b in ranges[1]
+        for s in range(2)
+        for t in range(3)
+    ]
+    assert list(G.torsion_elements()) == [
+        G.degree([0, 0, s, t]) for s in range(2) for t in range(3)
+    ]
+    assert list(TRIVIAL_GROUP.box([])) == [TRIVIAL_GROUP.zero]
+    assert list(Z.box([range(2, 1)])) == []
+
+
 def test_degree_is_immutable():
     d = Z.degree([1])
     with pytest.raises(AttributeError):

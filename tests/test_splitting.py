@@ -346,6 +346,26 @@ def _m3_mul(a, b):
     ]
 
 
+def _table_on_span(fd, spanning, unit):
+    """The unital subalgebra of ``fd`` spanned by ``spanning``, with a
+    table of its own in the reduced echelon basis of the span, and that
+    basis: echelon rows, coordinates by ``EchelonBasis``, then
+    ``FDAlgebra.from_products``.  The splitting code builds no such
+    table; it is the reference its in-place results are held against."""
+    char = fd.field.char
+    basis = endos._echelon(spanning, char)
+    span = _kernel.EchelonBasis(basis, char)
+    products = {
+        (i, j): span.coords(fd.mul_vec(x, y))
+        for i, x in enumerate(basis)
+        for j, y in enumerate(basis)
+    }
+    unit_coords = span.coords(unit)
+    assert unit_coords is not None
+    assert all(v is not None for v in products.values())
+    return FDAlgebra.from_products(fd.field, products, unit_coords), basis
+
+
 def _dense_table(sub, basis):
     """Dense table[i][j][k] of the subalgebra, from naive matrix products."""
     cols = [[b[r] for b in basis] for r in range(9)]
@@ -361,7 +381,7 @@ def _dense_table(sub, basis):
 
 def test_fractional_subalgebra_matches_dense_reference():
     # a conjugate of the upper triangular matrices: in the echelon basis
-    # that subalgebra() picks, its structure constants are fractions
+    # of its span, its structure constants are fractions
     g = [Fraction(x) for x in (2, 1, 0, 1, 3, 1, 0, 1, 5)]
     g_inv = [Fraction(x, 23) for x in (14, -5, 1, -5, 10, -2, 1, -2, 5)]
     assert _m3_mul(g, g_inv) == [Fraction(int(i in (0, 4, 8))) for i in range(9)]
@@ -371,7 +391,7 @@ def test_fractional_subalgebra_matches_dense_reference():
         for r in range(3)
         for c in range(r, 3)
     ]
-    sub, basis = fd.subalgebra(spanning, fd.unit)
+    sub, basis = _table_on_span(fd, spanning, fd.unit)
     assert sub.dim == 6 and sub.table.den > 1
     table = _dense_table(sub, basis)
     d = sub.dim
@@ -479,40 +499,90 @@ def test_radical_lift_budget_is_named_when_exhausted(monkeypatch):
 # -- corners, centres and quotients in the coordinates of the algebra --------------
 
 
-@pytest.mark.parametrize("field", [QQ, GF(2)])
-def test_commutative_split_builds_no_subalgebra(monkeypatch, field):
-    # a commutative End(P)_0 is its own centre, its blocks are fields, and
-    # every corner of the centre split is read in the algebra's own basis
-    calls = []
-    subalgebra = FDAlgebra.subalgebra
+@pytest.mark.parametrize(
+    "build,n_parts,dims",
+    [
+        (lambda: _forget(alg.group_algebra(QQ, GradingGroup(0, (12,)))), 6, {12}),
+        # F2[Z12] has a radical: its quotient F2[Z3] is the second table
+        (lambda: _forget(alg.group_algebra(GF(2), GradingGroup(0, (12,)))), 2, {12, 3}),
+        # M_n(Q) is one block, whose table mod q has the dimension n^2 too
+        (lambda: _forget(alg.matrix_algebra(QQ, [0] * 2)), 2, {4}),
+        (lambda: _forget(alg.matrix_algebra(QQ, [0] * 5)), 5, {25}),
+    ],
+    ids=["Z12-Q", "Z12-F2", "M2", "M5"],
+)
+def test_split_builds_no_centre_or_corner_table(monkeypatch, build, n_parts, dims):
+    # the centre and every corner are split in the coordinates of the
+    # algebra that holds them, so every FDAlgebra built has the dimension
+    # of End(P)_0, of its radical quotient or of a block table mod q
+    built = []
+    init = FDAlgebra.__init__
 
-    def counting(self, spanning, unit_vec):
-        calls.append(len(spanning))
-        return subalgebra(self, spanning, unit_vec)
+    def recording(self, field, table, unit):
+        built.append(len(unit))
+        init(self, field, table, unit)
 
-    monkeypatch.setattr(FDAlgebra, "subalgebra", counting)
-    A = _forget(alg.group_algebra(field, GradingGroup(0, (12,))))
-    parts = split_projective(regular_module(A), random.Random(0))
-    assert len(parts) == (6 if field.char == 0 else 2)
-    assert calls == []
+    monkeypatch.setattr(FDAlgebra, "__init__", recording)
+    assert len(split_projective(regular_module(build()), random.Random(0))) == n_parts
+    assert set(built) == dims
 
 
-@pytest.mark.parametrize("n", [2, 5])
-def test_rational_block_split_builds_no_block_subalgebra(monkeypatch, n):
-    # M_n(Q) has a centre of dimension 1; the block itself is split mod q
-    # from the parent's table, so only the centres of the algebra and of
-    # its reduction mod q get a subalgebra
-    calls = []
-    subalgebra = FDAlgebra.subalgebra
+def _centre_corpus():
+    Z3 = GradingGroup(0, (3,))
+    out = []
+    for F in (QQ, GF(2), GF(7)):
+        for n in (2, 3):
+            out.append(lambda F=F, n=n: _forget(alg.matrix_algebra(F, [0] * n)))
+        out.append(lambda F=F: alg.matrix_algebra(F, M5_SHIFTS).zero_part())
+        out.append(
+            lambda F=F: _forget(
+                alg.tensor_product(
+                    alg.matrix_algebra(F, [[0], [0], [1]], group=Z3),
+                    alg.group_algebra(F, Z3),
+                )
+            )
+        )
+    return out
 
-    def counting(self, spanning, unit_vec):
-        calls.append(len(spanning))
-        return subalgebra(self, spanning, unit_vec)
 
-    monkeypatch.setattr(FDAlgebra, "subalgebra", counting)
-    A = _forget(alg.matrix_algebra(QQ, [0] * n))
-    assert len(split_projective(regular_module(A), random.Random(0))) == n
-    assert calls and set(calls) == {1}
+@pytest.mark.parametrize("build", _centre_corpus())
+def test_centre_split_in_place_matches_the_centre_table(monkeypatch, build):
+    # every non-commutative semisimple algebra the split meets, End(P)_0,
+    # its radical quotient or a block table mod q, has its centre split
+    # in place; the same split of the centre's own table, read back
+    # through its basis, gives the same idempotents and field dimensions
+    met = []
+    split = endos.split_semisimple
+
+    def recording(fd, rng):
+        met.append(fd)
+        return split(fd, rng)
+
+    monkeypatch.setattr(endos, "split_semisimple", recording)
+    split_projective(regular_module(build()), random.Random(0))
+    noncommutative = [fd for fd in met if len(fd.center_basis()) < fd.dim]
+    assert noncommutative
+    for fd in noncommutative:
+        F = fd.field
+        zvecs = fd.center_basis()
+        zalg, basis = _table_on_span(fd, zvecs, fd.unit)
+        units = [endos._unit_vec(zalg, i) for i in range(zalg.dim)]
+        for seed in range(3):
+            got = endos._split_commutative(fd, zvecs, random.Random(seed))
+            want = endos._split_commutative(zalg, units, random.Random(seed))
+            assert got == [(endos._up(basis, z, F, fd.dim), d) for z, d in want]
+
+
+def test_centre_not_closed_under_the_product_is_refused(monkeypatch):
+    fd = _m3_algebra()
+    assert len(endos.split_semisimple(fd, random.Random(0))) == 3
+    unit = list(fd.unit)
+    e00, e01, e10 = (endos._unit_vec(fd, i) for i in (0, 1, 3))
+    # E_01 E_10 = E_00 leaves the span; the span of E_00 misses the unit
+    for zvecs in ([unit, e01, e10], [e00]):
+        monkeypatch.setattr(FDAlgebra, "center_basis", lambda self, z=zvecs: z)
+        with pytest.raises(SplitError, match="centre is not a unital subalgebra"):
+            endos.split_semisimple(fd, random.Random(0))
 
 
 def _rational_block_corpus():
@@ -565,7 +635,7 @@ def test_block_table_mod_q_matches_the_rational_corner_table(monkeypatch, build)
     split_projective(build(), random.Random(0))
     assert blocks
     for fd, z, rows in blocks:
-        corner, basis = fd.subalgebra(endos._corner_span(fd, z), z)
+        corner, basis = _table_on_span(fd, endos._corner_span(fd, z), z)
         assert rows == basis
         q = next(endos._primes_for(fd, z, rows))
         assert q == _first_corner_prime(corner)
