@@ -92,6 +92,7 @@ class Session:
         self.seed = seed
         self.margin = margin
         self.field_override = field_override
+        self._read = {}  # id(call) -> the keywords its lookups have read
 
     # -- value evaluation -----------------------------------------------------
     def _builtin(self, name: str):
@@ -134,8 +135,12 @@ class Session:
     def _arg(self, call, i, name=None, default=_REQUIRED):
         """Argument ``i`` by position (None: keyword only), else keyword
         ``name``, else ``default``.  An argument given both ways is an
-        error, whichever of the two would be read."""
-        keyed = [v for k, v in call.kwargs if k == name] if name else []
+        error, whichever of the two would be read.  ``name`` counts as
+        read for the keyword check that follows the call."""
+        keyed = []
+        if name:
+            self._read.setdefault(id(call), set()).add(name)
+            keyed = [v for k, v in call.kwargs if k == name]
         if i is not None and i < len(call.args):
             if keyed:
                 raise EvalError(
@@ -151,10 +156,19 @@ class Session:
             f"{call.name} missing argument {name or i} (line {call.line})"
         )
 
+    def _check_keywords(self, call, read):
+        """A keyword that no lookup of ``call`` read, a misspelt one say,
+        is an error, not a silent default."""
+        for k, _v in call.kwargs:
+            if k not in read:
+                raise EvalError(
+                    f"{call.name}: unknown keyword argument {k} (line {call.line})"
+                )
+
     def _call(self, call: Call):
         name = call.name
         try:
-            return self._dispatch(call)
+            value = self._dispatch(call)
         except (AlgebraError, GradingError) as exc:
             # an algebra or degree that cannot be built from a script's
             # arguments is malformed input, not a failed invariant
@@ -163,6 +177,10 @@ class Session:
             raise
         except (TypeError, ValueError, IndexError, KeyError) as exc:
             raise EvalError(f"{name}: {exc} (line {call.line})") from exc
+        finally:
+            read = self._read.pop(id(call), set())
+        self._check_keywords(call, read)
+        return value
 
     def _degrees(self, group: GradingGroup, raw, what: str):
         out = []
@@ -340,6 +358,9 @@ class Session:
             )
         except UnsupportedAlgebra as exc:
             raise EvalError(f"{call.name}: {exc} (line {call.line})") from exc
+        finally:
+            read = self._read.pop(id(call), set())
+        self._check_keywords(call, read)
         return self._finish(echo, body)
 
     def _run_command_body(self, call: Call) -> dict:

@@ -19,6 +19,12 @@ decomposition:
   costs one characteristic polynomial per basis vector of that level.
   Self-checks (two-sided ideal, nilpotent, clean quotient) turn any
   failure into a loud internal error instead of a wrong answer;
+* the centre: the commutator system is read from the table's integer
+  cells, without repeated rows, and eliminated mod a prime.  Over Q the
+  prime is a word-size one, each null vector is rebuilt by rational
+  reconstruction (Monagan, ISSAC 2004) and checked exactly, and as
+  reduction mod q only lowers the rank, a full set of vectors that pass
+  spans the centre; otherwise more primes are combined by CRT;
 * the semisimple quotient splits through its center (minimal polynomial
   factorization plus CRT idempotents), which also gives each simple
   block's size r over its centre field; blocks with r > 1 split by
@@ -31,7 +37,8 @@ decomposition:
   the unit (the centre's z as the unit of its corner zZ), and an
   algebra with zero radical serves as its own quotient.  No block gets
   a table of its own over Q: a rational block's table mod q is read
-  from the parent's at the pivots of the block's echelon rows, and its
+  from the parent's at the pivots of the block's echelon rows, with
+  each product taken over the supports of the two sparse rows, and its
   q-adic lift runs in the parent's coordinates;
 * one Newton lift, sequentially orthogonalized, carries idempotents
   through the radical and through the q-adic lift alike, by the
@@ -213,23 +220,145 @@ class FDAlgebra:
         return out
 
     def center_basis(self):
-        """Basis of the centre: x with b_i x = x b_i for every basis b_i.
+        """Basis of the centre: x with b_i x = x b_i for every basis b_i,
+        one vector per free column of the commutator system, as
+        ``_kernel.nullspace`` gives it.
 
-        Row (i, k) of the commutator system is ``(b_i b_j - b_j b_i)_k``
-        over j, read straight from the structure table; zero rows change
-        no null space and are left out (one is kept for the width)."""
-        F = self.field
+        Row (i, k) of the system is ``(b_i b_j - b_j b_i)_k`` over j, read
+        from the table's integer cells (over Q scaled by ``table.den``,
+        which changes no null space); zero rows and repeats up to a
+        scalar are left out.  Over GF(p) the rows are eliminated mod p.
+        Over Q they are eliminated mod a word-size prime and each null
+        vector is rebuilt by rational reconstruction and checked exactly
+        against every row (``_centre_char0``).  The answer is complete:
+        reduction mod q only lowers the rank, so the nullity mod q is at
+        least dim Z, and that many independent vectors of Z span it."""
         d = self.dim
-        rows = {}
-        for i, j, k, c in self.table.items():
-            # b_i b_j = ... + c b_k: +c in row (i, k) and -c in row (j, k)
-            for r, col, v in ((i * d + k, j, c), (j * d + k, i, F.neg(c))):
-                row = rows.get(r)
-                if row is None:
-                    row = rows[r] = [F.zero] * d
-                row[col] = F.add(row[col], v)
-        rows = [rows[r] for r in sorted(rows) if any(rows[r])]
-        return _kernel.nullspace(rows or [[F.zero] * d], F.char)
+        char = self.field.char
+        rows = _commutator_rows(self.table, d)
+        if char:
+            return _kernel.nullspace([_dense(r, d, char) for r in rows] or [[0] * d], char)
+        return _centre_char0(rows, d)
+
+
+def _commutator_rows(table, d):
+    """The distinct nonzero rows of the commutator system of a structure
+    table, as sorted (column, value) tuples of ints scaled to a canonical
+    representative: over GF(p) with first entry 1, over Q coprime with
+    first entry positive."""
+    m = table.modulus
+    rows = {}
+    for i, row in table.rows.items():
+        for j, cell in row.items():
+            for k, c in cell:
+                # b_i b_j = ... + c b_k: +c in row (i, k) and -c in row (j, k)
+                r = rows.setdefault(i * d + k, {})
+                r[j] = r.get(j, 0) + c
+                r = rows.setdefault(j * d + k, {})
+                r[i] = r.get(i, 0) - c
+    out = set()
+    for r in rows.values():
+        if m:
+            r = {col: v % m for col, v in r.items() if v % m}
+        else:
+            r = {col: v for col, v in r.items() if v}
+        if not r:
+            continue
+        items = sorted(r.items())
+        lead = items[0][1]
+        if m:
+            inv = pow(lead, -1, m)
+            out.add(tuple((col, v * inv % m) for col, v in items))
+        else:
+            g = 0
+            for _col, v in items:
+                g = gcd(g, v)
+            g = g if lead > 0 else -g
+            out.add(tuple((col, v // g) for col, v in items))
+    return sorted(out)
+
+
+def _dense(row, d, m):
+    """A sparse row of ints as a dense row of length d, reduced mod m."""
+    out = [0] * d
+    for col, v in row:
+        out[col] = v % m
+    return out
+
+
+def _centre_char0(rows, d):
+    """The rational null space of the integer ``rows`` of width d, one
+    vector per free column, from eliminations mod the primes of
+    _CENTRE_PRIMES.
+
+    Reduction mod q can only lower the rank, so the nullity k mod q is
+    at least the rational nullity.  The k null vectors mod q are the unit
+    vectors on its k free columns, completed on the pivot columns, so
+    they are independent; if each one is rebuilt by rational
+    reconstruction and lies exactly in the rational null space, they
+    span it.  Otherwise the next prime is tried.  The residues of primes
+    with the same pivot columns are combined by CRT, so that entries too
+    large for one prime still rebuild; a prime of higher rank, or of the
+    same rank with earlier pivots, starts the combination again, and one
+    of lower rank or later pivots is passed over."""
+    best = None
+    for q in _CENTRE_PRIMES:
+        red, pivots = _kernel.rref([_dense(r, d, q) for r in rows], q)
+        pivset = set(pivots)
+        null = []
+        for c in range(d):
+            if c not in pivset:
+                v = [0] * d
+                v[c] = 1
+                for t, pc in enumerate(pivots):
+                    v[pc] = -red[t][c] % q
+                null.append(v)
+        key = (-len(pivots), pivots)
+        if best is None or key < best:
+            best, M, residues = key, q, null
+        elif key > best:
+            continue
+        else:
+            # x = a mod M and b mod q: x = a + M ((b - a) / M mod q)
+            u = pow(M, -1, q)
+            residues = [
+                [a + M * ((b - a) * u % q) for a, b in zip(va, vb)]
+                for va, vb in zip(residues, null)
+            ]
+            M *= q
+        vecs = []
+        for v in residues:
+            x = _rebuild_null_vector(v, M, rows)
+            if x is None:
+                break
+            vecs.append(x)
+        else:
+            return vecs
+    raise SplitError(
+        "the centre did not rebuild over Q within the "
+        f"{len(_CENTRE_PRIMES)} primes of _CENTRE_PRIMES"
+    )
+
+
+def _rebuild_null_vector(v, M, rows):
+    """The rational vector with residues ``v`` mod M, if every entry
+    rebuilds and the vector lies exactly in the null space of ``rows``;
+    else None."""
+    out = []
+    for s in v:
+        x = _rat_recon(s, M)
+        if x is None:
+            return None
+        out.append(x)
+    support = [(c, x) for c, x in enumerate(out) if x]
+    den = 1
+    for _c, x in support:
+        den = den // gcd(den, x.denominator) * x.denominator
+    w = {c: x.numerator * (den // x.denominator) for c, x in support}
+    for row in rows:
+        if sum(c * w.get(col, 0) for col, c in row):
+            return None
+    return out
 
 
 def _echelon(vectors, char):
@@ -520,6 +649,12 @@ _SUBSET_BUDGET = 4096
 # 3e^2 - 2e^3 steps of one idempotent lift; each squares the defect, so
 # 64 steps cover any nilpotency index below 2^64
 _NEWTON_STEPS = 64
+# word-size primes for the centre over Q, tried in turn; their product
+# bounds the entries the centre's rational reconstruction can rebuild
+_CENTRE_PRIMES = (
+    2**31 - 1, 2**31 - 19, 2**31 - 61, 2**31 - 69,
+    2**31 - 85, 2**31 - 99, 2**31 - 105, 2**31 - 151,
+)
 
 
 def _unit_vec(fd, i):
@@ -711,18 +846,48 @@ def _primes_for(fd: FDAlgebra, z, rows):
 def _block_table_modq(fd: FDAlgebra, rows, q):
     """The structure constants mod q of the subalgebra spanned by the
     reduced echelon ``rows``, in that basis.  Each product of two rows is
-    taken with the parent's table mod q; its coordinates are its pivot
-    entries, and a product outside the span raises SplitError."""
-    table = fd.table.reduce(q)
-    vecs = [[_mod_frac(c, q) if c else 0 for c in row] for row in rows]
-    span = _kernel.EchelonBasis(vecs, q)
+    taken with the parent's table mod q over the supports of the two
+    rows; its coordinates are its entries at the rows' pivots, and a
+    product outside the span raises SplitError.  The product minus that
+    combination of rows can be nonzero only on the product's support or
+    on a free entry of a row it uses, so only those entries are tested.
+
+    The parent's cells are its integers, scaled by ``table.den``; the
+    left factors carry the inverse of den mod q."""
+    table = fd.table.rows
+    inv = pow(fd.table.den, -1, q)
+    vecs = []
+    for row in rows:
+        vec = [(c, _mod_frac(x, q)) for c, x in enumerate(row) if x]
+        vecs.append([(c, x) for c, x in vec if x])
+    pivot_of = {vec[0][0]: i for i, vec in enumerate(vecs)}
+    free = [vec[1:] for vec in vecs]
+    lefts = [[(c, x * inv % q) for c, x in vec] for vec in vecs]
     cells = {}
-    for i, x in enumerate(vecs):
+    for i, x in enumerate(lefts):
         for j, y in enumerate(vecs):
-            coords = span.pivot_reads(table(x, y))
-            if coords is None:
+            acc = {}
+            for a, xa in x:
+                trow = table.get(a)
+                if trow:
+                    for b, yb in y:
+                        cell = trow.get(b)
+                        if cell:
+                            ab = xa * yb
+                            for k, c in cell:
+                                acc[k] = acc.get(k, 0) + ab * c
+            coords = []
+            for k in list(acc):
+                t = pivot_of.get(k)
+                if t is not None:
+                    dt = acc.pop(k) % q
+                    if dt:
+                        coords.append((t, dt))
+                        for c, r in free[t]:
+                            acc[c] = acc.get(c, 0) - dt * r
+            if any(v % q for v in acc.values()):
                 raise SplitError("subalgebra is not closed")
-            cells[i, j] = enumerate(coords)
+            cells[i, j] = coords
     return _kernel.Bilinear(cells, len(rows), q)
 
 

@@ -99,11 +99,14 @@ def test_json_determinism():
 
 
 def test_proj_command_and_corrupted_idempotent():
-    good = (
+    # a projector over M2(Q)(0,1) itself, which is not N-supported
+    whole_text = (
         "A = matrix(Q, [0, 1])\n"
         "P = proj(A, shifts=[[0]], idem=[[[1, 0]]])\n"
-        "swan(positive_proj)\n"
+        "swan(P)\n"
     )
+    reports = run_text(whole_text)
+    assert reports[-1]["verdict"] == "hypothesis-not-met"
     # a valid projector over the positive part, then a corrupted one
     ok_text = (
         "T = positive_part(matrix(Q, [0, 1]))\n"
@@ -241,6 +244,24 @@ def test_argument_given_both_ways_is_a_user_error(tmp_path, capsys, by_position,
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "script,keyword",
+    [
+        ("k0(trivial_extension(matrix(Q,[0,1]), kk=3))", "kk"),
+        ("k0(matrix(Q,[0,1], grp=Z))", "grp"),
+    ],
+)
+def test_unread_keyword_is_a_user_error(tmp_path, capsys, script, keyword):
+    # a misspelt keyword is refused, not replaced by the default
+    with pytest.raises(EvalError, match=f"unknown keyword argument {keyword}"):
+        run_text(script + "\n")
+    assert cli.main([str(_write(tmp_path, script + "\n"))]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and keyword in lines[0]
 
 
 def test_zero_extension_count_is_valid(tmp_path):

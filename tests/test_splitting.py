@@ -585,6 +585,119 @@ def test_centre_not_closed_under_the_product_is_refused(monkeypatch):
             endos.split_semisimple(fd, random.Random(0))
 
 
+def _split_corpus(F):
+    """The modules whose split is held byte-identical across changes to
+    the centre: M2-M5, the graded M5, its zero part and forgotten
+    grading, three group algebras and random positive_part(M5)
+    presentations."""
+    out = [
+        (lambda n=n: regular_module(_forget(alg.matrix_algebra(F, [0] * n))))
+        for n in range(2, 6)
+    ]
+    out.append(lambda: regular_module(alg.matrix_algebra(F, M5_SHIFTS)))
+    out.append(lambda: regular_module(alg.matrix_algebra(F, M5_SHIFTS).zero_part()))
+    out.append(lambda: regular_module(_forget(alg.matrix_algebra(F, M5_SHIFTS))))
+    for moduli in ((12,), (6,), (2, 6)):
+        out.append(
+            lambda m=moduli: regular_module(
+                _forget(alg.group_algebra(F, GradingGroup(0, m)))
+            )
+        )
+    for s in range(4):
+        out.append(
+            lambda s=s: random_presentation(
+                alg.matrix_algebra(F, M5_SHIFTS).positive_part(),
+                [[0], [1], [2]],
+                random.Random(s),
+            )
+        )
+    return out
+
+
+def _dense_centre(fd):
+    """The echelon basis of the centre from the dense commutator system,
+    (b_i b_j - b_j b_i)_k over j in row (i, k), eliminated in the field."""
+    F = fd.field
+    d = fd.dim
+    units = [endos._unit_vec(fd, i) for i in range(d)]
+    prods = [[fd.mul_vec(x, y) for y in units] for x in units]
+    rows = [
+        [F.sub(prods[i][j][k], prods[j][i][k]) for j in range(d)]
+        for i in range(d)
+        for k in range(d)
+    ]
+    return endos._echelon(_kernel.nullspace(rows, F.char), F.char)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=["Q", "F2", "F7"])
+def test_centre_spans_the_dense_commutator_null_space(monkeypatch, field):
+    # every algebra whose semisimple part is split, End(P)_0, its radical
+    # quotient or a block table mod q, has the centre of the dense system
+    met = []
+    split = endos.split_semisimple
+
+    def recording(fd, rng):
+        met.append(fd)
+        return split(fd, rng)
+
+    monkeypatch.setattr(endos, "split_semisimple", recording)
+    for build in _split_corpus(field):
+        split_projective(build(), random.Random(0))
+    assert met
+    for fd in met:
+        zvecs = fd.center_basis()
+        assert endos._echelon(zvecs, fd.field.char) == _dense_centre(fd)
+    # the zero part of M5 is M1 x M1 x M2 x M1, with a centre of dimension 4
+    assert 4 in {len(fd.center_basis()) for fd in met}
+
+
+def _m2_scaled(s):
+    """M2(Q) on the basis s E_11, E_12, E_21, E_22.  Its centre is spanned
+    by the unit E_11 + E_22 = b_0 / s + b_3, an entry 1/s to rebuild."""
+    basis = [(0, 0, s), (0, 1, 1), (1, 0, 1), (1, 1, 1)]  # (row, column, scale)
+    products = {}
+    for i, (r1, c1, s1) in enumerate(basis):
+        for j, (r2, c2, s2) in enumerate(basis):
+            vec = [Fraction(0)] * 4
+            if c1 == r2:
+                k = 2 * r1 + c2
+                vec[k] = Fraction(s1 * s2, basis[k][2])
+            products[i, j] = vec
+    unit = [Fraction(1, s), Fraction(0), Fraction(0), Fraction(1)]
+    return FDAlgebra.from_products(QQ, products, unit)
+
+
+def test_centre_falls_through_a_prime_too_small_to_rebuild(monkeypatch):
+    fd = _m2_scaled(2)
+    want = fd.center_basis()
+    assert want == [fd.unit]
+    # mod 3 only 0 and +-1 rebuild, and 1/2 comes back as -1
+    monkeypatch.setattr(endos, "_CENTRE_PRIMES", (3,))
+    with pytest.raises(SplitError, match="_CENTRE_PRIMES"):
+        fd.center_basis()
+    monkeypatch.setattr(endos, "_CENTRE_PRIMES", (3, 2**31 - 1))
+    assert fd.center_basis() == want
+
+
+def test_centre_combines_primes_by_crt(monkeypatch):
+    # 1/300 needs a modulus above 2 * 300^2: 101 * 103 is too small,
+    # 101 * 103 * 107 is large enough
+    fd = _m2_scaled(300)
+    want = fd.center_basis()
+    assert want == [fd.unit]
+    monkeypatch.setattr(endos, "_CENTRE_PRIMES", (101, 103))
+    with pytest.raises(SplitError, match="_CENTRE_PRIMES"):
+        fd.center_basis()
+    monkeypatch.setattr(endos, "_CENTRE_PRIMES", (101, 103, 107))
+    assert fd.center_basis() == want
+
+
+def test_centre_primes_are_named_when_exhausted(monkeypatch):
+    monkeypatch.setattr(endos, "_CENTRE_PRIMES", ())
+    with pytest.raises(SplitError, match="the 0 primes of _CENTRE_PRIMES"):
+        _m2_scaled(2).center_basis()
+
+
 def _rational_block_corpus():
     Z3 = GradingGroup(0, (3,))
     out = [
@@ -653,6 +766,19 @@ def test_block_table_mod_q_refuses_rows_not_closed_under_the_product():
     # products are the diagonal ones
     rows = [u for u in units if not any(fd.mul_vec(u, u))]
     assert len(rows) == 2
+    with pytest.raises(SplitError, match="not closed"):
+        endos._block_table_modq(fd, rows, 53)
+
+
+def test_block_table_mod_q_refuses_a_leftover_on_a_free_entry_only():
+    fd = _end_of_regular(_forget(alg.matrix_algebra(QQ, [0, 0])))
+    e11, e12, e21, _e22 = (endos._unit_vec(fd, b) for b in range(fd.dim))
+    assert fd.mul_vec(e12, e21) == e11
+    # E_11 (E_12 + E_21) = E_12 lies on the pivots only, at the second
+    # row's; read as that row it leaves -E_21, on the row's free entry
+    rows = [e11, [a + b for a, b in zip(e12, e21)]]
+    assert fd.mul_vec(rows[0], rows[0]) == rows[0]
+    assert fd.mul_vec(rows[0], rows[1]) == e12
     with pytest.raises(SplitError, match="not closed"):
         endos._block_table_modq(fd, rows, 53)
 
