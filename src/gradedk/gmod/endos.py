@@ -221,8 +221,8 @@ class FDAlgebra:
 
     def center_basis(self):
         """Basis of the centre: x with b_i x = x b_i for every basis b_i,
-        one vector per free column of the commutator system, as
-        ``_kernel.nullspace`` gives it.
+        one vector per free column of the commutator system: 1 there, 0
+        on the other free columns.
 
         Row (i, k) of the system is ``(b_i b_j - b_j b_i)_k`` over j, read
         from the table's integer cells (over Q scaled by ``table.den``,
@@ -270,9 +270,7 @@ def _commutator_rows(table, d):
             inv = pow(lead, -1, m)
             out.add(tuple((col, v * inv % m) for col, v in items))
         else:
-            g = 0
-            for _col, v in items:
-                g = gcd(g, v)
+            g = gcd(*(v for _col, v in items))
             g = g if lead > 0 else -g
             out.add(tuple((col, v // g) for col, v in items))
     return sorted(out)
@@ -350,11 +348,7 @@ def _rebuild_null_vector(v, M, rows):
         if x is None:
             return None
         out.append(x)
-    support = [(c, x) for c, x in enumerate(out) if x]
-    den = 1
-    for _c, x in support:
-        den = den // gcd(den, x.denominator) * x.denominator
-    w = {c: x.numerator * (den // x.denominator) for c, x in support}
+    w = dict(_kernel._cleared(out)[0])
     for row in rows:
         if sum(c * w.get(col, 0) for col, c in row):
             return None
