@@ -42,9 +42,8 @@ from dataclasses import dataclass
 from .. import _kernel
 from ..algebra import GradedAlgebra, GroupAlgebraA, MatrixAlgebra
 from ..grading import Subgroup
-from .endos import hom_basis, split_projective
+from .endos import _entries_to_vec, _raw_positions, hom_basis, hom_table, split_projective
 from .presentations import (
-    GradedMap,
     PresentationError,
     ProjectivePresentation,
     regular_module,
@@ -79,7 +78,12 @@ def indec_iso(X: ProjectivePresentation, Y: ProjectivePresentation) -> bool:
     X and Y (with local endomorphism rings) are isomorphic iff some
     composite v o u with u: X -> Y, v: Y -> X is invertible; a sum of
     non-invertible composites stays in the radical, so testing basis
-    pairs is complete.
+    pairs is complete.  Each v o u is taken in the table of End(F)_0, F
+    the free module on X's shifts, and lies in End(X)_0.  That algebra
+    is local, so its non-units form its radical, which is nilpotent of
+    index at most dim End(X)_0 <= n, the number of raw positions.  So
+    v o u is a unit exactly when its 2^k-th power, k = ceil(log2(n + 1)),
+    taken by k squarings, is not zero.
     """
     if X.algebra is not Y.algebra:
         raise PresentationError("isomorphism test needs one common algebra")
@@ -89,15 +93,20 @@ def indec_iso(X: ProjectivePresentation, Y: ProjectivePresentation) -> bool:
         return False
     if not dX:
         return True
-    window = list(dX)
-    us = hom_basis(X, Y)
-    vs = hom_basis(Y, X)
+    A = X.algebra
+    sx, sy = X.shifts, Y.shifts
+    pos_xy, pos_yx = _raw_positions(A, sy, sx), _raw_positions(A, sx, sy)
+    us = [_entries_to_vec(A, u, pos_xy) for u in hom_basis(X, Y)]
+    vs = [_entries_to_vec(A, v, pos_yx) for v in hom_basis(Y, X)]
+    compose = hom_table(A, sx, sy, sx)
+    square = hom_table(A, sx, sx, sx)
+    squarings = len(_raw_positions(A, sx, sx)).bit_length()
     for u in us:
-        fu = GradedMap(X, Y, u, check=False)
         for v in vs:
-            fv = GradedMap(Y, X, v, check=False)
-            comp = fv.compose(fu)
-            if comp.is_iso_on(window):
+            c = compose(v, u)
+            for _ in range(squarings):
+                c = square(c, c)
+            if any(c):
                 return True
     return False
 

@@ -1,13 +1,13 @@
 """Degree-zero endomorphism algebras and exact primitive idempotent splitting.
 
 End(P)_0 of a presentation is finite-dimensional whenever the component
-spaces meeting the shift pattern are; it is realized concretely as entry
-matrices.  For a free module F = A(s_1) + ... + A(s_k) every entry matrix
-of the right degrees is an endomorphism, so End(F)_0 has the raw
-positions (i, j, d, b) as its basis and its table is read straight from
-the algebra's pair tensors.  Splitting the unit into primitive
-orthogonal idempotents is the engine behind Krull-Schmidt
-decomposition:
+spaces meeting the shift pattern are.  A degree-0 map between free
+modules F = A(s_1) + ... + A(s_k) is held on its raw positions
+(i, j, d, b), and maps compose by one product table read straight from
+the algebra's pair tensors (``hom_table``).  End(F)_0 is that table;
+End(P)_0 = e End(F)_0 e and Hom(P, Q)_0 = e_Q Hom(F, G)_0 e_P are its
+corners.  Splitting the unit into primitive orthogonal idempotents is
+the engine behind Krull-Schmidt decomposition:
 
 * radical: one chain of ideals, after Cohen, Ivanyos and Wales
   (*Finding the radical of an algebra of linear transformations*, JPAA
@@ -55,8 +55,6 @@ from ..fields import Field
 from .presentations import (
     PresentationError,
     ProjectivePresentation,
-    entries_matmul,
-    entry_mul,
     identity_entries,
 )
 
@@ -67,7 +65,7 @@ class SplitError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# hom spaces as entry matrices
+# hom spaces on raw positions
 # ---------------------------------------------------------------------------
 
 
@@ -122,36 +120,67 @@ def _vec_to_entries(A, vec, positions, rows, cols):
     return entries
 
 
+def hom_table(A, s1, s2, s3):
+    """Composition of degree-0 maps between the free modules F_t =
+    A(s_t[0]) + A(s_t[1]) + ..., as the bilinear map Hom(F2, F3)_0 x
+    Hom(F1, F2)_0 -> Hom(F1, F3)_0 on the raw positions of the three
+    spaces.  End(F)_0 is the case s1 = s2 = s3.  Built once per shift
+    triple and kept in the algebra's ``_mul_cache`` beside the pair
+    tensors it is read from.
+
+    (E_ij a)(E_jk b) = E_ik ab, so each cell is one cell of the pair
+    tensor of the two entry degrees, moved to the positions of block
+    (i, k).  Cells come in the order of the positions, as products in
+    that basis would."""
+    key = (s1, s2, s3)
+    hit = A._mul_cache.get(key)
+    if hit is not None:
+        return hit
+    out = _raw_positions(A, s3, s1)
+    start = {(i, k): z for z, (i, k, _d, b) in enumerate(out) if b == 0}
+    lefts, rights = (
+        [(i, j, d, x) for x, (i, j, d, b) in enumerate(_raw_positions(A, t, s)) if b == 0]
+        for t, s in ((s3, s2), (s2, s1))
+    )
+    cells = {}
+    for i, j, d1, x0 in lefts:
+        right = []
+        for jj, k, d2, y0 in rights:
+            z0 = start.get((i, k))
+            if jj == j and z0 is not None:
+                tensor = A.pair_tensor(d1, d2)
+                right.append((tensor.rows, tensor.den, y0, z0))
+        for b1 in range(A.component_dim(d1)):
+            for rows, den, y0, z0 in right:
+                for b2, cell in rows.get(b1, {}).items():
+                    cells[x0 + b1, y0 + b2] = [
+                        (z0 + b3, c if den == 1 else Fraction(c, den))
+                        for b3, c in cell
+                    ]
+    table = A._mul_cache[key] = _kernel.Bilinear(cells, len(out), A.field.char)
+    return table
+
+
 def hom_basis(X: ProjectivePresentation, Y: ProjectivePresentation):
     """Basis of the degree-0 maps X -> Y, as entry matrices (normalized
     by the two idempotents).
 
     The spanning set is e_Y E e_X over the raw matrices E with a single
-    basis element a at (i, j).  Its (r, c) entry is Y[r][i] a X[j][c],
-    so each one is an outer product of column i of Y, a and row j of X.
-    """
+    basis element at one position, and the basis keeps its pivot
+    columns.  Both products are ``hom_table`` products: left
+    multiplication by e_Y gives every e_Y E at once, and each is then
+    multiplied by e_X."""
     if X.algebra is not Y.algebra:
         raise PresentationError("hom spaces need one common algebra")
     A = X.algebra
-    F = A.field
     positions = _raw_positions(A, Y.shifts, X.shifts)
-    if not positions:
-        return []
-    cols = []
-    for (i, j, d, b) in positions:
-        coords = [F.zero] * A.component_dim(d)
-        coords[b] = F.one
-        a = A.element(d, coords)
-        left = [entry_mul(row[i], a) for row in Y.entries]
-        proj = [[entry_mul(y, x) for x in X.entries[j]] for y in left]
-        cols.append(_entries_to_vec(A, proj, positions))
-    mat = [[cols[c][r] for c in range(len(cols))] for r in range(len(positions))]
-    _red, pivots = _kernel.rref(mat, F.char)
-    basis = []
-    for c in pivots:
-        vec = [mat[r][c] for r in range(len(positions))]
-        basis.append(_vec_to_entries(A, vec, positions, Y.rank, X.rank))
-    return basis
+    e_y = _entries_to_vec(A, Y.entries, _raw_positions(A, Y.shifts, Y.shifts))
+    e_x = _entries_to_vec(A, X.entries, _raw_positions(A, X.shifts, X.shifts))
+    left = hom_table(A, X.shifts, Y.shifts, Y.shifts).left(e_y, len(positions))
+    right = hom_table(A, X.shifts, X.shifts, Y.shifts)
+    cols = [right(col, e_x) for col in zip(*left)]
+    _red, pivots = _kernel.rref(list(zip(*cols)), A.field.char)
+    return [_vec_to_entries(A, cols[c], positions, Y.rank, X.rank) for c in pivots]
 
 
 # ---------------------------------------------------------------------------
@@ -1069,73 +1098,46 @@ def primitive_idempotents(fd: FDAlgebra, rng):
 # ---------------------------------------------------------------------------
 
 
-def _free_table(A, positions):
-    """Structure constants of End(F)_0, F free, in the raw positions.
-
-    (E_ij a)(E_jk b) = E_ik ab, so each cell is one cell of the pair
-    tensor of the two entry degrees, moved to the positions of block
-    (i, k).  Cells come in the order of the positions, as products in
-    that basis would."""
-    blocks = [(i, j, d, x) for x, (i, j, d, b) in enumerate(positions) if b == 0]
-    start = {(i, j): x for i, j, _d, x in blocks}
-    cells = {}
-    for i, j, d1, x0 in blocks:
-        right = []
-        for jj, k, d2, y0 in blocks:
-            z0 = start.get((i, k))
-            if jj == j and z0 is not None:
-                tensor = A.pair_tensor(d1, d2)
-                right.append((tensor.rows, tensor.den, y0, z0))
-        for b1 in range(A.component_dim(d1)):
-            for rows, den, y0, z0 in right:
-                for b2, cell in rows.get(b1, {}).items():
-                    cells[x0 + b1, y0 + b2] = [
-                        (z0 + b3, c if den == 1 else Fraction(c, den))
-                        for b3, c in cell
-                    ]
-    return _kernel.Bilinear(cells, len(positions), A.field.char)
-
-
 class EndAlgebra:
     """The degree-zero endomorphism algebra End(X)_0 of a presentation,
-    as ``fd``, an FDAlgebra in a basis of entry matrices.
+    as ``fd``, an FDAlgebra in a basis of maps on the raw positions
+    (i, j, d, b) of an entry matrix.
 
-    ``positions`` are the raw coordinates (i, j, d, b) of an entry
-    matrix.  For a free module, whose entries are the identity, the
-    basis is the positions themselves and the table comes from the pair
-    tensors.  Otherwise the basis is ``hom_basis(X, X)`` and each
-    product is an entry-matrix product read back in that basis.
-    ``coords_of`` and ``to_entries`` convert between the two forms."""
+    End(X)_0 = e End(F)_0 e is a corner of the table of the free module
+    F = A(s_1) + ... + A(s_k) (``hom_table``).  For a free module, whose
+    entries are the identity, the basis is the positions themselves and
+    that table is used as it is.  Otherwise the basis is
+    ``hom_basis(X, X)``, its products are taken in that table and read
+    back through an echelon basis.  ``coords_of`` and ``to_entries``
+    convert between coordinates and entry matrices."""
 
     def __init__(self, X: ProjectivePresentation):
         self.module = X
         A = X.algebra
         self.positions = _raw_positions(A, X.shifts, X.shifts)
-        if X.entries == identity_entries(A, X.shifts):
-            self.dim = len(self.positions)
-            self._span = None
-            unit = _entries_to_vec(A, X.entries, self.positions)
-            self.fd = FDAlgebra(A.field, _free_table(A, self.positions), unit)
-            return
-        basis_entries = hom_basis(X, X)
-        self.basis_vecs = [_entries_to_vec(A, e, self.positions) for e in basis_entries]
-        self.dim = len(basis_entries)
-        self._span = _kernel.EchelonBasis(self.basis_vecs, A.field.char)
-        products = {
-            (i, j): self.coords_of(entries_matmul(x, y))
-            for i, x in enumerate(basis_entries)
-            for j, y in enumerate(basis_entries)
-        }
-        unit = self.coords_of(X.entries) if self.dim else []
-        self.fd = FDAlgebra.from_products(A.field, products, unit)
+        table = hom_table(A, X.shifts, X.shifts, X.shifts)
+        self._span = None
+        if X.entries != identity_entries(A, X.shifts):
+            self.basis_vecs = [_entries_to_vec(A, e, self.positions) for e in hom_basis(X, X)]
+            self._span = _kernel.EchelonBasis(self.basis_vecs, A.field.char)
+            products = {
+                (i, j): enumerate(self._coords(table(x, y)))
+                for i, x in enumerate(self.basis_vecs)
+                for j, y in enumerate(self.basis_vecs)
+            }
+            table = _kernel.Bilinear(products, len(self.basis_vecs), A.field.char)
+        self.fd = FDAlgebra(A.field, table, self.coords_of(X.entries))
+        self.dim = self.fd.dim
 
     def coords_of(self, entries):
-        vec = _entries_to_vec(self.module.algebra, entries, self.positions)
+        return self._coords(_entries_to_vec(self.module.algebra, entries, self.positions))
+
+    def _coords(self, vec):
         if self._span is None:
             return vec
         sol = self._span.coords(vec)
         if sol is None:
-            raise SplitError("entry matrix escaped the endomorphism space")
+            raise SplitError("map escaped the endomorphism space")
         return sol
 
     def to_entries(self, vec):

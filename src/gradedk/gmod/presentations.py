@@ -452,19 +452,6 @@ class GradedMap:
                 return False
         return True
 
-    def compose(self, inner: "GradedMap") -> "GradedMap":
-        """self o inner (same-algebra maps only)."""
-        if any(f.source.algebra is not f.target.algebra for f in (self, inner)):
-            raise PresentationError("symbolic composition needs one common algebra")
-        if inner.target is not self.source:
-            raise PresentationError("composition target/source mismatch")
-        return GradedMap(
-            inner.source,
-            self.target,
-            entries_matmul(self.entries, inner.entries),
-            check=False,
-        )
-
 
 def identity_map(P: ProjectivePresentation) -> GradedMap:
     return GradedMap(P, P, P.entries, check=False)

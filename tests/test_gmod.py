@@ -215,19 +215,6 @@ def test_component_matrix_identity_and_zero(Qx):
         assert all(not x for row in m for x in row)
 
 
-def test_composition_matches_matrix_product(Qx):
-    P = random_presentation(Qx, [[0], [-1]], random.Random(21))
-    e = identity_map(P)
-    comp = e.compose(e)
-    w = default_window(Qx, [P], 1)
-    for h in w:
-        lhs = component_matrix(comp, h)
-        rhs = kern.mat_mul(
-            component_matrix(e, h), component_matrix(e, h), Qx.field.char
-        )
-        assert lhs == rhs
-
-
 # -- Nakayama ------------------------------------------------------------------
 
 

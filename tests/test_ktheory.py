@@ -428,3 +428,28 @@ def test_k0_rank_of_matrix_zero_part(seed, p):
     shifts = _random_shift_multiset(seed)
     A = alg.matrix_algebra(F, shifts).zero_part()
     assert kt.k0(A).module.total_rank() == len(set(shifts))
+
+
+def _orbit_multiset(res):
+    """The orbits of a K0 result as a sorted list of (orbit size, stabilizer
+    lattice rows); orbit size is the stabilizer's index, None if infinite.
+    Class labels are left out: they follow registration order."""
+    return sorted(
+        ((o.stabilizer.index(), o.stabilizer.rows) for o in res.orbits),
+        key=repr,
+    )
+
+
+@pytest.mark.parametrize("shifts", [[0, 1, 2], [0, 1, 2, 2, 3]])
+@pytest.mark.parametrize("p", [0, 2, 7])
+def test_k0_is_graded_morita_invariant(p, shifts):
+    # M_2(F)(0, 1) (x) B = M_2(B)(0, 1) is graded Morita equivalent to B
+    # (Hazrat, Graded Rings and Graded Grothendieck Groups, 2016, 2.3), so
+    # both K0 are the same Z[Z]-module with the same orbits
+    F = GF(p) if p else QQ
+    B = alg.matrix_algebra(F, shifts).positive_part()
+    lhs = kt.k0(alg.tensor_product(alg.matrix_algebra(F, [0, 1]), B))
+    rhs = kt.k0(B)
+    assert lhs.module.describe() == rhs.module.describe()
+    assert rhs.module.describe() == f"free Z[Z]-module of rank {len(set(shifts))}"
+    assert _orbit_multiset(lhs) == _orbit_multiset(rhs)

@@ -7,6 +7,7 @@ characteristic, triangular matrix algebras, full matrix algebras over Q
 and over prime fields, cyclotomic commutative algebras).
 """
 
+import importlib
 import random
 from fractions import Fraction
 from math import prod
@@ -35,7 +36,16 @@ from gradedk.gmod.endos import (
     primitive_idempotents,
     radical_basis,
 )
-from gradedk.gmod.presentations import ProjectivePresentation, entries_matmul
+from gradedk.gmod.presentations import (
+    GradedMap,
+    ProjectivePresentation,
+    entries_are_zero,
+    entries_matmul,
+    identity_entries,
+)
+
+# the package exports the function decompose under the submodule's name
+dec = importlib.import_module("gradedk.gmod.decompose")
 
 
 def _end_of_regular(A):
@@ -853,6 +863,85 @@ def test_hom_basis_matches_two_product_construction(build, shifts, zero_hom):
     assert (0 in dims) == zero_hom
 
 
+def _indec_iso_by_graded_maps(X, Y):
+    """The isomorphism test on component matrices: some composite v u of
+    hom-space basis maps, an entry-matrix product, is an isomorphism in
+    every degree of the support window."""
+    window = dec.module_support_degrees(X)
+    if window != dec.module_support_degrees(Y):
+        return False
+    return not window or any(
+        GradedMap(X, X, entries_matmul(v, u), check=False).is_iso_on(list(window))
+        for u in endos.hom_basis(X, Y)
+        for v in endos.hom_basis(Y, X)
+    )
+
+
+@pytest.mark.parametrize("build,shifts,zero_hom", HOM_CASES)
+def test_indec_iso_matches_graded_map_oracle(build, shifts, zero_hom):
+    A = build()
+    if shifts is None:
+        P = regular_module(A)
+    else:
+        P = random_presentation(A, shifts, random.Random(7))
+    summands = [X for X, _blk in split_projective(P, random.Random(0))]
+    if A.group.free_rank:
+        summands += [X.shift(A.group.degree([k])) for X in summands for k in (1, -1)]
+    verdicts = set()
+    for X in summands:
+        for Y in summands:
+            got = dec.indec_iso(X, Y)
+            assert got == _indec_iso_by_graded_maps(X, Y)
+            verdicts.add(got)
+    # every summand is isomorphic to itself; over a matrix algebra, with
+    # no shifts, all of them are isomorphic to each other
+    assert verdicts == ({True, False} if zero_hom or A.group.free_rank else {True})
+
+
+class _TruncatedPolynomials(alg.GradedAlgebra):
+    """F[x]/(x^n) graded by Z/2 with x of degree 1.  It is local and its
+    degree-1 part is nilpotent, so A(1) is not A, though the two have the
+    same dimensions, and x o x = x^2 is a nonzero non-unit composite."""
+
+    def __init__(self, field, n):
+        super().__init__(GradingGroup(0, (2,)), field)
+        self.n = n
+
+    def _component_basis(self, deg):
+        return tuple(k for k in range(self.n) if k % 2 == deg.values[0])
+
+    def _mul_labels(self, da, la, db, lb):
+        if la + lb < self.n:
+            yield la + lb, self.field.one
+
+    def one_terms(self):
+        return [(0, self.field.one)]
+
+    def support_bounds(self):
+        return ()
+
+    def support_radius(self):
+        return ()
+
+    def describe(self):
+        return f"{self.field.describe()}[x]/(x^{self.n})"
+
+
+@pytest.mark.parametrize("F", [QQ, GF(2), GF(7)])
+def test_indec_iso_refuses_a_nonzero_nilpotent_composite(F):
+    A = _TruncatedPolynomials(F, 4)
+    X = regular_module(A)
+    Y = X.shift(A.group.degree([1]))
+    assert dec.module_support_degrees(X) == dec.module_support_degrees(Y)
+    assert any(
+        not entries_are_zero(entries_matmul(v, u))
+        for u in endos.hom_basis(X, Y)
+        for v in endos.hom_basis(Y, X)
+    )
+    for P, Q, iso in ((X, Y, False), (Y, X, False), (X, X, True), (Y, Y, True)):
+        assert dec.indec_iso(P, Q) == _indec_iso_by_graded_maps(P, Q) == iso
+
+
 # -- End(F)_0 of a free module: the pair-tensor table against entry products ------
 
 
@@ -877,23 +966,29 @@ def _free_corpus():
 
 def _end_table_from_entry_products(X):
     """End(X)_0 the generic way: ``hom_basis``, entry-matrix products,
-    and coordinates read in the positions, which for a free module is
-    the basis ``hom_basis`` returns."""
+    and coordinates read through an echelon basis of the ``hom_basis``
+    vectors.  For a free module that basis is the positions."""
     A = X.algebra
     F = A.field
     positions = endos._raw_positions(A, X.shifts, X.shifts)
     basis = endos.hom_basis(X, X)
-    n = len(positions)
-    assert [endos._entries_to_vec(A, e, positions) for e in basis] == [
-        [F.one if r == c else F.zero for r in range(n)] for c in range(n)
-    ]
+    vecs = [endos._entries_to_vec(A, e, positions) for e in basis]
+    if X.entries == identity_entries(A, X.shifts):
+        n = len(positions)
+        assert vecs == [[F.one if r == c else F.zero for r in range(n)] for c in range(n)]
+    span = _kernel.EchelonBasis(vecs, F.char)
+
+    def coords(entries):
+        sol = span.coords(endos._entries_to_vec(A, entries, positions))
+        assert sol is not None
+        return sol
+
     products = {
-        (i, j): endos._entries_to_vec(A, entries_matmul(x, y), positions)
+        (i, j): coords(entries_matmul(x, y))
         for i, x in enumerate(basis)
         for j, y in enumerate(basis)
     }
-    unit = endos._entries_to_vec(A, X.entries, positions)
-    return FDAlgebra.from_products(F, products, unit)
+    return FDAlgebra.from_products(F, products, coords(X.entries))
 
 
 @pytest.mark.parametrize("build,shifts", _free_corpus())
@@ -906,6 +1001,31 @@ def test_free_end_table_matches_entry_products(build, shifts):
     assert got.table.rows == want.table.rows
     assert got.table.den == want.table.den
     assert got.unit == want.unit
+
+
+def _presented_corpus():
+    out = []
+    for F in (QQ, GF(2), GF(7)):
+        out.append((lambda F=F: alg.matrix_algebra(F, M5_SHIFTS).positive_part(), [[0], [1], [1], [2]]))
+        out.append((lambda F=F: _forget(alg.group_algebra(F, GradingGroup(0, (6,)))), [[], [], []]))
+    return out
+
+
+@pytest.mark.parametrize("build,shifts", _presented_corpus())
+def test_presented_end_table_matches_entry_products(build, shifts):
+    A = build()
+    presented = 0
+    for seed in (1, 2):
+        P = random_presentation(A, shifts, random.Random(seed))
+        for X in [P] + [X for X, _blk in split_projective(P, random.Random(seed))]:
+            presented += X.entries != identity_entries(A, X.shifts)
+            got = EndAlgebra(X).fd
+            want = _end_table_from_entry_products(X)
+            assert got.dim == want.dim
+            assert got.table.rows == want.table.rows
+            assert got.table.den == want.table.den
+            assert got.unit == want.unit
+    assert presented
 
 
 def test_conjugated_free_presentation_agrees_with_its_free_counterpart(monkeypatch):
