@@ -100,7 +100,7 @@ def indec_iso(X: ProjectivePresentation, Y: ProjectivePresentation) -> bool:
     vs = [_entries_to_vec(A, v, pos_yx) for v in hom_basis(Y, X)]
     compose = hom_table(A, sx, sy, sx)
     square = hom_table(A, sx, sx, sx)
-    squarings = len(_raw_positions(A, sx, sx)).bit_length()
+    squarings = square.out_dim.bit_length()
     for u in us:
         for v in vs:
             c = compose(v, u)
