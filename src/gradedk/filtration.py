@@ -95,7 +95,8 @@ def layer(P: ProjectivePresentation, k: int, *, section_seed: Optional[int] = No
     The induced form does not depend on any section choice; passing a
     ``section_seed`` additionally verifies that fact against the seeded
     section (see `verify_section_independence`) before returning the
-    canonical presentation.
+    canonical presentation.  The verification does not depend on k, and
+    its section's image ranks are measured once per P, seed and margin.
     """
     require_positive_support(P.algebra)
     jumps = jump_degrees(P)
@@ -198,6 +199,10 @@ def verify_section_independence(P: ProjectivePresentation, seeds=(0, 1), margin:
     image subspaces must coincide across seeds degree by degree, and the
     successive dimension differences must equal the layer dimensions of
     the canonical induced form.
+
+    The measured image ranks of a seed are kept in ``P._derived`` under
+    (seed, margin), so psi_s is built once per presentation; the checks
+    run on every call.
     """
     window = default_window(P.algebra, [P], margin)
     jumps = jump_degrees(P)
@@ -206,9 +211,11 @@ def verify_section_independence(P: ProjectivePresentation, seeds=(0, 1), margin:
     result = {"ok": True, "jumps": jumps, "per_seed": []}
     reference = None
     for seed in seeds:
-        rng = random.Random(seed)
-        ps = psi(P, rng)
-        profile = {h: _image_ranks(ps, h, row_sets) for h in window}
+        profile = P._derived.get(("section ranks", seed, margin))
+        if profile is None:
+            ps = psi(P, random.Random(seed))
+            profile = {h: _image_ranks(ps, h, row_sets) for h in window}
+            P._derived[("section ranks", seed, margin)] = profile
         result["per_seed"].append({"seed": seed})
         # successive differences must equal canonical layer dims
         for h in window:

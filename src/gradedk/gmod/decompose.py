@@ -349,15 +349,23 @@ def lift_from_zero_part(A: GradedAlgebra, X: ProjectivePresentation) -> Projecti
 
 
 def summand_classes(P: ProjectivePresentation, seed: int = 0) -> dict:
-    """Canonical class multiset: (block, shift mod class stabilizer) -> mult."""
+    """Canonical class multiset: (block, shift mod class stabilizer) -> mult.
+
+    Computed once per presentation and seed and kept in ``P._derived``;
+    a caller gets a copy.  Registered classes only accumulate, and a new
+    class is registered only when no earlier one is isomorphic to the
+    summand, so a second decomposition of P would find the same keys."""
     if P.rank == 0 or P.is_zero():
         return {}
-    reduction = _registry(P.algebra)
-    out = {}
-    for (blk, g), m in reduction.count(P, random.Random(seed)).items():
-        key = (blk, reduction.classes[blk].stabilizer.reduce(g))
-        out[key] = out.get(key, 0) + m
-    return out
+    hit = P._derived.get(("classes", seed))
+    if hit is None:
+        reduction = _registry(P.algebra)
+        hit = {}
+        for (blk, g), m in reduction.count(P, random.Random(seed)).items():
+            key = (blk, reduction.classes[blk].stabilizer.reduce(g))
+            hit[key] = hit.get(key, 0) + m
+        P._derived[("classes", seed)] = hit
+    return dict(hit)
 
 
 def decompose(P: ProjectivePresentation, seed: int = 0):

@@ -168,18 +168,22 @@ def hom_basis(X: ProjectivePresentation, Y: ProjectivePresentation):
     The spanning set is e_Y E e_X over the raw matrices E with a single
     basis element at one position, and the basis keeps its pivot
     columns.  Both products are ``hom_table`` products: left
-    multiplication by e_Y gives every e_Y E at once, and each is then
-    multiplied by e_X."""
+    multiplication by e_Y gives every e_Y E at once, and only its pivot
+    columns are multiplied by e_X -- any other column lies in the span
+    of earlier ones, and so does its image, which is never a pivot."""
     if X.algebra is not Y.algebra:
         raise PresentationError("hom spaces need one common algebra")
     A = X.algebra
+    char = A.field.char
     positions = _raw_positions(A, Y.shifts, X.shifts)
     e_y = _entries_to_vec(A, Y.entries, _raw_positions(A, Y.shifts, Y.shifts))
     e_x = _entries_to_vec(A, X.entries, _raw_positions(A, X.shifts, X.shifts))
     left = hom_table(A, X.shifts, Y.shifts, Y.shifts).left(e_y, len(positions))
     right = hom_table(A, X.shifts, X.shifts, Y.shifts)
-    cols = [right(col, e_x) for col in zip(*left)]
-    _red, pivots = _kernel.rref(list(zip(*cols)), A.field.char)
+    _red, spanning = _kernel.rref(left, char)
+    left_cols = list(zip(*left))
+    cols = [right(left_cols[c], e_x) for c in spanning]
+    _red, pivots = _kernel.rref(list(zip(*cols)), char)
     return [_vec_to_entries(A, cols[c], positions, Y.rank, X.rank) for c in pivots]
 
 

@@ -10,10 +10,12 @@ in a fixed degree.
 Degree-zero maps between presentations are matrices of homogeneous
 entries intertwining the idempotents.
 
-A presentation does not change once built, so the presentations derived
-from it -- restriction T and induction S (``swan``), the induced slices
-of its filtration and its shifts -- are built once and kept in its
-``_derived`` dict, and their component spaces with them.
+A presentation does not change once built, so what is derived from it
+is computed once and kept in its ``_derived`` dict: the presentations
+restriction T and induction S (``swan``), the induced slices of its
+filtration and its shifts, with their component spaces; its class
+multiset per seed (``decompose.summand_classes``); and the image ranks
+of each seeded section (``filtration.verify_section_independence``).
 
 The zero part, its embedding, a trivial extension of the grading and
 the identity component read their components from the parent's basis

@@ -163,3 +163,32 @@ def test_induced_slices_are_built_once(Qx):
     P = random_presentation(Qx, [[0], [-1], [2]], random.Random(4))
     assert all(a is b for a, b in zip(filt.layers(P), filt.layers(P)))
     assert filt.filter_module(P, 5) is filt.filter_module(P, 5)
+
+
+def test_section_ranks_are_measured_once_per_seed_and_margin(Qx, monkeypatch):
+    P = random_presentation(Qx, [[0], [-1], [2]], random.Random(9))
+    s = 3
+    assert filt.verify_section_independence(P, seeds=(s, s + 1))["ok"]
+    calls = []
+    real = filt.psi
+
+    def counted(Q, rng):
+        calls.append(Q)
+        return real(Q, rng)
+
+    monkeypatch.setattr(filt, "psi", counted)
+    jumps = filt.jump_degrees(P)
+    assert len(jumps) == 3
+    for k in range(len(jumps)):
+        filt.layer(P, k, section_seed=s)
+    assert calls == []
+    # a profile under another margin is measured on its own
+    filt.layer(P, 0, section_seed=s, margin=3)
+    assert len(calls) == 1
+    # the checks run on cached ranks: wrong ranks are caught
+    key = ("section ranks", s + 1, 2)
+    P._derived[key] = {h: [r + 1 for r in ranks] for h, ranks in P._derived[key].items()}
+    assert not filt.verify_section_independence(P, seeds=(s, s + 1))["ok"]
+    with pytest.raises(pres.PresentationError):
+        filt.layer(P, 0, section_seed=s + 1)
+    assert len(calls) == 1

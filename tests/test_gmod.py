@@ -490,6 +490,47 @@ def test_shared_shift_keeps_its_component_spaces(Qx):
     assert space.dim == P.dim(g + h)
 
 
+def _class_memo_corpus():
+    out = []
+    for F in (QQ, GF(2), GF(7)):
+        out.append((alg.matrix_algebra(F, [0, 1, 2, 2, 3]).positive_part(), [[0], [1], [3]]))
+        out.append((alg.forget_grading(alg.group_algebra(F, GradingGroup(0, (6,)))), [[], [], []]))
+    # an induction algebra whose zero part is split by the finite registry
+    base = alg.matrix_algebra(QQ, [0, 1, 2]).positive_part()
+    out.append((alg.polynomial_extension(base, [1]), [[0], [1], [-1]]))
+    return [pytest.param(A, shifts, id=A.describe()) for A, shifts in out]
+
+
+@pytest.mark.parametrize("A,shifts", _class_memo_corpus())
+def test_class_multiset_is_derived_once_per_presentation(monkeypatch, A, shifts):
+    splits = []
+    real = dec.split_projective
+
+    def counted(P, rng):
+        splits.append(P)
+        return real(P, rng)
+
+    monkeypatch.setattr(dec, "split_projective", counted)
+    P = random_presentation(A, shifts, random.Random(11))
+    first = summand_classes(P)
+    assert first and splits  # the counter sees the first decomposition
+    before = len(splits)
+    again = summand_classes(P)
+    assert again == first and len(splits) == before
+    # a caller's copy does not reach the memo
+    again.clear()
+    assert summand_classes(P) == first
+    # register other modules, then decompose a twin of P from scratch
+    for seed in range(2):
+        summand_classes(random_presentation(A, shifts[:2], random.Random(20 + seed)))
+    twin = ProjectivePresentation(A, P.shifts, P.entries)
+    assert summand_classes(twin) == first
+    # seed invariance: seed 1 splits P anew and finds the same multiset
+    before = len(splits)
+    assert summand_classes(P, seed=1) == first
+    assert len(splits) > before
+
+
 # -- cross-path oracle: the matrix-algebra special case against the registry -------
 
 
