@@ -176,6 +176,8 @@ def _image_ranks(map_obj: GradedMap, h: Degree, row_sets):
     if not row_sets:
         return []
     src_sp = map_obj.source.space(h)
+    if not src_sp.dim:
+        return [0] * len(row_sets)
     char = map_obj.target.algebra.field.char
     full = map_obj.component_matrix(h)
     blocks = list(enumerate(zip(src_sp.offsets, src_sp.block_dims)))

@@ -42,10 +42,11 @@ from dataclasses import dataclass
 from .. import _kernel
 from ..algebra import GradedAlgebra, GroupAlgebraA, MatrixAlgebra
 from ..grading import Subgroup
-from .endos import _entries_to_vec, _raw_positions, hom_basis, hom_table, split_projective
+from .endos import hom_basis, split_projective
 from .presentations import (
     PresentationError,
     ProjectivePresentation,
+    hom_table,
     regular_module,
     relabel,
     restrict_rows,
@@ -95,9 +96,7 @@ def indec_iso(X: ProjectivePresentation, Y: ProjectivePresentation) -> bool:
         return True
     A = X.algebra
     sx, sy = X.shifts, Y.shifts
-    pos_xy, pos_yx = _raw_positions(A, sy, sx), _raw_positions(A, sx, sy)
-    us = [_entries_to_vec(A, u, pos_xy) for u in hom_basis(X, Y)]
-    vs = [_entries_to_vec(A, v, pos_yx) for v in hom_basis(Y, X)]
+    us, vs = hom_basis(X, Y), hom_basis(Y, X)
     compose = hom_table(A, sx, sy, sx)
     square = hom_table(A, sx, sx, sx)
     squarings = square.out_dim.bit_length()

@@ -2,11 +2,11 @@
 
 End(P)_0 of a presentation is finite-dimensional whenever the component
 spaces meeting the shift pattern are.  A degree-0 map between free
-modules F = A(s_1) + ... + A(s_k) is held on its raw positions
-(i, j, d, b), and maps compose by one product table read straight from
-the algebra's pair tensors (``hom_table``).  End(F)_0 is that table;
-End(P)_0 = e End(F)_0 e and Hom(P, Q)_0 = e_Q Hom(F, G)_0 e_P are its
-corners.  Splitting the unit into primitive orthogonal idempotents is
+modules F = A(s_1) + ... + A(s_k) is a vector on the raw positions of
+``presentations``, and maps compose by its one product table
+(``presentations.hom_table``).  End(F)_0 is that table; End(P)_0 =
+e End(F)_0 e and Hom(P, Q)_0 = e_Q Hom(F, G)_0 e_P are its corners.
+Splitting the unit into primitive orthogonal idempotents is
 the engine behind Krull-Schmidt decomposition:
 
 * radical: one chain of ideals, after Cohen, Ivanyos and Wales
@@ -55,115 +55,24 @@ from ..fields import Field
 from .presentations import (
     PresentationError,
     ProjectivePresentation,
+    SplitError,
+    entries_to_vec,
+    hom_table,
     identity_entries,
+    raw_positions,
+    vec_to_entries,
 )
 
 
-class SplitError(RuntimeError):
-    """Idempotent splitting failed internal verification (a bug or an
-    input outside the supported family), never a silent wrong answer."""
-
-
 # ---------------------------------------------------------------------------
-# hom spaces on raw positions
+# hom spaces
 # ---------------------------------------------------------------------------
-
-
-def _raw_positions(A, tgt_shifts, src_shifts):
-    pos = []
-    for i, ti in enumerate(tgt_shifts):
-        for j, sj in enumerate(src_shifts):
-            d = ti - sj
-            for b in range(A.component_dim(d)):
-                pos.append((i, j, d, b))
-    return pos
-
-
-def _entries_to_vec(A, entries, positions):
-    """The coordinates of an entry matrix at ``positions``.  A nonzero
-    entry whose degree is not its position's, or that has no position,
-    is not a map of degree 0 and raises SplitError."""
-    zero = A.field.zero
-    vec = []
-    read = set()
-    for (i, j, d, b) in positions:
-        if b == 0:
-            ent = entries[i][j]
-            coords = None
-            if ent is not None:
-                read.add((i, j))
-                if ent.degree == d:
-                    coords = ent.coords
-                elif any(ent.coords):
-                    raise SplitError(
-                        f"entry ({i},{j}) has degree {ent.degree}, expected {d}"
-                    )
-        vec.append(zero if coords is None else coords[b])
-    for i, row in enumerate(entries):
-        for j, ent in enumerate(row):
-            if ent is not None and (i, j) not in read and any(ent.coords):
-                raise SplitError(f"entry ({i},{j}) is nonzero in a zero component")
-    return vec
-
-
-def _vec_to_entries(A, vec, positions, rows, cols):
-    zero = A.field.zero
-    acc = {}
-    for val, (i, j, d, b) in zip(vec, positions):
-        if val:
-            acc.setdefault((i, j, d), {})[b] = val
-    entries = [[None] * cols for _ in range(rows)]
-    for (i, j, d), comp in acc.items():
-        n = A.component_dim(d)
-        coords = [comp.get(b, zero) for b in range(n)]
-        entries[i][j] = A.element(d, coords)
-    return entries
-
-
-def hom_table(A, s1, s2, s3):
-    """Composition of degree-0 maps between the free modules F_t =
-    A(s_t[0]) + A(s_t[1]) + ..., as the bilinear map Hom(F2, F3)_0 x
-    Hom(F1, F2)_0 -> Hom(F1, F3)_0 on the raw positions of the three
-    spaces.  End(F)_0 is the case s1 = s2 = s3.  Built once per shift
-    triple and kept in the algebra's ``_mul_cache`` beside the pair
-    tensors it is read from.
-
-    (E_ij a)(E_jk b) = E_ik ab, so each cell is one cell of the pair
-    tensor of the two entry degrees, moved to the positions of block
-    (i, k).  Cells come in the order of the positions, as products in
-    that basis would."""
-    key = (s1, s2, s3)
-    hit = A._mul_cache.get(key)
-    if hit is not None:
-        return hit
-    out = _raw_positions(A, s3, s1)
-    start = {(i, k): z for z, (i, k, _d, b) in enumerate(out) if b == 0}
-    lefts, rights = (
-        [(i, j, d, x) for x, (i, j, d, b) in enumerate(_raw_positions(A, t, s)) if b == 0]
-        for t, s in ((s3, s2), (s2, s1))
-    )
-    cells = {}
-    for i, j, d1, x0 in lefts:
-        right = []
-        for jj, k, d2, y0 in rights:
-            z0 = start.get((i, k))
-            if jj == j and z0 is not None:
-                tensor = A.pair_tensor(d1, d2)
-                right.append((tensor.rows, tensor.den, y0, z0))
-        for b1 in range(A.component_dim(d1)):
-            for rows, den, y0, z0 in right:
-                for b2, cell in rows.get(b1, {}).items():
-                    cells[x0 + b1, y0 + b2] = [
-                        (z0 + b3, c if den == 1 else Fraction(c, den))
-                        for b3, c in cell
-                    ]
-    table = A._mul_cache[key] = _kernel.Bilinear(cells, len(out), A.field.char)
-    return table
 
 
 def hom_basis(X: ProjectivePresentation, Y: ProjectivePresentation):
-    """Basis of the degree-0 maps X -> Y, as entry matrices (normalized
-    by the two idempotents).
+    """Basis of the degree-0 maps X -> Y, as vectors on the raw positions
+    ``raw_positions(A, Y.shifts, X.shifts)`` (normalized by the two
+    idempotents).
 
     The spanning set is e_Y E e_X over the raw matrices E with a single
     basis element at one position, and the basis keeps its pivot
@@ -175,16 +84,16 @@ def hom_basis(X: ProjectivePresentation, Y: ProjectivePresentation):
         raise PresentationError("hom spaces need one common algebra")
     A = X.algebra
     char = A.field.char
-    positions = _raw_positions(A, Y.shifts, X.shifts)
-    e_y = _entries_to_vec(A, Y.entries, _raw_positions(A, Y.shifts, Y.shifts))
-    e_x = _entries_to_vec(A, X.entries, _raw_positions(A, X.shifts, X.shifts))
-    left = hom_table(A, X.shifts, Y.shifts, Y.shifts).left(e_y, len(positions))
+    e_y = entries_to_vec(A, Y.entries, raw_positions(A, Y.shifts, Y.shifts))
+    e_x = entries_to_vec(A, X.entries, raw_positions(A, X.shifts, X.shifts))
+    by_y = hom_table(A, X.shifts, Y.shifts, Y.shifts)
+    left = by_y.left(e_y, by_y.out_dim)
     right = hom_table(A, X.shifts, X.shifts, Y.shifts)
     _red, spanning = _kernel.rref(left, char)
     left_cols = list(zip(*left))
     cols = [right(left_cols[c], e_x) for c in spanning]
     _red, pivots = _kernel.rref(list(zip(*cols)), char)
-    return [_vec_to_entries(A, cols[c], positions, Y.rank, X.rank) for c in pivots]
+    return [cols[c] for c in pivots]
 
 
 # ---------------------------------------------------------------------------
@@ -1118,11 +1027,11 @@ class EndAlgebra:
     def __init__(self, X: ProjectivePresentation):
         self.module = X
         A = X.algebra
-        self.positions = _raw_positions(A, X.shifts, X.shifts)
+        self.positions = raw_positions(A, X.shifts, X.shifts)
         table = hom_table(A, X.shifts, X.shifts, X.shifts)
         self._span = None
         if X.entries != identity_entries(A, X.shifts):
-            self.basis_vecs = [_entries_to_vec(A, e, self.positions) for e in hom_basis(X, X)]
+            self.basis_vecs = hom_basis(X, X)
             self._span = _kernel.EchelonBasis(self.basis_vecs, A.field.char)
             products = {
                 (i, j): enumerate(self._coords(table(x, y)))
@@ -1134,7 +1043,7 @@ class EndAlgebra:
         self.dim = self.fd.dim
 
     def coords_of(self, entries):
-        return self._coords(_entries_to_vec(self.module.algebra, entries, self.positions))
+        return self._coords(entries_to_vec(self.module.algebra, entries, self.positions))
 
     def _coords(self, vec):
         if self._span is None:
@@ -1154,9 +1063,7 @@ class EndAlgebra:
             for c, bvec in zip(vec, self.basis_vecs):
                 if c:
                     raw = [F.add(a, F.mul(c, b)) for a, b in zip(raw, bvec)]
-        return _vec_to_entries(
-            A, raw, self.positions, self.module.rank, self.module.rank
-        )
+        return vec_to_entries(A, raw, self.positions, self.module.rank, self.module.rank)
 
 
 def split_projective(X: ProjectivePresentation, rng):

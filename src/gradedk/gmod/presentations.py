@@ -8,7 +8,14 @@ A_{s_i + h}, so every question about P reduces to exact linear algebra
 in a fixed degree.
 
 Degree-zero maps between presentations are matrices of homogeneous
-entries intertwining the idempotents.
+entries intertwining the idempotents.  This module owns their one
+product: a degree-0 map between free modules A(s_1) + ... + A(s_k) is
+held on its raw positions (i, j, d, b), coordinate b of entry (i, j) of
+degree d (``raw_positions``, ``entries_to_vec``, ``vec_to_entries``),
+and maps compose by one table read from the algebra's pair tensors
+(``hom_table``).  The idempotent check, random presentations, the
+sections and psi of ``swan``, hom spaces and End(P)_0 (``endos``) and
+the isomorphism test of ``decompose`` all multiply there.
 
 A presentation does not change once built, so what is derived from it
 is computed once and kept in its ``_derived`` dict: the presentations
@@ -28,6 +35,7 @@ read their source along the same degree maps.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 from .. import _kernel
@@ -39,60 +47,14 @@ class PresentationError(ValueError):
     pass
 
 
-# -- entry-matrix helpers (entries: HomogeneousElement or None for zero) ----
+class SplitError(RuntimeError):
+    """Idempotent splitting failed internal verification (a bug or an
+    input outside the supported family), never a silent wrong answer."""
 
 
-def entry_add(x, y):
-    if x is None:
-        return y
-    if y is None:
-        return x
-    z = x + y
-    return None if z.is_zero() else z
-
-
-def entry_mul(x, y):
-    if x is None or y is None:
-        return None
-    z = x * y
-    return None if z.is_zero() else z
-
-
-def entries_matmul(X, Y):
-    n = len(X)
-    mid = len(Y)
-    m = len(Y[0]) if mid else 0
-    out = [[None] * m for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            acc = None
-            for t in range(mid):
-                acc = entry_add(acc, entry_mul(X[i][t], Y[t][j]))
-            out[i][j] = acc
-    return out
-
-
-def entries_add(X, Y):
-    return [
-        [entry_add(a, b) for a, b in zip(rx, ry)]
-        for rx, ry in zip(X, Y)
-    ]
-
-
-def entries_eq(X, Y):
-    for rx, ry in zip(X, Y):
-        for a, b in zip(rx, ry):
-            if a is None and b is None:
-                continue
-            if a is None:
-                if not b.is_zero():
-                    return False
-            elif b is None:
-                if not a.is_zero():
-                    return False
-            elif a.degree != b.degree or a.coords != b.coords:
-                return False
-    return True
+# Random entries of test modules (``random_presentation`` and the seeded
+# sections of ``swan``) draw each coordinate from -RANDOM_COORD..RANDOM_COORD.
+RANDOM_COORD = 2
 
 
 def entries_are_zero(X):
@@ -103,6 +65,105 @@ def identity_entries(A: GradedAlgebra, shifts):
     k = len(shifts)
     one = A.one()
     return [[one if i == j else None for j in range(k)] for i in range(k)]
+
+
+# -- degree-0 maps of free modules on raw positions ----------------------------
+
+
+def raw_positions(A, tgt_shifts, src_shifts):
+    """The coordinates (i, j, d, b) of a degree-0 map A(src) -> A(tgt):
+    coordinate b of entry (i, j), whose degree is d = tgt_i - src_j."""
+    pos = []
+    for i, ti in enumerate(tgt_shifts):
+        for j, sj in enumerate(src_shifts):
+            d = ti - sj
+            for b in range(A.component_dim(d)):
+                pos.append((i, j, d, b))
+    return pos
+
+
+def entries_to_vec(A, entries, positions):
+    """The coordinates of an entry matrix at ``positions``.  A nonzero
+    entry whose degree is not its position's, or that has no position,
+    is not a map of degree 0 and raises SplitError."""
+    zero = A.field.zero
+    vec = []
+    read = set()
+    for (i, j, d, b) in positions:
+        if b == 0:
+            ent = entries[i][j]
+            coords = None
+            if ent is not None:
+                read.add((i, j))
+                if ent.degree == d:
+                    coords = ent.coords
+                elif any(ent.coords):
+                    raise SplitError(
+                        f"entry ({i},{j}) has degree {ent.degree}, expected {d}"
+                    )
+        vec.append(zero if coords is None else coords[b])
+    for i, row in enumerate(entries):
+        for j, ent in enumerate(row):
+            if ent is not None and (i, j) not in read and any(ent.coords):
+                raise SplitError(f"entry ({i},{j}) is nonzero in a zero component")
+    return vec
+
+
+def vec_to_entries(A, vec, positions, rows, cols):
+    """The rows x cols entry matrix of a vector on ``positions``; an
+    entry with no nonzero coordinate is None."""
+    zero = A.field.zero
+    acc = {}
+    for val, (i, j, d, b) in zip(vec, positions):
+        if val:
+            acc.setdefault((i, j, d), {})[b] = val
+    entries = [[None] * cols for _ in range(rows)]
+    for (i, j, d), comp in acc.items():
+        n = A.component_dim(d)
+        coords = [comp.get(b, zero) for b in range(n)]
+        entries[i][j] = A.element(d, coords)
+    return entries
+
+
+def hom_table(A, s1, s2, s3):
+    """Composition of degree-0 maps between the free modules F_t =
+    A(s_t[0]) + A(s_t[1]) + ..., as the bilinear map Hom(F2, F3)_0 x
+    Hom(F1, F2)_0 -> Hom(F1, F3)_0 on the raw positions of the three
+    spaces.  End(F)_0 is the case s1 = s2 = s3.  Built once per shift
+    triple and kept in the algebra's ``_mul_cache`` beside the pair
+    tensors it is read from.
+
+    (E_ij a)(E_jk b) = E_ik ab, so each cell is one cell of the pair
+    tensor of the two entry degrees, moved to the positions of block
+    (i, k).  Cells come in the order of the positions, as products in
+    that basis would."""
+    key = (s1, s2, s3)
+    hit = A._mul_cache.get(key)
+    if hit is not None:
+        return hit
+    out = raw_positions(A, s3, s1)
+    start = {(i, k): z for z, (i, k, _d, b) in enumerate(out) if b == 0}
+    lefts, rights = (
+        [(i, j, d, x) for x, (i, j, d, b) in enumerate(raw_positions(A, t, s)) if b == 0]
+        for t, s in ((s3, s2), (s2, s1))
+    )
+    cells = {}
+    for i, j, d1, x0 in lefts:
+        right = []
+        for jj, k, d2, y0 in rights:
+            z0 = start.get((i, k))
+            if jj == j and z0 is not None:
+                tensor = A.pair_tensor(d1, d2)
+                right.append((tensor.rows, tensor.den, y0, z0))
+        for b1 in range(A.component_dim(d1)):
+            for rows, den, y0, z0 in right:
+                for b2, cell in rows.get(b1, {}).items():
+                    cells[x0 + b1, y0 + b2] = [
+                        (z0 + b3, c if den == 1 else Fraction(c, den))
+                        for b3, c in cell
+                    ]
+    table = A._mul_cache[key] = _kernel.Bilinear(cells, len(out), A.field.char)
+    return table
 
 
 class ComponentSpace:
@@ -218,8 +279,9 @@ class ProjectivePresentation:
                     )
                 if ent.is_zero():
                     self.entries[i][j] = None
-        ee = entries_matmul(self.entries, self.entries)
-        if not entries_eq(ee, self.entries):
+        s = self.shifts
+        e = entries_to_vec(A, self.entries, raw_positions(A, s, s))
+        if hom_table(A, s, s, s)(e, e) != e:
             raise PresentationError("matrix is not idempotent (e*e != e)")
 
     # -- basic data ----------------------------------------------------------
@@ -443,14 +505,19 @@ class GradedMap:
         return out
 
     def is_iso_on(self, window) -> bool:
+        """Bijective at every degree of the window.  Where the source is
+        zero the target dimension decides, and no matrix is built."""
         char = self.target.algebra.field.char
         for h in window:
+            n = self.source.dim(h)
+            if not n:
+                if self.target.dim(h):
+                    return False
+                continue
             m = self.component_matrix(h)
-            n_rows = len(m)
-            n_cols = len(m[0]) if m else self.source.dim(h)
-            if self.source.dim(h) != self.target.dim(h):
+            if n != self.target.dim(h):
                 return False
-            if n_rows and _kernel.rank(m, char) != n_rows:
+            if _kernel.rank(m, char) != n:
                 return False
         return True
 
@@ -467,55 +534,44 @@ def component_matrix(f: GradedMap, h: Degree):
 # -- randomized test modules -------------------------------------------------
 
 
-def random_presentation(A: GradedAlgebra, shifts, rng, density: int = 2) -> ProjectivePresentation:
-    """A random projective presentation: a 0/1 diagonal idempotent
-    conjugated by unitriangular matrices (exactly invertible)."""
-    shifts = [s if isinstance(s, Degree) else A.deg(s) for s in shifts]
+def random_presentation(A: GradedAlgebra, shifts, rng) -> ProjectivePresentation:
+    """A random projective presentation: a 0/1 diagonal idempotent d
+    conjugated by g = LU, L and U unitriangular, so that g^-1 = U^-1 L^-1
+    is exact (the finite Neumann series of a nilpotent).  Every product
+    is taken on raw positions in ``hom_table``."""
+    shifts = tuple(s if isinstance(s, Degree) else A.deg(s) for s in shifts)
     k = len(shifts)
     F = A.field
     diag = [rng.randint(0, 1) for _ in range(k)]
     if not any(diag):
         diag[rng.randrange(k)] = 1
-    one = A.one()
-    d_entries = [[one if (i == j and diag[i]) else None for j in range(k)] for i in range(k)]
-
-    def random_entry(i, j):
-        d = shifts[i] - shifts[j]
-        n = A.component_dim(d)
-        if n == 0:
-            return None
-        coords = [F.of_int(rng.randint(-density, density)) for _ in range(n)]
-        if not any(coords):
-            return None
-        return A.element(d, coords)
+    pos = raw_positions(A, shifts, shifts)
+    mul = hom_table(A, shifts, shifts, shifts)
+    one = entries_to_vec(A, identity_entries(A, shifts), pos)
+    d = [x if diag[i] else F.zero for x, (i, _j, _d, _b) in zip(one, pos)]
+    blocks = {}
+    for x, (i, j, _d, _b) in enumerate(pos):
+        blocks.setdefault((i, j), []).append(x)
 
     def unitriangular(strict_lower: bool):
-        N = [[None] * k for _ in range(k)]
+        N = [F.zero] * len(pos)
         for i in range(k):
             for j in range(k):
                 if (i > j) if strict_lower else (i < j):
                     if rng.random() < 0.75:
-                        N[i][j] = random_entry(i, j)
-        G = [[one if i == j else N[i][j] for j in range(k)] for i in range(k)]
-        # inverse of 1 + N via the finite Neumann series (N is nilpotent)
-        inv = identity_entries(A, shifts)
-        power = [[N[i][j] for j in range(k)] for i in range(k)]
-        sign = -1
+                        for x in blocks.get((i, j), ()):
+                            N[x] = F.of_int(rng.randint(-RANDOM_COORD, RANDOM_COORD))
+        # inverse of 1 + N: the sum of the powers of -N (N is nilpotent)
+        neg = [F.neg(x) for x in N]
+        inv = power = one
         for _ in range(k):
-            if entries_are_zero(power):
+            power = mul(power, neg)
+            if not any(power):
                 break
-            term = [
-                [None if power[i][j] is None else power[i][j].scale(F.of_int(sign)) for j in range(k)]
-                for i in range(k)
-            ]
-            inv = entries_add(inv, term)
-            power = entries_matmul(power, [[N[i][j] for j in range(k)] for i in range(k)])
-            sign = -sign
-        return G, inv
+            inv = [F.add(a, b) for a, b in zip(inv, power)]
+        return [F.add(a, b) for a, b in zip(one, N)], inv
 
     L, Linv = unitriangular(True)
     U, Uinv = unitriangular(False)
-    g = entries_matmul(L, U)
-    ginv = entries_matmul(Uinv, Linv)
-    e = entries_matmul(entries_matmul(g, d_entries), ginv)
-    return ProjectivePresentation(A, shifts, e, check=True)
+    e = mul(mul(mul(L, U), d), mul(Uinv, Linv))
+    return ProjectivePresentation(A, shifts, vec_to_entries(A, e, pos, k, k), check=True)

@@ -17,15 +17,17 @@ from __future__ import annotations
 
 from ..algebra import GradedAlgebra, HypothesisError
 from .presentations import (
+    RANDOM_COORD,
     GradedMap,
     PresentationError,
     ProjectivePresentation,
-    entries_add,
-    entries_eq,
-    entries_matmul,
+    entries_to_vec,
+    hom_table,
+    raw_positions,
     relabel,
     relabel_entries,
     same_degree,
+    vec_to_entries,
     zero_slice,
 )
 
@@ -85,25 +87,24 @@ def nu(Q: ProjectivePresentation, A: GradedAlgebra) -> GradedMap:
     return GradedMap(tsq, Q, Q.entries)
 
 
-def _positive_correction(P: ProjectivePresentation, rng, density: int = 2):
-    """A random degree-0 entry matrix e*D with strictly positive first
-    coordinate in every nonzero entry; parametrizes section choices."""
+def _lift(P: ProjectivePresentation, rng):
+    """The idempotent e of P as a vector on its raw positions, or for a
+    seeded rng e + e*D, D a random degree-0 entry matrix with strictly
+    positive first coordinate in every nonzero entry, so that e*D maps
+    into P A_+; D parametrizes section choices.  Returns the positions
+    and the vector."""
     A = P.algebra
     F = A.field
-    k = P.rank
-    D = [[None] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            d = P.shifts[i] - P.shifts[j]
-            if d.values[0] <= 0:
-                continue
-            n = A.component_dim(d)
-            if n == 0:
-                continue
-            coords = [F.of_int(rng.randint(-density, density)) for _ in range(n)]
-            if any(coords):
-                D[i][j] = A.element(d, coords)
-    return entries_matmul(P.entries, D)
+    s = P.shifts
+    pos = raw_positions(A, s, s)
+    e = entries_to_vec(A, P.entries, pos)
+    if rng is None:
+        return pos, e
+    D = [
+        F.of_int(rng.randint(-RANDOM_COORD, RANDOM_COORD)) if d.values[0] > 0 else F.zero
+        for _i, _j, d, _b in pos
+    ]
+    return pos, [F.add(x, y) for x, y in zip(e, hom_table(A, s, s, s)(e, D))]
 
 
 def section(P: ProjectivePresentation, rng=None) -> GradedMap:
@@ -114,10 +115,8 @@ def section(P: ProjectivePresentation, rng=None) -> GradedMap:
     which exercises independence of the choice.
     """
     tp = functor_T(P)
-    entries = P.entries
-    if rng is not None:
-        entries = entries_add(entries, _positive_correction(P, rng))
-    return GradedMap(tp, P, entries)
+    pos, lift = _lift(P, rng)
+    return GradedMap(tp, P, vec_to_entries(P.algebra, lift, pos, P.rank, P.rank))
 
 
 def restriction_map(P: ProjectivePresentation) -> GradedMap:
@@ -134,16 +133,15 @@ def psi(P: ProjectivePresentation, rng=None) -> GradedMap:
     which is asserted.
     """
     A = P.algebra
+    s = P.shifts
     tp = functor_T(P)
     stp = functor_S(tp, A)
-    lift = P.entries
-    if rng is not None:
-        lift = entries_add(lift, _positive_correction(P, rng))
-    entries = entries_matmul(lift, stp.entries)
-    out = GradedMap(stp, P, entries)
-    # the restriction of psi must be nu on T(P), entry for entry
-    projected = relabel_entries(out.entries, tp.algebra, zero_slice)
-    if not entries_eq(projected, tp.entries):
+    pos, lift = _lift(P, rng)
+    product = hom_table(A, s, s, s)(lift, entries_to_vec(A, stp.entries, pos))
+    out = GradedMap(stp, P, vec_to_entries(A, product, pos, P.rank, P.rank))
+    # the restriction of psi must be nu on T(P), entry for entry; both
+    # sides are read along zero_slice, which drops zero entries
+    if relabel_entries(out.entries, tp.algebra, zero_slice) != tp.entries:
         raise VerificationError("restriction of psi differs from nu")
     return out
 

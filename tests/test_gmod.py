@@ -35,8 +35,9 @@ from gradedk.gmod import (
     zero_module,
 )
 from gradedk.gmod.endos import split_projective
-from gradedk.gmod.presentations import entries_eq, entries_matmul
 from gradedk.gmod.swan import VerificationError
+
+from entry_products import entries_eq, entries_matmul, hom_entries
 
 # the package exports the function decompose under the submodule's name
 dec = importlib.import_module("gradedk.gmod.decompose")
@@ -313,13 +314,12 @@ def test_negative_leading_degree_blocks_vanish(Qx, M201x):
 def test_nu_naturality_square(Bx):
     # nu is natural: for maps f between zero-part modules, restricting the
     # induced map and composing with nu agrees with nu then f, degreewise
-    from gradedk.gmod import hom_basis
     from gradedk.gmod.swan import functor_S, functor_T, nu
 
     A = Bx
     Q1 = functor_T(random_presentation(A, [[0, 0], [1, 1]], random.Random(41)))
     Q2 = functor_T(random_presentation(A, [[0, 1], [1, 0]], random.Random(42)))
-    maps = hom_basis(Q1, Q2)
+    maps = hom_entries(Q1, Q2)
     if not maps:
         return
     w = default_window(A, [Q1, Q2], 2)
@@ -347,16 +347,116 @@ def test_free_modules_with_permuted_shifts_isomorphic(Qx):
 
 
 def test_graded_map_normalization_is_idempotent(Bx):
-    from gradedk.gmod import hom_basis
-
     P = random_presentation(Bx, [[0, 0], [1, 1]], random.Random(51))
     Q = random_presentation(Bx, [[0, 1], [1, 0]], random.Random(52))
     # every map handed to GradedMap is already cut down by the two
     # idempotents: e_Q f e_P == f for each f in the hom basis
-    basis = hom_basis(P, Q)
+    basis = hom_entries(P, Q)
     assert basis
     for f in basis:
         assert entries_eq(entries_matmul(entries_matmul(Q.entries, f), P.entries), f)
+
+
+# -- products on raw positions against entry-by-entry products ----------------
+
+
+def _product_corpus():
+    """(algebra, shifts, whether it is N-supported along its first free
+    coordinate, so that T, S, sections and psi exist)."""
+    out = []
+    for F in (QQ, GF(2), GF(7)):
+        out.append((alg.matrix_algebra(F, [0, 1, 2, 2, 3]).positive_part(), [[0], [1], [1], [2]], True))
+        out.append((alg.forget_grading(alg.group_algebra(F, GradingGroup(0, (6,)))), [[], [], []], False))
+    out.append((alg.polynomial_extension(alg.group_algebra(QQ, GradingGroup(0, (3,))), [1, 1]), [[0, 0], [1, 1], [2, 0]], True))
+    return out
+
+
+@pytest.mark.parametrize("A,shifts,positive", _product_corpus())
+def test_random_presentations_are_idempotent_entry_by_entry(A, shifts, positive):
+    for seed in range(4):
+        P = random_presentation(A, shifts, random.Random(seed))
+        assert entries_eq(entries_matmul(P.entries, P.entries), P.entries)
+
+
+@pytest.mark.parametrize("A,shifts,positive", [c for c in _product_corpus() if c[2]])
+def test_psi_is_the_section_times_the_induced_idempotent(A, shifts, positive):
+    corrected = False
+    for seed in range(3):
+        P = random_presentation(A, shifts, random.Random(seed))
+        stp = functor_S(functor_T(P), A)
+        for s in (None, 5, 6):
+            rng = (lambda: None) if s is None else (lambda: random.Random(s))
+            g = section(P, rng())
+            assert psi(P, rng()).entries == entries_matmul(g.entries, stp.entries)
+            corrected |= g.entries != section(P).entries
+    # some seeded section is not the canonical one
+    assert corrected
+
+
+@pytest.mark.parametrize("A,shifts,positive", _product_corpus())
+def test_idempotent_check_agrees_with_entry_products(A, shifts, positive):
+    # perturb one entry of a random idempotent by a basis element of its
+    # component: the check must refuse exactly the matrices the
+    # entry-by-entry product finds not idempotent
+    rng = random.Random(3)
+    refused = 0
+    for seed in range(4):
+        P = random_presentation(A, shifts, random.Random(seed))
+        cells = [
+            (i, j) for i in range(P.rank) for j in range(P.rank)
+            if A.component_dim(P.shifts[i] - P.shifts[j])
+        ]
+        for _ in range(3):
+            i, j = rng.choice(cells)
+            d = P.shifts[i] - P.shifts[j]
+            x = A.basis_element(d, rng.randrange(A.component_dim(d)))
+            entries = [list(row) for row in P.entries]
+            entries[i][j] = x if entries[i][j] is None else entries[i][j] + x
+            idempotent = entries_eq(entries_matmul(entries, entries), entries)
+            try:
+                ProjectivePresentation(A, P.shifts, entries, check=True)
+            except PresentationError as err:
+                assert "not idempotent" in str(err)
+                assert not idempotent
+                refused += 1
+            else:
+                assert idempotent
+    assert refused
+
+
+def test_maps_skip_degrees_where_the_source_is_zero(monkeypatch, M201x):
+    from gradedk.filtration import _image_ranks
+
+    A = M201x
+    char = A.field.char
+    P = random_presentation(A, [[0, 0], [1, 1], [1, 0]], random.Random(5))
+    tp = functor_T(P)
+    w = default_window(A, [P], 2)
+    assert 0 in [tp.dim(h) for h in w] and 0 in [P.dim(h) for h in w]
+    maps = [nu(tp, A), psi(P, random.Random(6)), section(P), restriction_map(P)]
+    # the answers of building the component matrix at every degree
+    want = [
+        all(
+            m.source.dim(h) == m.target.dim(h)
+            and kern.rank(m.component_matrix(h), char) == m.target.dim(h)
+            for h in w
+        )
+        for m in maps
+    ]
+    assert want == [True, True, False, False]
+    rows = [{0}, {0, 1, 2}]
+    ranks = [_image_ranks(m, h, rows) for m in maps for h in w]
+    built = []
+    real = GradedMap.component_matrix
+
+    def counting(self, h):
+        built.append(self.source.dim(h))
+        return real(self, h)
+
+    monkeypatch.setattr(GradedMap, "component_matrix", counting)
+    assert [m.is_iso_on(w) for m in maps] == want
+    assert [_image_ranks(m, h, rows) for m in maps for h in w] == ranks
+    assert built and 0 not in built
 
 
 # -- matching by split block against a pairwise oracle ---------------------------

@@ -14,7 +14,7 @@ from math import prod
 
 import pytest
 
-from gradedk import _kernel, algebra as alg
+from gradedk import _kernel, algebra as alg, gmod
 from gradedk.fields import GF, QQ
 from gradedk.grading import GradingGroup
 from gradedk.gmod import (
@@ -40,9 +40,13 @@ from gradedk.gmod.presentations import (
     GradedMap,
     ProjectivePresentation,
     entries_are_zero,
-    entries_matmul,
+    entries_to_vec,
     identity_entries,
+    raw_positions,
+    vec_to_entries,
 )
+
+from entry_products import entries_matmul, hom_entries
 
 # the package exports the function decompose under the submodule's name
 dec = importlib.import_module("gradedk.gmod.decompose")
@@ -248,6 +252,8 @@ def test_coords_of_refuses_entries_of_the_wrong_degree():
     end = EndAlgebra(free_module(B, [[0], [1]]))
     with pytest.raises(SplitError, match="zero component"):
         end.coords_of([[B.one(), B.basis_element(B.deg([1]), 0)], [None, B.one()]])
+    # the guard is in presentations.entries_to_vec; endos re-exports its class
+    assert SplitError is gmod.SplitError is gmod.presentations.SplitError
 
 
 def _assert_central(fd, zvecs):
@@ -801,20 +807,20 @@ def _hom_basis_two_products(X, Y):
     column: e_Y E e_X for each raw matrix E with one basis element."""
     A = X.algebra
     F = A.field
-    positions = endos._raw_positions(A, Y.shifts, X.shifts)
+    positions = raw_positions(A, Y.shifts, X.shifts)
     if not positions:
         return []
     cols = []
     for k in range(len(positions)):
         unit = [F.zero] * len(positions)
         unit[k] = F.one
-        raw = endos._vec_to_entries(A, unit, positions, Y.rank, X.rank)
+        raw = vec_to_entries(A, unit, positions, Y.rank, X.rank)
         proj = entries_matmul(entries_matmul(Y.entries, raw), X.entries)
-        cols.append(endos._entries_to_vec(A, proj, positions))
+        cols.append(entries_to_vec(A, proj, positions))
     mat = [[cols[c][r] for c in range(len(cols))] for r in range(len(positions))]
     _red, pivots = _kernel.rref(mat, F.char)
     return [
-        endos._vec_to_entries(
+        vec_to_entries(
             A, [mat[r][c] for r in range(len(positions))], positions, Y.rank, X.rank
         )
         for c in pivots
@@ -856,7 +862,7 @@ def test_hom_basis_matches_two_product_construction(build, shifts, zero_hom):
         pieces.append(summands[0].shift(A.group.degree([1])))
     for X in pieces:
         for Y in pieces:
-            got = endos.hom_basis(X, Y)
+            got = hom_entries(X, Y)
             want = _hom_basis_two_products(X, Y)
             assert [_entry_keys(e) for e in got] == [_entry_keys(e) for e in want]
     dims = [len(endos.hom_basis(X, Y)) for X in summands for Y in summands]
@@ -872,8 +878,8 @@ def _indec_iso_by_graded_maps(X, Y):
         return False
     return not window or any(
         GradedMap(X, X, entries_matmul(v, u), check=False).is_iso_on(list(window))
-        for u in endos.hom_basis(X, Y)
-        for v in endos.hom_basis(Y, X)
+        for u in hom_entries(X, Y)
+        for v in hom_entries(Y, X)
     )
 
 
@@ -935,8 +941,8 @@ def test_indec_iso_refuses_a_nonzero_nilpotent_composite(F):
     assert dec.module_support_degrees(X) == dec.module_support_degrees(Y)
     assert any(
         not entries_are_zero(entries_matmul(v, u))
-        for u in endos.hom_basis(X, Y)
-        for v in endos.hom_basis(Y, X)
+        for u in hom_entries(X, Y)
+        for v in hom_entries(Y, X)
     )
     for P, Q, iso in ((X, Y, False), (Y, X, False), (X, X, True), (Y, Y, True)):
         assert dec.indec_iso(P, Q) == _indec_iso_by_graded_maps(P, Q) == iso
@@ -970,16 +976,16 @@ def _end_table_from_entry_products(X):
     vectors.  For a free module that basis is the positions."""
     A = X.algebra
     F = A.field
-    positions = endos._raw_positions(A, X.shifts, X.shifts)
-    basis = endos.hom_basis(X, X)
-    vecs = [endos._entries_to_vec(A, e, positions) for e in basis]
+    positions = raw_positions(A, X.shifts, X.shifts)
+    basis = hom_entries(X, X)
+    vecs = [entries_to_vec(A, e, positions) for e in basis]
     if X.entries == identity_entries(A, X.shifts):
         n = len(positions)
         assert vecs == [[F.one if r == c else F.zero for r in range(n)] for c in range(n)]
     span = _kernel.EchelonBasis(vecs, F.char)
 
     def coords(entries):
-        sol = span.coords(endos._entries_to_vec(A, entries, positions))
+        sol = span.coords(entries_to_vec(A, entries, positions))
         assert sol is not None
         return sol
 
