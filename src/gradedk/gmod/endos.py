@@ -18,7 +18,11 @@ the engine behind Krull-Schmidt decomposition:
   there; at level i >= 1, g_i is linear on the previous level, so it
   costs one characteristic polynomial per basis vector of that level.
   Self-checks (two-sided ideal, nilpotent, clean quotient) turn any
-  failure into a loud internal error instead of a wrong answer;
+  failure into a loud internal error instead of a wrong answer.  The
+  ideal and nilpotency checks run through generators: J is an ideal
+  when J t and t J lie in J for a few unit vectors t that generate the
+  algebra, and with J = A S the chain of powers J^(k+1) = J^k S
+  multiplies by S only;
 * the centre: the commutator system is read from the table's integer
   cells, without repeated rows, and eliminated mod a prime.  Over Q the
   prime is a word-size one, each null vector is rebuilt by rational
@@ -27,9 +31,12 @@ the engine behind Krull-Schmidt decomposition:
   spans the centre; otherwise more primes are combined by CRT;
 * the semisimple quotient splits through its center (minimal polynomial
   factorization plus CRT idempotents), which also gives each simple
-  block's size r over its centre field; blocks with r > 1 split by
-  corner recursion -- directly over a finite field, and over Q by
-  splitting modulo a good prime, Hensel lifting, and rational
+  block's size r over its centre field.  A candidate t whose minimal
+  polynomial m has the degree of its corner zZ generates it, so zZ =
+  F[x]/(m) and one factorization gives every field of zZ; other
+  candidates split zZ into pieces that are split again.  Blocks with
+  r > 1 split by corner recursion -- directly over a finite field, and
+  over Q by splitting modulo a good prime, Hensel lifting, and rational
   reconstruction of subset sums (smallest subsets first, so accepted
   idempotents are primitive).  Neither the centre nor a corner e A e is
   copied: their candidates, minimal polynomials and CRT idempotents are
@@ -416,23 +423,106 @@ def _left_mult_modp(items, u, n, p):
     return [[x % p for x in row] for row in L]
 
 
+class _GrowingSpan:
+    """A subspace grown one vector at a time.  Its rows are kept sparse
+    in semi-echelon form: each is 1 at its pivot and 0 at the pivots of
+    the rows before it, so one pass over the rows in order reduces a
+    vector, and a nonzero vector that is 0 on every pivot lies outside
+    the span."""
+
+    def __init__(self, char):
+        self.char = char
+        self.vectors = []  # the vectors that enlarged the span, as given
+        self.rows = []  # (pivot, [(column, value)] with value 1 at the pivot)
+        self.pivots = set()
+
+    def add(self, vec):
+        """Add ``vec`` to the span; whether that made the span larger."""
+        m = self.char
+        v = list(vec)
+        for p, row in self.rows:
+            c = v[p] % m if m else v[p]
+            if c:
+                for col, r in row:
+                    v[col] -= c * r
+        if m:
+            v = [x % m for x in v]
+        p = next((i for i, x in enumerate(v) if x), None)
+        if p is None:
+            return False
+        inv = pow(v[p], -1, m) if m else 1 / Fraction(v[p])
+        self.rows.append(
+            (p, [(i, x * inv % m if m else x * inv) for i, x in enumerate(v) if x])
+        )
+        self.pivots.add(p)
+        self.vectors.append(vec)
+        return True
+
+    def close(self, seeds, images, dim):
+        """Add the ``seeds`` and, for each vector that enlarged the span,
+        its ``images``, until none is left or the span has dimension
+        ``dim``.  The vectors added are reduced once each."""
+        queue = list(seeds)
+        while queue and len(self.vectors) < dim:
+            v = queue.pop()
+            if self.add(v):
+                queue.extend(images(v))
+
+
+def _generators(fd):
+    """Unit vectors T that generate fd together with its unit.
+
+    The span of the words in T is the closure of the unit under right
+    products with T, grown as words are built by appending.  While it is
+    not everything, e_b for its first column b that is not a pivot joins
+    T: a unit vector off the pivots never lies in the span."""
+    n = fd.dim
+    gens = []
+    span = _GrowingSpan(fd.field.char)
+
+    def right(v):
+        return [fd.mul_vec(v, t) for t in gens]
+
+    span.close([fd.unit], right, n)
+    while len(span.vectors) < n:
+        t = _unit_vec(fd, next(b for b in range(n) if b not in span.pivots))
+        gens.append(t)
+        span.close([fd.mul_vec(w, t) for w in span.vectors], right, n)
+    return gens
+
+
 def _verify_radical(fd, J):
     """J must be a two-sided nilpotent ideal with semisimple-looking
-    quotient; failure raises instead of silently continuing."""
+    quotient; failure raises instead of silently continuing.
+
+    Both checks run through generators.  With T and the unit generating
+    fd (``_generators``), J is a two-sided ideal when J t and t J lie in
+    J for every t in T.  With S in J such that J = A S, found greedily,
+    J^(k+1) = J^k A S = J^k S, so the chain of powers multiplies by S
+    only."""
     char = fd.field.char
-    F = fd.field
     if not J:
         return
+    mul = fd.mul_vec
+    gens = _generators(fd)
     in_span = _kernel.EchelonBasis(J, char).contains
-
-    for b in range(fd.dim):
-        unit = [F.zero] * fd.dim
-        unit[b] = F.one
+    for t in gens:
         for j in J:
-            if not in_span(fd.mul_vec(unit, list(j))) or not in_span(
-                fd.mul_vec(list(j), unit)
-            ):
+            if not in_span(mul(j, t)) or not in_span(mul(t, j)):
                 raise SplitError("computed radical is not an ideal")
+
+    def left(v):
+        return [mul(t, v) for t in gens]
+
+    # S: a row of J outside the span of A S so far joins S, and A s, the
+    # closure of s under left products with T, joins the span.  J is a
+    # left ideal, so the span stays in J and is J at J's dimension.
+    S = []
+    span = _GrowingSpan(char)
+    for j in J:
+        if span.add(j):
+            S.append(j)
+            span.close(left(j), left, len(J))
     # nilpotency: powers of the subspace must reach zero
     power = [list(r) for r in J]
     for _ in range(fd.dim + 1):
@@ -440,8 +530,8 @@ def _verify_radical(fd, J):
             return
         nxt = []
         for a in power:
-            for b in J:
-                v = fd.mul_vec(a, list(b))
+            for b in S:
+                v = mul(a, b)
                 if any(v):
                     nxt.append(v)
         if not nxt:
@@ -634,7 +724,13 @@ def _split_commutative(fd: FDAlgebra, zvecs, rng):
 
     Z is not copied: each corner zZ is spanned by the z c_i, and its
     candidates, minimal polynomials and CRT idempotents are computed in
-    fd with z as the unit.  A commutative fd passes its unit vectors."""
+    fd with z as the unit.  A commutative fd passes its unit vectors.
+
+    A candidate t whose minimal polynomial m has degree dim zZ generates
+    zZ = F[t] = F[x]/(m), and m is squarefree, so the CRT idempotents of
+    its factors f_i cut out the fields F[x]/(f_i), of dimension deg f_i:
+    one factorization splits zZ completely.  They are taken in the order
+    the work list would pop them."""
     F = fd.field
     work = [list(fd.unit)]
     done = []
@@ -649,12 +745,13 @@ def _split_commutative(fd: FDAlgebra, zvecs, rng):
             factors = factor_irreducible(m, F)
             if any(mult > 1 for _f, mult in factors):
                 raise SplitError("nilpotent found in a supposedly semisimple center")
+            if len(m) - 1 == len(basis):
+                # primitive element certificate: each piece is a field
+                idems = [z] if len(factors) == 1 else _crt_idempotents(fd, t, z, m, factors)
+                done.extend(reversed([(e, len(f) - 1) for e, (f, _mult) in zip(idems, factors)]))
+                break
             if len(factors) >= 2:
                 work.extend(_crt_idempotents(fd, t, z, m, factors))
-                break
-            if len(m) - 1 == len(basis):
-                # primitive element certificate: the factor is a field
-                done.append((z, len(basis)))
                 break
         else:
             raise SplitError(

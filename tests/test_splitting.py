@@ -8,13 +8,16 @@ and over prime fields, cyclotomic commutative algebras).
 """
 
 import importlib
+import importlib.util
 import random
 from fractions import Fraction
-from math import prod
+from math import comb, prod
+from pathlib import Path
 
 import pytest
+from sympy import divisors, n_order, totient
 
-from gradedk import _kernel, algebra as alg, gmod
+from gradedk import _kernel, algebra as alg, gmod, ktheory as kt
 from gradedk.fields import GF, QQ
 from gradedk.grading import GradingGroup
 from gradedk.gmod import (
@@ -50,6 +53,18 @@ from entry_products import entries_matmul, hom_entries
 
 # the package exports the function decompose under the submodule's name
 dec = importlib.import_module("gradedk.gmod.decompose")
+
+
+def _load_workloads():
+    # the benchmark's K0 ranks of abelian group algebras, from number theory
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _load_workloads()
 
 
 def _end_of_regular(A):
@@ -134,6 +149,197 @@ def test_charpoly_modp_matches_sympy(p):
             ]
             coeffs = sympy.Matrix(M).charpoly().all_coeffs()
             assert _charpoly_modp(M, p) == [int(c) % p for c in reversed(coeffs)]
+
+
+# -- the radical's self-check ---------------------------------------------------
+
+
+def _unipotent_truncation(F, k):
+    """F[u]/((u - 1)^k) in the basis 1, u, ..., u^(k-1): a local algebra
+    whose radical is spanned by the u^i - 1.  Over GF(p) with k a power
+    of p it is the group algebra F[Z_k]; over Q it is not a group algebra."""
+    # u^k = -sum_{i<k} binom(k, i) (-1)^(k-i) u^i
+    top = [F.neg(F.of_int(comb(k, i) * (-1) ** (k - i))) for i in range(k)]
+
+    def power(m):
+        vec = [F.zero] * (2 * k)
+        vec[m] = F.one
+        for d in range(2 * k - 1, k - 1, -1):
+            c = vec[d]
+            if c:
+                vec[d] = F.zero
+                for i, t in enumerate(top):
+                    vec[d - k + i] = F.add(vec[d - k + i], F.mul(c, t))
+        return vec[:k]
+
+    products = {(i, j): power(i + j) for i in range(k) for j in range(k)}
+    return FDAlgebra.from_products(F, products, power(0))
+
+
+def _triangular3(F):
+    # upper triangular 3 x 3 matrices: the radical is the strictly upper part
+    return _end_of_regular(_forget(alg.matrix_algebra(F, [0, 1, 2]).positive_part()))
+
+
+def _cyclic(F, n):
+    return _end_of_regular(_forget(alg.group_algebra(F, GradingGroup(0, (n,)))))
+
+
+def _ideal_sides(fd, J):
+    """Whether the span of J is a left and whether it is a right ideal,
+    from b J and J b for every basis vector b."""
+    in_span = _kernel.EchelonBasis(J, fd.field.char).contains
+    units = [endos._unit_vec(fd, b) for b in range(fd.dim)]
+    return (
+        all(in_span(fd.mul_vec(b, j)) for b in units for j in J),
+        all(in_span(fd.mul_vec(j, b)) for b in units for j in J),
+    )
+
+
+def _radical_verdict_by_every_product(fd, J):
+    """The message ``_verify_radical`` must raise for the span of J, or
+    None: ``_ideal_sides``, then the powers of J by every product of two
+    spanning vectors."""
+    char = fd.field.char
+    if _ideal_sides(fd, J) != (True, True):
+        return "computed radical is not an ideal"
+    power = J
+    for _ in range(fd.dim + 1):
+        nxt = [v for a in power for b in J if any(v := fd.mul_vec(a, b))]
+        if not nxt:
+            return None
+        power = endos._echelon(nxt, char)
+    return "computed radical is not nilpotent"
+
+
+NOT_AN_IDEAL = "computed radical is not an ideal"
+NOT_NILPOTENT = "computed radical is not nilpotent"
+
+CASES_RADICAL_REFUSAL = [
+    # (algebra, verdict without the first echelon row of J, without the
+    # last one, and on J plus the unit); None accepts
+    ("F2[Z4]", lambda: _cyclic(GF(2), 4), NOT_AN_IDEAL, NOT_AN_IDEAL, NOT_NILPOTENT),
+    ("F2[Z16]", lambda: _cyclic(GF(2), 16), NOT_AN_IDEAL, NOT_AN_IDEAL, NOT_NILPOTENT),
+    ("F7[Z7]", lambda: _cyclic(GF(7), 7), NOT_AN_IDEAL, NOT_AN_IDEAL, NOT_NILPOTENT),
+    ("Q[u]/(u-1)^4", lambda: _unipotent_truncation(QQ, 4), NOT_AN_IDEAL, NOT_AN_IDEAL, NOT_NILPOTENT),
+    ("GF7[u]/(u-1)^4", lambda: _unipotent_truncation(GF(7), 4), NOT_AN_IDEAL, NOT_AN_IDEAL, NOT_NILPOTENT),
+    # the strictly upper part without its first echelon row is still an
+    # ideal; J plus the unit is not one, as the algebra is not local
+    ("T3(Q)", lambda: _triangular3(QQ), None, NOT_AN_IDEAL, NOT_AN_IDEAL),
+    ("T3(F2)", lambda: _triangular3(GF(2)), None, NOT_AN_IDEAL, NOT_AN_IDEAL),
+    ("T3(F7)", lambda: _triangular3(GF(7)), None, NOT_AN_IDEAL, NOT_AN_IDEAL),
+]
+
+
+@pytest.mark.parametrize(
+    "build,first,last,plus_unit",
+    [case[1:] for case in CASES_RADICAL_REFUSAL],
+    ids=[case[0] for case in CASES_RADICAL_REFUSAL],
+)
+def test_verify_radical_refuses_mutated_radicals(build, first, last, plus_unit):
+    # the checks through generators refuse what the checks by every
+    # product refuse, with the same message
+    fd = build()
+    J = radical_basis(fd)  # runs _verify_radical on the true radical
+    assert J and _radical_verdict_by_every_product(fd, J) is None
+    for mutated, want in ((J[1:], first), (J[:-1], last), (J + [fd.unit], plus_unit)):
+        assert _radical_verdict_by_every_product(fd, mutated) == want
+        if want is None:
+            endos._verify_radical(fd, mutated)
+        else:
+            with pytest.raises(SplitError, match=want):
+                endos._verify_radical(fd, mutated)
+
+
+@pytest.mark.parametrize("F", [QQ, GF(2), GF(7)], ids=["Q", "F2", "F7"])
+def test_verify_radical_refuses_one_sided_ideals(F):
+    # in the strictly upper part of the 3 x 3 triangular matrices, one row
+    # spans a left ideal that is not a right one, another the reverse;
+    # each side of the check through generators refuses one of them
+    fd = _triangular3(F)
+    one_sided = {}
+    for j in radical_basis(fd):
+        sides = _ideal_sides(fd, [j])
+        if sides in ((True, False), (False, True)):
+            one_sided[sides] = j
+            with pytest.raises(SplitError, match=NOT_AN_IDEAL):
+                endos._verify_radical(fd, [j])
+    assert len(one_sided) == 2
+
+
+@pytest.mark.parametrize("F", [QQ, GF(2), GF(7)], ids=["Q", "F2", "F7"])
+def test_generators_generate(F):
+    # the span of the unit closed under right products with T is the
+    # whole algebra
+    for fd in (_cyclic(F, 12), _triangular3(F), _end_of_regular(_forget(alg.matrix_algebra(F, [0] * 3)))):
+        gens = endos._generators(fd)
+        span = [fd.unit]
+        while True:
+            grown = endos._echelon(span + [fd.mul_vec(v, t) for v in span for t in gens], F.char)
+            if len(grown) == len(span):
+                break
+            span = grown
+        assert len(span) == fd.dim
+        assert len(gens) < fd.dim
+
+
+# -- the commutative split against number theory -------------------------------
+
+
+def _cyclic_field_dims(n, p):
+    """Dimensions of the fields of F[C_n], F = Q (p = 0) or F_p with p
+    not dividing n: Q(zeta_d) of dimension phi(d) for each d | n; over
+    F_p, phi(d) / ord_d(p) fields of dimension ord_d(p)."""
+    if p == 0:
+        return sorted(int(totient(d)) for d in divisors(n))
+    out = []
+    for d in divisors(n):
+        k = n_order(p, d) if d > 1 else 1
+        out += [k] * (int(totient(d)) // k)
+    return sorted(out)
+
+
+def _counting_factorizations(monkeypatch):
+    calls = []
+    factor = endos.factor_irreducible
+
+    def counting(coeffs, field):
+        calls.append(len(coeffs) - 1)
+        return factor(coeffs, field)
+
+    monkeypatch.setattr(endos, "factor_irreducible", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "p,n", [(0, 12), (0, 15), (0, 16), (2, 15), (2, 9), (7, 12), (7, 15), (7, 16)]
+)
+def test_commutative_split_gives_the_cyclotomic_fields(monkeypatch, p, n):
+    F = GF(p) if p else QQ
+    fd = _cyclic(F, n)
+    units = [endos._unit_vec(fd, i) for i in range(fd.dim)]
+    calls = _counting_factorizations(monkeypatch)
+    for seed in range(3):
+        calls.clear()
+        done = endos._split_commutative(fd, units, random.Random(seed))
+        assert sorted(d for _z, d in done) == _cyclic_field_dims(n, p)
+        endos._verify_complete_orthogonal(fd, [z for z, _d in done])
+        # a candidate that generates a corner splits it into fields at
+        # once: no field is factored again on its own
+        assert len(calls) < len(done)
+
+
+def test_commutative_split_without_a_generating_element():
+    # F2[Z3 x Z3] = F2 x F4^4, and GF(2) has one irreducible quadratic, so
+    # no element generates it and the split goes through the work list
+    A = _forget(alg.group_algebra(GF(2), GradingGroup(0, (3, 3))))
+    fd = _end_of_regular(A)
+    units = [endos._unit_vec(fd, i) for i in range(fd.dim)]
+    for seed in range(3):
+        done = endos._split_commutative(fd, units, random.Random(seed))
+        assert sorted(d for _z, d in done) == [1, 2, 2, 2, 2]
+        endos._verify_complete_orthogonal(fd, [z for z, _d in done])
+    assert kt.k0(A).module.total_rank() == 5 == WORKLOADS.group_algebra_k0_rank((3, 3), 2)
 
 
 CASES_SPLIT = [
