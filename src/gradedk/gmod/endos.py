@@ -31,22 +31,27 @@ the engine behind Krull-Schmidt decomposition:
   spans the centre; otherwise more primes are combined by CRT;
 * the semisimple quotient splits through its center (minimal polynomial
   factorization plus CRT idempotents), which also gives each simple
-  block's size r over its centre field.  A candidate t whose minimal
-  polynomial m has the degree of its corner zZ generates it, so zZ =
-  F[x]/(m) and one factorization gives every field of zZ; other
-  candidates split zZ into pieces that are split again.  Blocks with
-  r > 1 split by corner recursion -- directly over a finite field, and
-  over Q by splitting modulo a good prime, Hensel lifting, and rational
-  reconstruction of subset sums (smallest subsets first, so accepted
-  idempotents are primitive).  Neither the centre nor a corner e A e is
-  copied: their candidates, minimal polynomials and CRT idempotents are
-  computed in the coordinates of the algebra that holds them, with e as
-  the unit (the centre's z as the unit of its corner zZ), and an
-  algebra with zero radical serves as its own quotient.  No block gets
-  a table of its own over Q: a rational block's table mod q is read
-  from the parent's at the pivots of the block's echelon rows, with
-  each product taken over the supports of the two sparse rows, and its
-  q-adic lift runs in the parent's coordinates;
+  block's size r over its centre field.  sympy only factors, with
+  ``dup_factor_list`` on dense coefficient lists (a linear polynomial is
+  its own factor); the CRT polynomials are computed in the field's own
+  arithmetic (von zur Gathen and Gerhard, *Modern Computer Algebra*,
+  ch. 5), and each idempotent is a combination of the powers of t that the
+  minimal polynomial was read from, so it costs no product.  A candidate
+  t whose minimal polynomial m has the degree of its corner zZ generates
+  it, so zZ = F[x]/(m) and one factorization gives every field of zZ;
+  other candidates split zZ into pieces that are split again.  Blocks
+  with r > 1 split by corner recursion -- directly over a finite field,
+  and over Q by splitting modulo a good prime, Hensel lifting, and
+  rational reconstruction of subset sums (smallest subsets first, so
+  accepted idempotents are primitive).  Neither the centre nor a corner
+  e A e is copied: their candidates, minimal polynomials and CRT
+  idempotents are computed in the coordinates of the algebra that holds
+  them, with e as the unit (the centre's z as the unit of its corner
+  zZ), and an algebra with zero radical serves as its own quotient.  No
+  block gets a table of its own over Q: a rational block's table mod q
+  is read from the parent's at the pivots of the block's echelon rows,
+  with each product taken over the supports of the two sparse rows, and
+  its q-adic lift runs in the parent's coordinates;
 * one Newton lift, sequentially orthogonalized, carries idempotents
   through the radical and through the q-adic lift alike, by the
   3e^2 - 2e^3 iteration; everything is verified exactly.
@@ -55,7 +60,7 @@ the engine behind Krull-Schmidt decomposition:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .. import _kernel
 from ..fields import Field
@@ -130,14 +135,17 @@ class FDAlgebra:
         return self.table(x, y)
 
     def minimal_polynomial(self, x, e):
-        """Monic minimal polynomial (coeff list, low degree first) of x in
-        the corner e A e, whose unit is the idempotent e.
+        """Monic minimal polynomial m of x in the corner e A e, whose unit
+        is the idempotent e, and the powers it was read from:
+        ``(coeffs, powers)`` with coeffs low degree first and powers =
+        [e, x, ..., x^(deg m - 1)].
 
         Each power x^n (x^0 = e) is reduced once against the echelon rows
         of the earlier powers, tracking which combination of powers it
         is; the first power that reduces to zero gives the polynomial."""
         F = self.field
         rows = []  # (pivot, row scaled to 1 there, its combination of powers)
+        powers = []
         power = list(e)
         while True:
             v = list(power)
@@ -150,23 +158,11 @@ class FDAlgebra:
                         comb[i] = F.sub(comb[i], F.mul(c, b))
             p = next((i for i, a in enumerate(v) if a), None)
             if p is None:
-                return comb
+                return comb, powers
             inv = F.inv(v[p])
             rows.append((p, [F.mul(inv, a) for a in v], [F.mul(inv, a) for a in comb]))
+            powers.append(power)
             power = self.mul_vec(power, x)
-
-    def evaluate_poly(self, coeffs, x, e):
-        """Evaluate a polynomial (low-first coeffs) at x in the corner
-        e A e: the constant term times e."""
-        F = self.field
-        out = [F.zero] * self.dim
-        power = list(e)
-        for k, c in enumerate(coeffs):
-            if k:
-                power = self.mul_vec(power, x)
-            if c:
-                out = [F.add(o, F.mul(c, p)) for o, p in zip(out, power)]
-        return out
 
     def center_basis(self):
         """Basis of the centre: x with b_i x = x b_i for every basis b_i,
@@ -590,75 +586,114 @@ class RadicalQuotient:
 
 
 # ---------------------------------------------------------------------------
-# polynomials through sympy (factors and CRT idempotents)
+# polynomials: sympy factors, CRT idempotents in the field's own arithmetic
 # ---------------------------------------------------------------------------
 
-
-def _sympy_poly(coeffs, field: Field):
-    """The polynomial with low-first coefficients ``coeffs`` over the field."""
-    import sympy
-
-    x = sympy.Symbol("x")
-    if field.char:
-        return sympy.Poly(
-            [int(c) % field.char for c in reversed(coeffs)], x, modulus=field.char
-        )
-    return sympy.Poly(
-        [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
-        x,
-        domain="QQ",
-    )
+# Polynomials are low-first coefficient lists over a ``Field``; the zero
+# polynomial is [].
 
 
-def _field_coeffs(poly, field: Field):
-    """Low-first coefficients of a sympy polynomial, as field elements."""
-    import sympy
+def _poly_mul(a, b, F: Field):
+    out = [F.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = F.add(out[i + j], F.mul(x, y))
+    return out
 
-    cl = reversed(poly.all_coeffs())
-    if field.char:
-        return [field.of_int(int(c)) for c in cl]
-    return [Fraction(sympy.Rational(c).p, sympy.Rational(c).q) for c in cl]
+
+def _poly_divmod(a, b, F: Field):
+    """(q, r) with a = q b + r and deg r < deg b; r has no trailing zeros."""
+    db = len(b) - 1
+    inv = F.inv(b[-1])
+    r = list(a)
+    q = [F.zero] * max(len(a) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = F.mul(r[k + db], inv)
+        q[k] = c
+        if c:
+            for i, y in enumerate(b):
+                r[k + i] = F.sub(r[k + i], F.mul(c, y))
+    r = r[:db]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _poly_inv_mod(a, m, F: Field):
+    """The u of degree below deg m with u a = 1 mod m, by the extended
+    Euclidean algorithm, or None when a and m are not coprime."""
+    r0, r1 = m, _poly_divmod(a, m, F)[1]
+    s0, s1 = [], [F.one]  # s_i a = r_i mod m
+    while r1:
+        q, r = _poly_divmod(r0, r1, F)
+        qs = _poly_mul(q, s1, F)  # of higher degree than s0
+        s0 = s0 + [F.zero] * (len(qs) - len(s0))
+        r0, r1 = r1, r
+        s0, s1 = s1, [F.sub(x, y) for x, y in zip(s0, qs)]
+    if len(r0) != 1:
+        return None
+    inv = F.inv(r0[0])
+    return [F.mul(inv, c) for c in s0]
 
 
 def factor_irreducible(coeffs, field: Field):
     """Irreducible factors (monic, low-first coeff lists) with multiplicity,
-    via sympy's exact factorization."""
-    _lead, factors = _sympy_poly(coeffs, field).factor_list()
+    in sympy's order, which fixes the order of the idempotents and so the
+    block ids.  A linear polynomial is its own factor; others go to
+    sympy's ``dup_factor_list`` on dense coefficient lists, over GF(p)
+    or, with denominators cleared, over ZZ."""
+    if len(coeffs) == 2:
+        inv = field.inv(coeffs[1])
+        return [([field.mul(inv, c) for c in coeffs], 1)]
+    from sympy.polys.domains import FF, ZZ
+    from sympy.polys.factortools import dup_factor_list
+
+    if field.char:
+        K = FF(field.char)
+        dense = [K(c) for c in reversed(coeffs)]
+    else:
+        K = ZZ
+        den = lcm(*(c.denominator for c in coeffs))
+        dense = [K(c.numerator * (den // c.denominator)) for c in reversed(coeffs)]
     out = []
-    for f, mult in factors:
-        fc = _field_coeffs(f, field)
+    for f, mult in dup_factor_list(dense, K)[1]:
+        fc = [field.of_int(int(c)) for c in reversed(f)]
         inv = field.inv(fc[-1])
-        out.append(([field.mul(inv, c) for c in fc], int(mult)))
+        out.append(([field.mul(inv, c) for c in fc], mult))
     return out
 
 
-def _crt_idempotents(fd: FDAlgebra, t, e, minpoly_coeffs, factors):
-    """Primary-component idempotents of k[t] in the corner with unit e.
+def _crt_idempotents(F: Field, m, powers, factors):
+    """Primary-component idempotents of k[t] in a corner, from the minimal
+    polynomial m of t and the powers [e, t, ..., t^(deg m - 1)] that
+    ``FDAlgebra.minimal_polynomial`` read it from, e the corner's unit.
 
-    For a primary factor f^k of the minimal polynomial m, the polynomial
-    of degree below deg m that is 1 mod f^k and 0 mod m / f^k is unique;
-    its value at t is the idempotent.  These polynomials sum to 1, so the
-    last idempotent is e minus the others."""
-    import sympy
-
-    m = _sympy_poly(minpoly_coeffs, fd.field)
-    out = []
+    For a primary factor f^k of m, with h = m / f^k and u = h^-1 mod
+    f^k, the polynomial u h is 1 mod f^k and 0 mod h, and its degree is
+    below deg m because deg u < deg f^k, so it is its own remainder mod
+    m.  Its value at t is the idempotent: a combination of the powers,
+    so no product is taken.  These polynomials sum to 1, so the last one
+    is 1 minus the others."""
+    n = len(powers)
+    polys = []
     for f, mult in factors[:-1]:
-        fm = _sympy_poly(f, fd.field) ** mult
-        h, rem = m.div(fm)
-        if not rem.is_zero:
+        fk = [F.one]
+        for _ in range(mult):
+            fk = _poly_mul(fk, f, F)
+        h, rem = _poly_divmod(m, fk, F)
+        if rem:
             raise SplitError("primary factor does not divide the minimal polynomial")
-        try:
-            u = h.invert(fm)
-        except sympy.NotInvertible:
-            raise SplitError("primary components are not coprime") from None
-        crt = _field_coeffs((u * h).rem(m), fd.field)
-        out.append(fd.evaluate_poly(crt, t, e))
-    F = fd.field
-    last = list(e)
-    for v in out:
-        last = [F.sub(a, b) for a, b in zip(last, v)]
-    return out + [last]
+        u = _poly_inv_mod(h, fk, F)
+        if u is None:
+            raise SplitError("primary components are not coprime")
+        crt = _poly_mul(u, h, F)
+        polys.append(crt + [F.zero] * (n - len(crt)))
+    last = [F.one] + [F.zero] * (n - 1)
+    for crt in polys:
+        last = [F.sub(a, b) for a, b in zip(last, crt)]
+    polys.append(last)
+    return [_up(powers, crt, F, len(powers[0])) for crt in polys]
 
 
 # ---------------------------------------------------------------------------
@@ -705,11 +740,30 @@ def _candidates(F: Field, basis, rng):
 
 
 def _up(basis_rows, vec, field, dim):
-    out = [field.zero] * dim
-    for c, row in zip(vec, basis_rows):
-        if c:
-            out = [field.add(o, field.mul(c, x)) for o, x in zip(out, row)]
-    return out
+    """sum c_i row_i for the coefficients c_i in ``vec``, summed as ints:
+    over GF(p) reduced once, over Q over the least common denominator of
+    the terms, with one Fraction per nonzero entry."""
+    p = field.char
+    terms = [(c, row) for c, row in zip(vec, basis_rows) if c]
+    acc = [0] * dim
+    if p:
+        for c, row in terms:
+            for j, a in enumerate(row):
+                if a:
+                    acc[j] += c * a
+        return [a % p for a in acc]
+    cleared = []
+    den = 1
+    for c, row in terms:
+        nz, d = _kernel._cleared(row)
+        cd = c.denominator * d
+        den = den // gcd(den, cd) * cd
+        cleared.append((c, nz, cd))
+    for c, nz, cd in cleared:
+        s = c.numerator * (den // cd)
+        for j, a in nz:
+            acc[j] += s * a
+    return [Fraction(a, den) if a else field.zero for a in acc]
 
 
 def _corner_span(fd: FDAlgebra, e):
@@ -741,17 +795,17 @@ def _split_commutative(fd: FDAlgebra, zvecs, rng):
             done.append((z, 1))
             continue
         for t in _candidates(F, basis, rng):
-            m = fd.minimal_polynomial(t, z)
+            m, powers = fd.minimal_polynomial(t, z)
             factors = factor_irreducible(m, F)
             if any(mult > 1 for _f, mult in factors):
                 raise SplitError("nilpotent found in a supposedly semisimple center")
             if len(m) - 1 == len(basis):
                 # primitive element certificate: each piece is a field
-                idems = [z] if len(factors) == 1 else _crt_idempotents(fd, t, z, m, factors)
+                idems = [z] if len(factors) == 1 else _crt_idempotents(F, m, powers, factors)
                 done.extend(reversed([(e, len(f) - 1) for e, (f, _mult) in zip(idems, factors)]))
                 break
             if len(factors) >= 2:
-                work.extend(_crt_idempotents(fd, t, z, m, factors))
+                work.extend(_crt_idempotents(F, m, powers, factors))
                 break
         else:
             raise SplitError(
@@ -788,10 +842,10 @@ def _split_block_modp(fd: FDAlgebra, z, d_z, rng):
             out.append(e)
             continue
         for t in _candidates(F, basis, rng):
-            m = fd.minimal_polynomial(t, e)
+            m, powers = fd.minimal_polynomial(t, e)
             factors = factor_irreducible(m, F)
             if len(factors) >= 2:
-                stack.extend(_crt_idempotents(fd, t, e, m, factors))
+                stack.extend(_crt_idempotents(F, m, powers, factors))
                 break
         else:
             raise SplitError(

@@ -421,6 +421,219 @@ def test_factor_irreducible_fields():
     assert fs_2 == [([1, 1], 2)]
 
 
+# -- the polynomial layer against sympy Poly -----------------------------------
+
+
+def _sympy_poly(coeffs, F):
+    import sympy
+
+    x = sympy.Symbol("x")
+    if F.char:
+        return sympy.Poly([int(c) % F.char for c in reversed(coeffs)], x, modulus=F.char)
+    return sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], x, domain="QQ"
+    )
+
+
+def _field_coeffs(poly, F):
+    import sympy
+
+    cl = reversed(poly.all_coeffs())
+    if F.char:
+        return [F.of_int(int(c)) for c in cl]
+    return [Fraction(int(sympy.Rational(c).p), int(sympy.Rational(c).q)) for c in cl]
+
+
+def _factor_list_by_poly(coeffs, F):
+    """``Poly.factor_list`` made monic: the reference factors, in the
+    order that fixes idempotent order and block ids."""
+    out = []
+    for f, mult in _sympy_poly(coeffs, F).factor_list()[1]:
+        fc = _field_coeffs(f, F)
+        inv = F.inv(fc[-1])
+        out.append(([F.mul(inv, c) for c in fc], mult))
+    return out
+
+
+def _crt_by_poly(fd, t, e, m, factors):
+    """The CRT idempotents by sympy ``Poly`` division, inversion and
+    remainder, each evaluated at t by products from e: the construction
+    the package used before it computed them in the field's arithmetic,
+    kept as a reference."""
+    F = fd.field
+    mp = _sympy_poly(m, F)
+    out = []
+    for f, mult in factors[:-1]:
+        fm = _sympy_poly(f, F) ** mult
+        h, rem = mp.div(fm)
+        assert rem.is_zero
+        crt = _field_coeffs((h.invert(fm) * h).rem(mp), F)
+        value, power = [F.zero] * fd.dim, list(e)
+        for k, c in enumerate(crt):
+            if k:
+                power = fd.mul_vec(power, t)
+            value = [F.add(a, F.mul(c, b)) for a, b in zip(value, power)]
+        out.append(value)
+    last = list(e)
+    for v in out:
+        last = [F.sub(a, b) for a, b in zip(last, v)]
+    return out + [last]
+
+
+def _random_poly(F, rng):
+    """A polynomial of degree 1 to 12 with nonzero leading coefficient:
+    either random coefficients or a product of random factors, some
+    repeated, so that multiplicities and the factor x occur."""
+    def coeff():
+        if F.char:
+            return F.of_int(rng.randrange(F.char))
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    def poly(deg):
+        c = [coeff() for _ in range(deg)] + [F.zero]
+        while not c[-1]:
+            c[-1] = coeff()
+        return c
+
+    if rng.random() < 0.5:
+        return poly(rng.randint(1, 12))
+    out = [F.one]
+    for _ in range(rng.randint(1, 3)):
+        f = poly(rng.randint(1, 4))
+        for _ in range(rng.randint(1, 2)):
+            out = endos._poly_mul(out, f, F)
+    return out
+
+
+FACTOR_FIELDS = {"Q": QQ, "F2": GF(2), "F7": GF(7), "F11": GF(11)}
+
+
+@pytest.mark.parametrize("F", FACTOR_FIELDS.values(), ids=FACTOR_FIELDS.keys())
+def test_factor_irreducible_matches_poly_factor_list(F):
+    # factors, multiplicities and their order are those of sympy's Poly
+    inputs = []
+    if F.char != 11:
+        for n in range(1, 17):  # x^n - 1
+            inputs.append([F.neg(F.one)] + [F.zero] * (n - 1) + [F.one])
+    rng = random.Random(F.char)
+    inputs += [_random_poly(F, rng) for _ in range(75)]
+    # linear polynomials with a leading coefficient other than 1 (but
+    # over GF(2))
+    pairs = ((2, 3), (3, 0), (5, 1), (6, 4))
+    inputs += [[F.of_int(c), F.of_int(a)] for a, c in pairs if F.of_int(a)]
+    if not F.char:
+        inputs += [[Fraction(1, 3), Fraction(-2, 5)], [Fraction(7), Fraction(1, 2)]]
+    for coeffs in inputs:
+        assert factor_irreducible(coeffs, F) == _factor_list_by_poly(coeffs, F), coeffs
+
+
+def _mul_poly_at(fd, f, t, v):
+    """f(t) v, by products."""
+    F = fd.field
+    out, power = [F.zero] * fd.dim, list(v)
+    for k, c in enumerate(f):
+        if k:
+            power = fd.mul_vec(t, power)
+        out = [F.add(a, F.mul(c, b)) for a, b in zip(out, power)]
+    return out
+
+
+def _check_crt(fd, t, e):
+    """The CRT idempotents of t in the corner with unit e: complete and
+    orthogonal there, each killed by its primary factor at t, and equal
+    to the Poly construction.  Returns them, or None when m of t is a
+    prime power."""
+    F = fd.field
+    m, powers = fd.minimal_polynomial(t, e)
+    factors = factor_irreducible(m, F)
+    if len(factors) < 2:
+        return None
+    idems = endos._crt_idempotents(F, m, powers, factors)
+    assert idems == _crt_by_poly(fd, t, e, m, factors)
+    total = [F.zero] * fd.dim
+    for i, a in enumerate(idems):
+        for j, b in enumerate(idems):
+            assert fd.mul_vec(a, b) == (a if i == j else [F.zero] * fd.dim)
+        total = [F.add(x, y) for x, y in zip(total, a)]
+    assert total == list(e)
+    for (f, mult), a in zip(factors, idems):
+        fk = [F.one]
+        for _ in range(mult):
+            fk = endos._poly_mul(fk, f, F)
+        assert not any(_mul_poly_at(fd, fk, t, a))
+    return idems
+
+
+@pytest.mark.parametrize("F", [QQ, GF(2), GF(7)], ids=["Q", "F2", "F7"])
+@pytest.mark.parametrize("moduli", [(6,), (12,), (2, 6)], ids=["C6", "C12", "Z2xZ6"])
+def test_crt_idempotents_match_the_poly_construction(F, moduli):
+    fd = _end_of_regular(_forget(alg.group_algebra(F, GradingGroup(0, moduli))))
+    rng = random.Random(len(moduli) + moduli[-1])
+    hi = min(F.char - 1, 3) if F.char else 3
+    checked = 0
+    for _ in range(6):
+        t = [F.of_int(rng.randint(0, hi)) for _ in range(fd.dim)]
+        idems = _check_crt(fd, t, fd.unit)
+        if idems is None:
+            continue
+        checked += 1
+        # and in the corner of the first idempotent, with it as the unit
+        e = idems[0]
+        s = fd.mul_vec(e, [F.of_int(rng.randint(0, hi)) for _ in range(fd.dim)])
+        _check_crt(fd, s, e)
+    assert checked
+
+
+@pytest.mark.parametrize("F", [QQ, GF(2), GF(7)], ids=["Q", "F2", "F7"])
+def test_crt_idempotents_refuse_bad_factors(F):
+    # F[u]/((u - 1)^2): u has minimal polynomial (x - 1)^2
+    fd = _unipotent_truncation(F, 2)
+    u = [F.zero, F.one]
+    m, powers = fd.minimal_polynomial(u, fd.unit)
+    x_minus_1 = [F.neg(F.one), F.one]
+    assert factor_irreducible(m, F) == [(x_minus_1, 2)]
+    with pytest.raises(SplitError, match="primary factor does not divide the minimal polynomial"):
+        endos._crt_idempotents(F, m, powers, [([F.zero, F.one], 1), (x_minus_1, 1)])
+    with pytest.raises(SplitError, match="primary components are not coprime"):
+        endos._crt_idempotents(F, m, powers, [(x_minus_1, 1), (x_minus_1, 1)])
+
+
+@pytest.mark.parametrize("F", [QQ, GF(7)], ids=["Q", "F7"])
+def test_crt_idempotents_take_no_products(monkeypatch, F):
+    # the idempotents are combinations of the powers the minimal
+    # polynomial was read from, which are the products t^k
+    fd = _cyclic(F, 12)
+    products = []
+    mul_vec = FDAlgebra.mul_vec
+
+    def counting(self, x, y):
+        products.append(1)
+        return mul_vec(self, x, y)
+
+    monkeypatch.setattr(FDAlgebra, "mul_vec", counting)
+    crt = endos._crt_idempotents
+    crt_products = []
+
+    def counted_crt(*args):
+        before = len(products)
+        out = crt(*args)
+        crt_products.append(len(products) - before)
+        return out
+
+    monkeypatch.setattr(endos, "_crt_idempotents", counted_crt)
+    t = endos._unit_vec(fd, 1)
+    products.clear()
+    m, powers = fd.minimal_polynomial(t, fd.unit)
+    assert len(products) == len(m) - 1 == len(powers) == 12
+    assert powers[0] == list(fd.unit)
+    for a, b in zip(powers, powers[1:]):
+        assert b == mul_vec(fd, a, t)
+    units = [endos._unit_vec(fd, i) for i in range(fd.dim)]
+    for seed in range(3):
+        endos._split_commutative(fd, units, random.Random(seed))
+    assert crt_products and not any(crt_products)
+
+
 def test_local_algebra_is_not_split():
     # F2[C2] is local: its regular module must stay in one piece
     A = _forget(alg.group_algebra(GF(2), GradingGroup(0, (2,))))
