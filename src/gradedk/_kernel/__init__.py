@@ -1,12 +1,13 @@
 """Exact linear-algebra kernel over Q and prime fields.
 
 Elimination (``mat_mul``, ``rref``, ``rank``, ``solve``, ``nullspace``)
-lives in the ``pure`` submodule and is re-exported here.  ``EchelonBasis``
-(coordinates in a fixed basis) and ``Bilinear`` (sparse structure
-constants) are built on top of it.  Elimination stays a submodule so
-that the calls ``solve``, ``rank`` and ``nullspace`` make to ``rref``
-internally are not calls through this package's names, which is what
-``perfbench/tracer.py`` counts.
+lives in the ``pure`` submodule and is re-exported here.
+``EchelonBasis`` is the one span of the package: grown one vector at a
+time, it answers membership, residues and coordinates in the vectors
+that grew it.  ``Bilinear`` holds sparse structure constants.
+Elimination stays a submodule so that the calls ``solve``, ``rank`` and
+``nullspace`` make to ``rref`` internally are not calls through this
+package's names, which is what ``perfbench/tracer.py`` counts.
 """
 
 from fractions import Fraction
@@ -21,93 +22,140 @@ def identity(n, char):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-class EchelonBasis:
-    """Coordinates in a fixed basis from one elimination.
+_QZERO = Fraction(0)
 
-    ``[B | I]`` is reduced once, for the independent rows B of ``basis``;
-    its rows are ``[R | T]`` with ``T @ B == R`` and R in reduced echelon
-    form with pivot columns p_i.  A vector v of the span equals
-    ``sum_i v[p_i] R_i``, so its coordinates in B are ``sum_i v[p_i] T_i``:
-    pivot reads times the recorded transform.  Every answer is checked
-    exactly: v lies in the span only if that sum reproduces it on the
-    free columns.  Coordinates agree with ``solve`` entry for entry.
+
+class EchelonBasis:
+    """A span grown one vector at a time, with coordinates in the vectors
+    that grew it.
+
+    ``add`` reduces a vector once against the rows R_i, the reduced
+    echelon form of the span: R_i is 1 at its pivot p_i and 0 at every
+    other pivot, and is kept as its nonzero free entries, (column, value).
+    A vector off the span takes the first nonzero column of its residue
+    as its pivot.  That column is a leading position of a vector in the
+    span, so it is a pivot of the span's reduced echelon form: the pivots
+    and the rows do not depend on the order of adds.
+
+    Beside each row, ``add`` keeps its transform T_i, with R_i = sum_j
+    T_ij basis_j.  A vector v of the span equals sum_i v[p_i] R_i, so its
+    coordinates in ``basis`` are sum_i v[p_i] T_i: pivot reads times the
+    transform.  Every answer is checked exactly: v lies in the span only
+    if its residue is zero.  Coordinates agree with ``solve`` entry for
+    entry.  ``EchelonBasis(rows, char)`` adds each row and raises
+    ValueError on a dependent one.
     """
 
-    __slots__ = ("dim", "ambient_dim", "char", "_pivots", "_free", "_transform")
+    __slots__ = ("char", "ambient_dim", "basis", "pivots", "_free", "_transform")
 
-    def __init__(self, basis, char):
-        k = len(basis)
-        n = len(basis[0]) if k else 0
-        one = 1 if char else Fraction(1)
-        zero = 0 if char else Fraction(0)
-        aug = [
-            list(b) + [one if i == j else zero for j in range(k)]
-            for i, b in enumerate(basis)
-        ]
-        red, pivots = rref(aug, char) if k else ([], [])
-        if pivots and pivots[-1] >= n:
-            raise ValueError("basis rows are not linearly independent")
-        pivset = set(pivots)
-        free = [c for c in range(n) if c not in pivset]
-        self.dim = k
-        self.ambient_dim = n
+    def __init__(self, rows, char):
         self.char = char
-        self._pivots = pivots
-        # R_i restricted to its nonzero free columns, as (column, value)
-        self._free = [[(c, row[c]) for c in free if row[c]] for row in red]
-        self._transform = [row[n:] for row in red]
+        self.ambient_dim = 0
+        self.basis = []  # the vectors that enlarged the span, as given
+        self.pivots = []
+        self._free = []
+        self._transform = []
+        for row in rows:
+            if not self.add(row):
+                raise ValueError("basis rows are not linearly independent")
 
-    def pivot_reads(self, vec):
-        """The pivot entries of ``vec`` if it lies in the span, else None:
-        its coordinates in the reduced rows R.  The check reads only each
-        row's nonzero free entries."""
+    @property
+    def dim(self):
+        return len(self.basis)
+
+    def residue(self, vec):
+        """``vec`` minus its pivot reads times the rows: zero on every
+        pivot, and zero everywhere exactly when ``vec`` lies in the span.
+        Only each row's nonzero free entries are read."""
         char = self.char
-        if self.dim and len(vec) != self.ambient_dim:
+        if self.pivots and len(vec) != self.ambient_dim:
             raise ValueError("vector length does not match the basis")
-        d = [vec[c] for c in self._pivots]
-        resid = list(vec)
-        for c in self._pivots:
-            resid[c] = 0
-        for di, row in zip(d, self._free):
-            if di:
-                for c, r in row:
-                    resid[c] = resid[c] - di * r
+        r = list(vec)
+        zero = 0 if char else _QZERO
+        for c, row in zip(self.pivots, self._free):
+            x = vec[c]
+            if x:
+                r[c] = zero
+                for j, a in row:
+                    r[j] -= x * a
         if char:
-            if any(x % char for x in resid):
-                return None
-            return [x % char for x in d]
-        if any(resid):
-            return None
-        return d
+            return [x % char for x in r]
+        return r
+
+    def add(self, vec):
+        """Add ``vec`` to the span; whether that made the span larger."""
+        r = self.residue(vec)
+        p = next((j for j, x in enumerate(r) if x), None)
+        if p is None:
+            return False
+        char = self.char
+        k = len(self.basis)
+        # r = vec - sum_i vec[p_i] R_i = basis_k - sum_i vec[p_i] sum_j T_ij basis_j
+        t = [0] * k + [1]
+        for c, trow in zip(self.pivots, self._transform):
+            x = vec[c]
+            if x:
+                for j, a in enumerate(trow):
+                    if a:
+                        t[j] -= x * a
+        if char:
+            inv = pow(r[p], -1, char)
+            t = [a * inv % char for a in t]
+            row = [(j, a * inv % char) for j, a in enumerate(r) if a and j != p]
+        else:
+            inv = 1 / Fraction(r[p])
+            t = [a * inv for a in t]
+            row = [(j, a * inv) for j, a in enumerate(r) if a and j != p]
+        # clear column p, a pivot from now on, from the other rows
+        for i, frow in enumerate(self._free):
+            f = next((a for j, a in frow if j == p), None)
+            if f is None:
+                continue
+            merged = dict(frow)
+            del merged[p]
+            for j, a in row:
+                merged[j] = merged.get(j, 0) - f * a
+            trow = self._transform[i]
+            trow = trow + [0] * (k + 1 - len(trow))
+            if char:
+                self._free[i] = [(j, a % char) for j, a in merged.items() if a % char]
+                self._transform[i] = [(a - f * b) % char for a, b in zip(trow, t)]
+            else:
+                self._free[i] = [(j, a) for j, a in merged.items() if a]
+                self._transform[i] = [a - f * b for a, b in zip(trow, t)]
+        self.ambient_dim = len(vec)
+        self.pivots.append(p)
+        self._free.append(row)
+        self._transform.append(t)
+        self.basis.append(vec)
+        return True
 
     def contains(self, vec):
         """Whether ``vec`` lies in the span of the basis."""
-        return self.pivot_reads(vec) is not None
+        return not any(self.residue(vec))
 
     def coords(self, vec):
         """Coordinates of ``vec`` in the basis, or None outside its span."""
-        d = self.pivot_reads(vec)
-        if d is None:
+        if any(self.residue(vec)):
             return None
         char = self.char
         if char:
-            out = [0] * self.dim
-            for di, trow in zip(d, self._transform):
+            out = [0] * len(self.basis)
+            for c, trow in zip(self.pivots, self._transform):
+                di = vec[c] % char
                 if di:
                     for j, t in enumerate(trow):
                         if t:
                             out[j] = (out[j] + di * t) % char
             return out
-        out = [Fraction(0)] * self.dim
-        for di, trow in zip(d, self._transform):
+        out = [_QZERO] * len(self.basis)
+        for c, trow in zip(self.pivots, self._transform):
+            di = vec[c]
             if di:
                 for j, t in enumerate(trow):
                     if t:
                         out[j] = out[j] + di * t
         return out
-
-
-_QZERO = Fraction(0)
 
 
 def _common_den(values):

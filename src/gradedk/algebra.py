@@ -863,21 +863,17 @@ def is_strongly_graded(A: GradedAlgebra, window: Optional[Iterable[Degree]] = No
     degrees = list(gens) + [-g for g in gens]
     if window:
         degrees += list(window)
-    one = A.one()
-    char = A.field.char
-    target = [[c] for c in one.coords]
+    one = A.one().coords
     for g in degrees:
         bg = A.component_basis(g)
         bng = A.component_basis(-g)
         if not bg or not bng:
             return False
-        cols = []
+        span = _kernel.EchelonBasis([], A.field.char)
         for i in range(len(bg)):
             x = A.basis_element(g, i)
             for j in range(len(bng)):
-                y = A.basis_element(-g, j)
-                cols.append((x * y).coords)
-        mat = [[col[r] for col in cols] for r in range(len(one.coords))]
-        if _kernel.solve(mat, target, char) is None:
+                span.add((x * A.basis_element(-g, j)).coords)
+        if not span.contains(one):
             return False
     return True

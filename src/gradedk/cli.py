@@ -60,7 +60,29 @@ from .gmod.swan import (
 
 
 class EvalError(ValueError):
-    """Name/arity/type errors in scripts: configuration problems (exit 2)."""
+    """Name/arity/type errors in scripts: configuration problems (exit 2).
+
+    The message names the script line of the innermost call it was
+    raised in (``at``), or the line and column it was built with."""
+
+    def __init__(self, message, line=None, column=None):
+        super().__init__(message)
+        self.line = line
+        self.column = column
+
+    def at(self, line):
+        """This error, placed at ``line`` unless it names a line already."""
+        if self.line is None:
+            self.line = line
+        return self
+
+    def __str__(self):
+        message = super().__str__()
+        if self.line is None:
+            return message
+        if self.column is None:
+            return f"{message} (line {self.line})"
+        return f"{message} (line {self.line}, column {self.column})"
 
 
 INVARIANT_ERRORS = (
@@ -125,9 +147,7 @@ class Session:
             b = self._builtin(node.name)
             if b is not None:
                 return b
-            raise EvalError(
-                f"undefined name {node.name!r} (line {node.line}, column {node.col})"
-            )
+            raise EvalError(f"undefined name {node.name!r}", node.line, node.col)
         if isinstance(node, Call):
             return self._call(node)
         raise EvalError(f"cannot evaluate {node!r}")
@@ -144,39 +164,36 @@ class Session:
         if i is not None and i < len(call.args):
             if keyed:
                 raise EvalError(
-                    f"{call.name}: argument {name} given both by position "
-                    f"and by keyword (line {call.line})"
+                    f"{call.name}: argument {name} given both by position and by keyword"
                 )
             return self.eval(call.args[i])
         if keyed:
             return self.eval(keyed[0])
         if default is not _REQUIRED:
             return default
-        raise EvalError(
-            f"{call.name} missing argument {name or i} (line {call.line})"
-        )
+        raise EvalError(f"{call.name} missing argument {name or i}")
 
     def _check_keywords(self, call, read):
         """A keyword that no lookup of ``call`` read, a misspelt one say,
         is an error, not a silent default."""
         for k, _v in call.kwargs:
             if k not in read:
-                raise EvalError(
-                    f"{call.name}: unknown keyword argument {k} (line {call.line})"
-                )
+                raise EvalError(f"{call.name}: unknown keyword argument {k}", call.line)
 
     def _call(self, call: Call):
         name = call.name
         try:
             value = self._dispatch(call)
+        except EvalError as exc:
+            raise exc.at(call.line)
         except (AlgebraError, GradingError) as exc:
             # an algebra or degree that cannot be built from a script's
             # arguments is malformed input, not a failed invariant
-            raise EvalError(f"{name}: {exc} (line {call.line})") from exc
-        except (EvalError, *INVARIANT_ERRORS, HypothesisError):
+            raise EvalError(f"{name}: {exc}", call.line) from exc
+        except (*INVARIANT_ERRORS, HypothesisError):
             raise
         except (TypeError, ValueError, IndexError, KeyError) as exc:
-            raise EvalError(f"{name}: {exc} (line {call.line})") from exc
+            raise EvalError(f"{name}: {exc}", call.line) from exc
         finally:
             read = self._read.pop(id(call), set())
         self._check_keywords(call, read)
@@ -194,7 +211,7 @@ class Session:
             elif isinstance(item, list):
                 out.append(group.degree(item))
             else:
-                raise EvalError(f"{what}: bad degree {item!r}")
+                raise EvalError(f"{what}: bad degree {item}")
         return out
 
     def _dispatch(self, call: Call):
@@ -259,7 +276,7 @@ class Session:
             return random_presentation(
                 A, self._degrees(A.group, shifts, "random_proj"), rng
             )
-        raise EvalError(f"unknown constructor {name!r} (line {call.line})")
+        raise EvalError(f"unknown constructor {name!r}")
 
     def _expect_field(self, call, i):
         v = self._arg(call, i, "field")
@@ -348,6 +365,8 @@ class Session:
         echo = unparse(call)
         try:
             body = self._run_command_body(call)
+        except EvalError as exc:
+            raise exc.at(call.line)
         except HypothesisError as exc:
             body = kt._report(
                 "hypothesis-not-met", [kt._check("hypothesis", False, str(exc))]
@@ -357,7 +376,7 @@ class Session:
                 "fail", [kt._check("invariant", False, f"{type(exc).__name__}: {exc}")]
             )
         except UnsupportedAlgebra as exc:
-            raise EvalError(f"{call.name}: {exc} (line {call.line})") from exc
+            raise EvalError(f"{call.name}: {exc}", call.line) from exc
         finally:
             read = self._read.pop(id(call), set())
         self._check_keywords(call, read)
@@ -401,7 +420,7 @@ class Session:
             try:
                 d = A.group.degree([deg] if isinstance(deg, int) else deg)
             except (TypeError, ValueError) as exc:  # GradingError among them
-                raise EvalError(f"basis: {exc} (line {call.line})") from exc
+                raise EvalError(f"basis: {exc}") from exc
             labels = [str(lbl) for lbl in A.component_basis(d)]
             return kt._report(
                 "pass",

@@ -55,6 +55,14 @@ the engine behind Krull-Schmidt decomposition:
 * one Newton lift, sequentially orthogonalized, carries idempotents
   through the radical and through the q-adic lift alike, by the
   3e^2 - 2e^3 iteration; everything is verified exactly.
+
+Every span this module grows or reads is a ``_kernel.EchelonBasis``:
+the powers a minimal polynomial is read from, the words of the
+generators, the closure A S of the radical's check, the coordinates of
+the radical chain and of End(P)_0, and the radical quotient, whose
+projection is the residue by J read at the free columns.  The one
+elimination of its own left here is the block table's sparse pivot
+reads mod q.
 """
 
 from __future__ import annotations
@@ -140,29 +148,15 @@ class FDAlgebra:
         ``(coeffs, powers)`` with coeffs low degree first and powers =
         [e, x, ..., x^(deg m - 1)].
 
-        Each power x^n (x^0 = e) is reduced once against the echelon rows
-        of the earlier powers, tracking which combination of powers it
-        is; the first power that reduces to zero gives the polynomial."""
+        The powers x^n (x^0 = e) join a span while they enlarge it, and
+        the coordinates of the first one that does not give m: deg m
+        products in all."""
         F = self.field
-        rows = []  # (pivot, row scaled to 1 there, its combination of powers)
-        powers = []
+        span = _kernel.EchelonBasis([], F.char)
         power = list(e)
-        while True:
-            v = list(power)
-            comb = [F.zero] * len(rows) + [F.one]
-            for p, row, rcomb in rows:
-                c = v[p]
-                if c:
-                    v = [F.sub(a, F.mul(c, b)) if b else a for a, b in zip(v, row)]
-                    for i, b in enumerate(rcomb):
-                        comb[i] = F.sub(comb[i], F.mul(c, b))
-            p = next((i for i, a in enumerate(v) if a), None)
-            if p is None:
-                return comb, powers
-            inv = F.inv(v[p])
-            rows.append((p, [F.mul(inv, a) for a in v], [F.mul(inv, a) for a in comb]))
-            powers.append(power)
+        while span.add(power):
             power = self.mul_vec(power, x)
+        return [F.neg(c) for c in span.coords(power)] + [F.one], span.basis
 
     def center_basis(self):
         """Basis of the centre: x with b_i x = x b_i for every basis b_i,
@@ -385,10 +379,7 @@ def radical_basis(fd: FDAlgebra):
                 if coords is None:
                     raise SplitError("radical chain: a level is not an ideal")
                 form[j][a] = sum(c * gt for c, gt in zip(coords, g)) % p
-        ideal = [
-            [sum(c * u[k] for c, u in zip(v, ideal)) % p for k in range(n)]
-            for v in _kernel.nullspace(form, p)
-        ]
+        ideal = [_up(ideal, v, fd.field, n) for v in _kernel.nullspace(form, p)]
         pw *= p
     _verify_radical(fd, ideal)
     return ideal
@@ -419,50 +410,14 @@ def _left_mult_modp(items, u, n, p):
     return [[x % p for x in row] for row in L]
 
 
-class _GrowingSpan:
-    """A subspace grown one vector at a time.  Its rows are kept sparse
-    in semi-echelon form: each is 1 at its pivot and 0 at the pivots of
-    the rows before it, so one pass over the rows in order reduces a
-    vector, and a nonzero vector that is 0 on every pivot lies outside
-    the span."""
-
-    def __init__(self, char):
-        self.char = char
-        self.vectors = []  # the vectors that enlarged the span, as given
-        self.rows = []  # (pivot, [(column, value)] with value 1 at the pivot)
-        self.pivots = set()
-
-    def add(self, vec):
-        """Add ``vec`` to the span; whether that made the span larger."""
-        m = self.char
-        v = list(vec)
-        for p, row in self.rows:
-            c = v[p] % m if m else v[p]
-            if c:
-                for col, r in row:
-                    v[col] -= c * r
-        if m:
-            v = [x % m for x in v]
-        p = next((i for i, x in enumerate(v) if x), None)
-        if p is None:
-            return False
-        inv = pow(v[p], -1, m) if m else 1 / Fraction(v[p])
-        self.rows.append(
-            (p, [(i, x * inv % m if m else x * inv) for i, x in enumerate(v) if x])
-        )
-        self.pivots.add(p)
-        self.vectors.append(vec)
-        return True
-
-    def close(self, seeds, images, dim):
-        """Add the ``seeds`` and, for each vector that enlarged the span,
-        its ``images``, until none is left or the span has dimension
-        ``dim``.  The vectors added are reduced once each."""
-        queue = list(seeds)
-        while queue and len(self.vectors) < dim:
-            v = queue.pop()
-            if self.add(v):
-                queue.extend(images(v))
+def _close(span, queue, images, dim):
+    """Add the vectors of ``queue`` to ``span`` and, for each one that
+    enlarged it, its ``images``, until none is left or the span has
+    dimension ``dim``.  Each vector added is reduced once."""
+    while queue and span.dim < dim:
+        v = queue.pop()
+        if span.add(v):
+            queue.extend(images(v))
 
 
 def _generators(fd):
@@ -474,16 +429,17 @@ def _generators(fd):
     T: a unit vector off the pivots never lies in the span."""
     n = fd.dim
     gens = []
-    span = _GrowingSpan(fd.field.char)
+    span = _kernel.EchelonBasis([], fd.field.char)
 
     def right(v):
         return [fd.mul_vec(v, t) for t in gens]
 
-    span.close([fd.unit], right, n)
-    while len(span.vectors) < n:
-        t = _unit_vec(fd, next(b for b in range(n) if b not in span.pivots))
+    _close(span, [fd.unit], right, n)
+    while span.dim < n:
+        pivots = set(span.pivots)
+        t = _unit_vec(fd, next(b for b in range(n) if b not in pivots))
         gens.append(t)
-        span.close([fd.mul_vec(w, t) for w in span.vectors], right, n)
+        _close(span, [fd.mul_vec(w, t) for w in span.basis], right, n)
     return gens
 
 
@@ -514,11 +470,11 @@ def _verify_radical(fd, J):
     # closure of s under left products with T, joins the span.  J is a
     # left ideal, so the span stays in J and is J at J's dimension.
     S = []
-    span = _GrowingSpan(char)
+    span = _kernel.EchelonBasis([], char)
     for j in J:
         if span.add(j):
             S.append(j)
-            span.close(left(j), left, len(J))
+            _close(span, left(j), left, len(J))
     # nilpotency: powers of the subspace must reach zero
     power = [list(r) for r in J]
     for _ in range(fd.dim + 1):
@@ -551,11 +507,8 @@ class RadicalQuotient:
 
     def __init__(self, fd: FDAlgebra, J):
         self.parent = fd
-        char = fd.field.char
-        red, piv = _kernel.rref([list(r) for r in J], char) if J else ([], [])
-        self.jrows = [red[i] for i in range(len(piv))]
-        self.jpivots = list(piv)
-        pivset = set(piv)
+        self.radical = _kernel.EchelonBasis(J, fd.field.char)
+        pivset = set(self.radical.pivots)
         self.free = [c for c in range(fd.dim) if c not in pivset]
         products = {
             (a, b): self.project(fd.mul_vec(_unit_vec(fd, i), _unit_vec(fd, j)))
@@ -567,15 +520,10 @@ class RadicalQuotient:
         )
 
     def project(self, vec):
-        """Coordinates in the quotient basis (free coordinates after
-        reducing by the radical rows)."""
-        F = self.parent.field
-        v = list(vec)
-        for row, c in zip(self.jrows, self.jpivots):
-            x = v[c]
-            if x:
-                v = [F.sub(a, F.mul(x, b)) for a, b in zip(v, row)]
-        return [v[c] for c in self.free]
+        """Coordinates in the quotient basis: the residue of ``vec`` by
+        the radical, read at the free columns."""
+        r = self.radical.residue(vec)
+        return [r[c] for c in self.free]
 
     def lift(self, qvec):
         F = self.parent.field
@@ -1206,15 +1154,9 @@ class EndAlgebra:
 
     def to_entries(self, vec):
         A = self.module.algebra
-        F = A.field
-        if self._span is None:
-            raw = vec
-        else:
-            raw = [F.zero] * len(self.positions)
-            for c, bvec in zip(vec, self.basis_vecs):
-                if c:
-                    raw = [F.add(a, F.mul(c, b)) for a, b in zip(raw, bvec)]
-        return vec_to_entries(A, raw, self.positions, self.module.rank, self.module.rank)
+        if self._span is not None:
+            vec = _up(self.basis_vecs, vec, A.field, len(self.positions))
+        return vec_to_entries(A, vec, self.positions, self.module.rank, self.module.rank)
 
 
 def split_projective(X: ProjectivePresentation, rng):

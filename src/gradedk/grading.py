@@ -115,10 +115,6 @@ class GradingGroup:
     def to_json(self):
         return {"rank": self.free_rank, "moduli": list(self.torsion_moduli)}
 
-    @staticmethod
-    def from_json(obj) -> "GradingGroup":
-        return GradingGroup(int(obj["rank"]), tuple(obj.get("moduli", ())))
-
     def describe(self) -> str:
         parts = ["Z"] * self.free_rank + [f"Z/{n}" for n in self.torsion_moduli]
         return " x ".join(parts) if parts else "1"
@@ -178,10 +174,6 @@ class Degree:
 
     def is_zero(self) -> bool:
         return not any(self.values)
-
-    @property
-    def torsion_part(self) -> tuple:
-        return self.values[self.group.free_rank :]
 
     def to_json(self):
         return list(self.values)
@@ -301,14 +293,6 @@ class Subgroup:
         )
         rows = [[0] * extra + list(r) for r in self.rows]
         return Subgroup(tgt, rows)
-
-    def restrict_tail(self, source: GradingGroup) -> "Subgroup":
-        """Intersection with the trailing factor 0^k x source."""
-        k = self.group.free_rank - source.free_rank
-        if k < 0 or self.group.torsion_moduli != source.torsion_moduli:
-            raise GradingError("not a trailing factor")
-        kept = [list(r)[k:] for r in self.rows if not any(list(r)[:k])]
-        return Subgroup(source, kept)
 
     def to_json(self):
         return [d.to_json() for d in self.generators()]
@@ -539,9 +523,6 @@ class ShiftModule:
         return order, stab
 
     # -- queries ---------------------------------------------------------------
-    def orbit_data(self):
-        return [(o.size, o.stabilizer.generators()) for o in self.orbits]
-
     def canonical_key(self):
         return tuple(sorted(o.key() for o in self.orbits))
 

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from gradedk import algebra as alg
+from gradedk._kernel import solve
 from gradedk.algebra import AlgebraError, is_strongly_graded, project_pi
 from gradedk.fields import GF, QQ
 from gradedk.grading import GradingGroup
@@ -150,6 +151,48 @@ def test_strongly_graded_verdicts(M5, M201):
     )  # A_{-1} = 0
     assert is_strongly_graded(alg.group_algebra(QQ, GradingGroup(1, ())))
     assert is_strongly_graded(alg.group_algebra(GF(2), GradingGroup(0, (2,))))
+
+
+def _strongly_graded_by_solve(A, window=None):
+    """The verdict by one ``solve`` per degree, on the matrix whose columns
+    are the products of A_g and A_{-g}: the construction ``is_strongly_graded``
+    used before it grew a span, kept as its reference."""
+    gens = A.group.generators()
+    one = A.one().coords
+    for g in list(gens) + [-g for g in gens] + list(window or []):
+        bg, bng = A.component_basis(g), A.component_basis(-g)
+        if not bg or not bng:
+            return False
+        cols = [
+            (A.basis_element(g, i) * A.basis_element(-g, j)).coords
+            for i in range(len(bg))
+            for j in range(len(bng))
+        ]
+        mat = [[col[r] for col in cols] for r in range(len(one))]
+        if solve(mat, [[c] for c in one], A.field.char) is None:
+            return False
+    return True
+
+
+def test_strongly_graded_verdicts_match_solve(M5, M201, Qx):
+    Z, Z2 = GradingGroup(1, ()), GradingGroup(0, (2,))
+    C = alg.regrade_mod(M201, 2)
+    cases = [
+        (M201, None, False),
+        (C, None, True),
+        (C, list(C.group.torsion_elements()), True),
+        (M5, None, False),
+        (Qx, None, False),
+        (alg.group_algebra(QQ, Z), None, True),
+        (alg.group_algebra(GF(2), Z2), None, True),
+        # a tensor with a strongly graded group algebra is strongly graded
+        (alg.tensor_product(M201, alg.group_algebra(QQ, Z)), None, True),
+        (alg.tensor_product(C, alg.group_algebra(QQ, Z2)), None, True),
+        # both components nonzero, but 1 is not a sum of their products
+        (alg.tensor_product(Qx, M201), None, False),
+    ]
+    for A, window, want in cases:
+        assert is_strongly_graded(A, window) == _strongly_graded_by_solve(A, window) == want
 
 
 def test_strongly_graded_degrees_form_subgroup(M201):
@@ -322,7 +365,7 @@ def _slices(A):
 def _window(group, radius):
     for free in itertools.product(range(-radius, radius + 1), repeat=group.free_rank):
         for t in group.torsion_elements():
-            yield group.degree(free + t.torsion_part)
+            yield group.degree(free + t.values[group.free_rank :])
 
 
 def _unit(n, i):

@@ -163,6 +163,8 @@ def test_unsupported_algebra_is_a_user_error(tmp_path, command):
         "k0(trivial_extension(matrix(Q,[0,1]), -1))",
         "k0(trivial_extension(matrix(Q,[0,1]), 1/2))",
         "lemma(matrix(Q,[0,1]), -2)",
+        "k0(matrix(Q, [1/2]))",
+        "k0(matrix(Q, [0, 1], group=Z^2))",
     ],
 )
 def test_bad_literal_is_a_user_error(tmp_path, capsys, script):
@@ -171,6 +173,9 @@ def test_bad_literal_is_a_user_error(tmp_path, capsys, script):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "line 1" in lines[0]
+    # a value is printed as the script wrote it (1/2, not Fraction(1, 2))
+    assert "Fraction(" not in lines[0]
 
 
 @pytest.mark.parametrize(
@@ -189,6 +194,7 @@ def test_malformed_algebra_or_degree_is_a_user_error(tmp_path, capsys, script):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "line 1" in lines[0]
 
 
 def test_algebra_error_from_a_computation_is_a_failure(tmp_path, monkeypatch):

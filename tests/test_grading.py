@@ -97,7 +97,6 @@ def test_degree_is_immutable():
 
 def test_degree_json():
     assert ZxZ2.degree([2, 1]).to_json() == [2, 1]
-    assert GradingGroup.from_json({"rank": 1, "moduli": [2]}) == ZxZ2
 
 
 # -- group ring ---------------------------------------------------------------
@@ -162,7 +161,6 @@ def test_subgroup_prepend_and_restrict():
     assert He.group == ZxZ2
     assert He.contains(ZxZ2.degree([0, 1]))
     assert not He.contains(ZxZ2.degree([1, 0]))
-    assert He.restrict_tail(Z2) == H
 
 
 # -- shift modules -------------------------------------------------------------
@@ -222,7 +220,7 @@ def test_induce_restricting_preserves_orbits():
     m = ShiftModule(Z2, ["a", "b"], [(1, 0)])
     ind = induce_module(m, ZxZ2)
     for orig, new in zip(m.orbits, ind.orbits):
-        assert new.stabilizer.restrict_tail(Z2) == orig.stabilizer
+        assert new.stabilizer == orig.stabilizer.prepend_free(1)
         assert new.size == orig.size
 
 
@@ -247,7 +245,8 @@ def test_declared_stabilizer_must_fix_labels():
 
 def test_orbit_data_shape():
     m = ShiftModule(Z, ["a", "b"], [(1, 0)])
-    (size, gens) = m.orbit_data()[0]
+    o = m.orbits[0]
+    size, gens = o.size, o.stabilizer.generators()
     assert size == 2
     # label stabilizer of a 2-cycle under Z is 2Z
     assert [g.values for g in gens] == [(2,)]

@@ -124,6 +124,96 @@ def test_echelon_basis_edge_cases(char):
     assert empty.coords([zero, one]) is None
 
 
+def _combination(rng, vectors, n, char):
+    """A random combination of ``vectors`` (of length n) and its coefficients."""
+    c = rand_matrix(rng, 1, len(vectors), char)[0]
+    vec = [
+        sum((a * v[r] for a, v in zip(c, vectors)), 0 if char else Fraction(0))
+        for r in range(n)
+    ]
+    return ([x % char for x in vec] if char else vec), c
+
+
+def _rand_span(rng, char):
+    """Up to six random vectors, some of them combinations of others."""
+    n = rng.randint(1, 7)
+    vecs = rand_matrix(rng, rng.randint(1, 6), n, char)
+    for _ in range(rng.randint(0, 2)):
+        vecs.append(_combination(rng, vecs, n, char)[0])
+    rng.shuffle(vecs)
+    return n, vecs
+
+
+@pytest.mark.parametrize("char", CHARS)
+def test_echelon_basis_grown_in_any_order_matches_rref_and_solve(char):
+    # the pivots are those of the reduced echelon form whatever the order
+    # of the adds, and coordinates in the vectors that grew the span are
+    # the ones solve finds
+    rng = random.Random(char + 21)
+    for _ in range(30):
+        n, vecs = _rand_span(rng, char)
+        _red, want = rref(vecs, char)
+        span = EchelonBasis([], char)
+        grew = [span.add(v) for v in vecs]
+        assert sorted(span.pivots) == want
+        assert span.dim == len(want) == sum(grew)
+        assert span.basis == [v for v, g in zip(vecs, grew) if g]
+        other = EchelonBasis([], char)
+        for v in rng.sample(vecs, len(vecs)):
+            other.add(v)
+        assert sorted(other.pivots) == want
+        cols = [[b[r] for b in span.basis] for r in range(n)]
+        for _ in range(4):
+            vec, c = _combination(rng, span.basis, n, char)
+            sol = solve(cols, [[x] for x in vec], char)
+            assert span.coords(vec) == [row[0] for row in sol] == c
+            assert span.contains(vec)
+            assert other.residue(vec) == span.residue(vec) == [0] * n
+
+
+@pytest.mark.parametrize("char", CHARS)
+def test_echelon_basis_add_inside_the_span_changes_nothing(char):
+    rng = random.Random(char + 22)
+    for _ in range(30):
+        n, vecs = _rand_span(rng, char)
+        span = EchelonBasis([], char)
+        for v in vecs:
+            span.add(v)
+        state = (list(span.basis), list(span.pivots), repr(span._free), repr(span._transform))
+        vec, _c = _combination(rng, vecs, n, char)
+        assert span.add(vec) is False
+        assert (list(span.basis), list(span.pivots), repr(span._free), repr(span._transform)) == state
+
+
+def _reduce_by_rref_rows(vec, rows, char):
+    """vec minus vec[c] times each reduced echelon row of ``rows``, c its
+    pivot, one row after another: the reduction the radical quotient
+    used before it read ``residue``."""
+    red, pivots = rref(rows, char)
+    v = list(vec)
+    for row, c in zip(red, pivots):
+        x = v[c]
+        if x:
+            v = [(a - x * b) % char if char else a - x * b for a, b in zip(v, row)]
+    return v
+
+
+@pytest.mark.parametrize("char", CHARS)
+def test_echelon_basis_residue_is_the_reduction_by_echelon_rows(char):
+    rng = random.Random(char + 23)
+    for _ in range(30):
+        n, vecs = _rand_span(rng, char)
+        span = EchelonBasis([], char)
+        for v in vecs:
+            span.add(v)
+        for _ in range(4):
+            vec = rand_matrix(rng, 1, n, char)[0]
+            r = span.residue(vec)
+            assert not any(r[c] for c in span.pivots)
+            assert r == _reduce_by_rref_rows(vec, vecs, char)
+            assert span.contains(vec) == (not any(r)) == (rank(vecs + [vec], char) == span.dim)
+
+
 def _naive_bilinear(cells, out_dim, x, y, modulus):
     """sum_{i,j,k} x_i y_j c_ijk, one field operation per term."""
     out = [0 if modulus else Fraction(0)] * out_dim

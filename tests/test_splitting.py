@@ -585,6 +585,37 @@ def test_crt_idempotents_match_the_poly_construction(F, moduli):
 
 
 @pytest.mark.parametrize("F", [QQ, GF(2), GF(7)], ids=["Q", "F2", "F7"])
+def test_minimal_polynomial_kills_t_and_its_powers_are_independent(F):
+    # m(t) e = 0, computed from the powers m was read from, and no lower
+    # degree works: the powers e, t, ..., t^(deg m - 1) are independent;
+    # in the whole algebra and in the corner of a CRT idempotent
+    rng = random.Random(F.char + 31)
+    hi = min(F.char - 1, 3) if F.char else 3
+    checked = 0
+    for n in range(2, 9):
+        fd = _cyclic(F, n)
+        t = [F.of_int(rng.randint(0, hi)) for _ in range(fd.dim)]
+        cases = [(endos._unit_vec(fd, 1), fd.unit), (t, fd.unit)]
+        m, powers = fd.minimal_polynomial(t, fd.unit)
+        factors = factor_irreducible(m, F)
+        if len(factors) >= 2:
+            e = endos._crt_idempotents(F, m, powers, factors)[0]
+            cases.append((fd.mul_vec(e, t), e))
+        for x, e in cases:
+            m, powers = fd.minimal_polynomial(x, e)
+            assert m[-1] == F.one and len(m) == len(powers) + 1
+            assert powers[0] == list(e)
+            assert _kernel.rank(powers, F.char) == len(powers)
+            top = fd.mul_vec(powers[-1], x)
+            value = [F.mul(m[-1], a) for a in top]
+            for c, p in zip(m, powers):
+                value = [F.add(a, F.mul(c, b)) for a, b in zip(value, p)]
+            assert not any(value)
+            checked += 1
+    assert checked >= 15
+
+
+@pytest.mark.parametrize("F", [QQ, GF(2), GF(7)], ids=["Q", "F2", "F7"])
 def test_crt_idempotents_refuse_bad_factors(F):
     # F[u]/((u - 1)^2): u has minimal polynomial (x - 1)^2
     fd = _unipotent_truncation(F, 2)
