@@ -7,7 +7,6 @@ results are reproducible entry for entry.
 """
 
 from fractions import Fraction
-from math import gcd
 
 __all__ = ["mat_mul", "rref", "rank", "solve", "nullspace"]
 
@@ -118,73 +117,8 @@ def rref(a, char):
 
 
 def rank(a, char):
-    """Rank of the matrix; fraction-free Bareiss over Q, elimination mod p."""
-    n = len(a)
-    m = len(a[0]) if n else 0
-    if n == 0 or m == 0:
-        return 0
-    if char:
-        p = char
-        rows = [[x % p for x in r] for r in a]
-        r = 0
-        for c in range(m):
-            pr = -1
-            for i in range(r, n):
-                if rows[i][c]:
-                    pr = i
-                    break
-            if pr < 0:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            piv = rows[r][c]
-            inv = pow(piv, p - 2, p)
-            for i in range(r + 1, n):
-                if rows[i][c]:
-                    f = (rows[i][c] * inv) % p
-                    ri = rows[i]
-                    rr = rows[r]
-                    for j in range(c, m):
-                        ri[j] = (ri[j] - f * rr[j]) % p
-            r += 1
-            if r == n:
-                break
-        return r
-    # clear denominators row by row, then Bareiss
-    rows = []
-    for src in a:
-        den = 1
-        for x in src:
-            if isinstance(x, Fraction):
-                d = x.denominator
-                if d != 1:
-                    g = gcd(den, d)
-                    den = den // g * d
-            elif not isinstance(x, int):
-                raise TypeError("rational matrix entries must be Fraction or int")
-        rows.append([int(x * den) for x in src])
-    r = 0
-    prev = 1
-    for c in range(m):
-        pr = -1
-        for i in range(r, n):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        rr = rows[r]
-        for i in range(r + 1, n):
-            ri = rows[i]
-            f = ri[c]
-            for j in range(c, m):
-                ri[j] = (ri[j] * piv - f * rr[j]) // prev
-        prev = piv
-        r += 1
-        if r == n:
-            break
-    return r
+    """Rank of the matrix: the number of pivots of ``rref(a, char)``."""
+    return len(rref(a, char)[1])
 
 
 def solve(a, b, char):

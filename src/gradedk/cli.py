@@ -114,7 +114,7 @@ class Session:
         self.seed = seed
         self.margin = margin
         self.field_override = field_override
-        self._read = {}  # id(call) -> the keywords its lookups have read
+        self._read = {}  # id(call) -> the positions and keywords its lookups read
 
     # -- value evaluation -----------------------------------------------------
     def _builtin(self, name: str):
@@ -155,11 +155,13 @@ class Session:
     def _arg(self, call, i, name=None, default=_REQUIRED):
         """Argument ``i`` by position (None: keyword only), else keyword
         ``name``, else ``default``.  An argument given both ways is an
-        error, whichever of the two would be read.  ``name`` counts as
-        read for the keyword check that follows the call."""
+        error, whichever of the two would be read.  ``i`` and ``name``
+        count as read for the check that follows the call."""
+        read = self._read.setdefault(id(call), set())
+        read.add(i)
         keyed = []
         if name:
-            self._read.setdefault(id(call), set()).add(name)
+            read.add(name)
             keyed = [v for k, v in call.kwargs if k == name]
         if i is not None and i < len(call.args):
             if keyed:
@@ -174,8 +176,12 @@ class Session:
         raise EvalError(f"{call.name} missing argument {name or i}")
 
     def _check_keywords(self, call, read):
-        """A keyword that no lookup of ``call`` read, a misspelt one say,
-        is an error, not a silent default."""
+        """A position or keyword that no lookup of ``call`` read, an extra
+        argument or a misspelt keyword say, is an error, not a silent
+        default."""
+        for i, arg in enumerate(call.args):
+            if i not in read:
+                raise EvalError(f"{call.name}: unexpected argument {unparse(arg)}", call.line)
         for k, _v in call.kwargs:
             if k not in read:
                 raise EvalError(f"{call.name}: unknown keyword argument {k}", call.line)
@@ -339,6 +345,8 @@ class Session:
             if isinstance(stmt, Decl):
                 try:
                     self.env[stmt.name] = self.eval(stmt.expr)
+                except EvalError as exc:
+                    raise exc.at(stmt.line)
                 except INVARIANT_ERRORS as exc:
                     reports.append(
                         self._finish(

@@ -367,10 +367,9 @@ def radical_basis(fd: FDAlgebra):
     ideal = _kernel.nullspace(_trace_form(fd), p)
     pw = p
     while ideal and 0 < pw <= n:
-        items = list(fd.table.items())
         span = _kernel.EchelonBasis(ideal, p)
         # column j of L_u is u b_j
-        lmats = [_left_mult_modp(items, u, n, p) for u in ideal]
+        lmats = [fd.table.left(u, n) for u in ideal]
         g = [_charpoly_modp(L, p)[n - pw] for L in lmats]
         form = [[0] * len(ideal) for _ in range(n)]  # form[j][a] = g_i(u_a b_j)
         for a, L in enumerate(lmats):
@@ -399,15 +398,6 @@ def _trace_form(fd):
         if trace[k]:
             form[i][j] = F.add(form[i][j], F.mul(c, trace[k]))
     return form
-
-
-def _left_mult_modp(items, u, n, p):
-    """L_u over GF(p) from the structure constants (i, j, k, c)."""
-    L = [[0] * n for _ in range(n)]
-    for i, j, k, c in items:
-        if u[i]:
-            L[k][j] += u[i] * c
-    return [[x % p for x in row] for row in L]
 
 
 def _close(span, queue, images, dim):

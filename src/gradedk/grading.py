@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 from . import intlat
@@ -234,11 +235,12 @@ class Subgroup:
         )
 
     def index(self) -> Optional[int]:
-        """[G : H]; None when infinite."""
+        """[G : H], the product of the Hermite form's pivots; None when
+        infinite.  At full rank the rows are upper triangular, with
+        pivot i in column i."""
         if len(self.rows) < self.group.dim:
             return None
-        det = intlat.int_det([list(r) for r in self.rows])
-        return abs(det) if det else None
+        return prod(r[i] for i, r in enumerate(self.rows))
 
     def order(self) -> Optional[int]:
         """|H|; None when infinite."""

@@ -8,54 +8,15 @@ from __future__ import annotations
 
 
 def hnf(rows):
-    """Canonical row Hermite normal form of the lattice spanned by ``rows``.
+    """Canonical row Hermite normal form of the lattice spanned by ``rows``:
+    the nonzero rows of ``hnf_with_transform(rows)``.
 
     Pivots are positive, entries above a pivot are reduced into
     ``[0, pivot)``, zero rows are dropped, pivot columns strictly increase.
     The result is a canonical invariant of the row lattice.
     """
-    mat = [list(r) for r in rows if any(r)]
-    if not mat:
-        return []
-    m = len(mat[0])
-    out = []
-    col = 0
-    while mat and col < m:
-        # reduce column ``col`` among remaining rows by gcd steps
-        while True:
-            nz = [r for r in mat if r[col]]
-            if not nz:
-                break
-            piv = min(nz, key=lambda r: abs(r[col]))
-            mat.remove(piv)
-            if piv[col] < 0:
-                piv = [-x for x in piv]
-            rest = []
-            done = True
-            for r in mat:
-                if r[col]:
-                    q = r[col] // piv[col]
-                    r = [x - q * y for x, y in zip(r, piv)]
-                    if r[col]:
-                        done = False
-                if any(r):
-                    rest.append(r)
-            mat = rest
-            if done:
-                out.append(piv)
-                break
-            mat.append(piv)
-        col += 1
-    # reduce entries above each pivot
-    for i in reversed(range(len(out))):
-        piv_col = next(j for j, x in enumerate(out[i]) if x)
-        piv = out[i][piv_col]
-        for k in range(i):
-            q = out[k][piv_col] // piv
-            if q:
-                out[k] = [x - q * y for x, y in zip(out[k], out[i])]
-    out.sort(key=lambda r: next(j for j, x in enumerate(r) if x))
-    return out
+    H, _T, pivots = hnf_with_transform(rows)
+    return H[: len(pivots)]
 
 
 def reduce_mod_lattice(vec, hnf_rows):

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -257,17 +258,40 @@ def test_argument_given_both_ways_is_a_user_error(tmp_path, capsys, by_position,
     [
         ("k0(trivial_extension(matrix(Q,[0,1]), kk=3))", "kk"),
         ("k0(matrix(Q,[0,1], grp=Z))", "grp"),
+        # positions that no lookup reads, refused without being evaluated
+        ("A = matrix(Q,[0])\nk0(A, Y^2)", "Y^2"),
+        ("A = matrix(Q,[0])\nk0(matrix(Q,[0]), A)", "A"),
+        ("A = matrix(Q,[0])\nbasis(A, 0, 1)", "1"),
+        ("G = group(1, [2])", "1"),
     ],
 )
 def test_unread_keyword_is_a_user_error(tmp_path, capsys, script, keyword):
-    # a misspelt keyword is refused, not replaced by the default
-    with pytest.raises(EvalError, match=f"unknown keyword argument {keyword}"):
+    # a misspelt keyword or an extra argument is refused, not replaced by
+    # the default or dropped; the error names the line of its call
+    unread = (
+        f"unknown keyword argument {keyword}"
+        if f"{keyword}=" in script
+        else f"unexpected argument {keyword}"
+    )
+    line = script.count("\n") + 1
+    with pytest.raises(EvalError, match=re.escape(f"{unread} (line {line})")):
         run_text(script + "\n")
     assert cli.main([str(_write(tmp_path, script + "\n"))]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     lines = err.splitlines()
-    assert len(lines) == 1 and keyword in lines[0]
+    assert len(lines) == 1 and keyword in lines[0] and f"(line {line})" in lines[0]
+
+
+def test_error_in_a_declaration_names_its_line(tmp_path, capsys):
+    # a declaration whose value is not a call names its line too
+    script = "A = matrix(Q,[0])\nG = Y^2\nk0(A)\n"
+    with pytest.raises(EvalError, match=re.escape("unknown group literal Y^2 (line 2)")):
+        run_text(script)
+    assert cli.main([str(_write(tmp_path, script))]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: unknown group literal Y^2 (line 2)"]
 
 
 def test_zero_extension_count_is_valid(tmp_path):

@@ -1,8 +1,11 @@
 """Grading groups, degrees, subgroups, group rings, shift modules."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradedk import intlat
 from gradedk.grading import (
     Degree,
     GradingError,
@@ -15,6 +18,8 @@ from gradedk.grading import (
     induce_module,
     shift_module_iso,
 )
+
+from reference_algorithms import index_by_det
 
 ZxZ2 = GradingGroup(1, (2,))
 Z = GradingGroup(1, ())
@@ -153,6 +158,37 @@ def test_subgroup_torsion_only():
     K = Subgroup.trivial(Z2)
     assert K.index() == 2
     assert K.order() == 1
+
+
+def test_subgroup_equality_is_lattice_equality():
+    # two generating sets of one lattice of Z^3 (the second mixes the rows
+    # of the first unimodularly) have one canonical Hermite form
+    Z3 = GradingGroup(3, ())
+    H = Subgroup(Z3, [[3, 0, 1], [-1, 1, 1], [0, 1, -2]])
+    K = Subgroup(Z3, [[0, 1, -2], [3, 0, 1], [-1, -1, 5]])
+    assert H.rows == K.rows == ((1, 0, 7), (0, 1, 8), (0, 0, 10))
+    assert H == K and hash(H) == hash(K)
+    assert H.index() == 10
+
+
+@pytest.mark.parametrize(
+    "group", [GradingGroup(3, ()), GradingGroup(2, (4,)), GradingGroup(1, (2, 6))]
+)
+def test_subgroup_index_is_the_determinant(group):
+    # the product of the Hermite pivots against |det| of the rows, and on a
+    # free group against |det| of the generators
+    rng = random.Random(group.dim)
+    seen = 0
+    while seen < 25:
+        gens = [[rng.randint(-5, 5) for _ in range(group.dim)] for _ in range(group.dim)]
+        det = abs(intlat.int_det(gens))
+        if not det:
+            continue
+        seen += 1
+        H = Subgroup(group, gens)
+        assert H.index() == index_by_det(H)
+        if not group.torsion_moduli:
+            assert H.index() == det
 
 
 def test_subgroup_prepend_and_restrict():

@@ -5,6 +5,42 @@ import random
 from gradedk import intlat
 
 
+# A lattice on which reducing above the pivots from the last row up
+# leaves 57 above the pivot 47.
+UNREDUCED_4X4 = [[-4, -4, 2, -3], [-6, 6, -3, 2], [2, -3, 0, 2], [-1, 3, -1, 1]]
+
+
+def _random_lattices(seed):
+    """Seeded random integer matrices of shapes 3x3, 3x4 and 4x4, and the
+    4x4 matrix above."""
+    rng = random.Random(seed)
+    out = [UNREDUCED_4X4]
+    for n, m in [(3, 3), (3, 4), (4, 4)] * 20:
+        out.append([[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)])
+    return out
+
+
+def _mix(rows, rng, steps):
+    """The same lattice: add multiples of one row to another, permute."""
+    rows = [list(r) for r in rows]
+    for _ in range(steps):
+        i, j = rng.sample(range(len(rows)), 2)
+        c = rng.randint(-3, 3)
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        rng.shuffle(rows)
+    return rows
+
+
+def _assert_canonical_shape(h):
+    pivots = [next(j for j, x in enumerate(r) if x) for r in h]
+    assert pivots == sorted(set(pivots))
+    for i, r in enumerate(h):
+        p = r[pivots[i]]
+        assert p > 0
+        for k in range(i):
+            assert 0 <= h[k][pivots[i]] < p
+
+
 def test_hnf_canonical_under_row_mixing():
     rng = random.Random(1)
     base = [[2, 1, 0], [0, 3, 1]]
@@ -17,6 +53,10 @@ def test_hnf_canonical_under_row_mixing():
         rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
         rng.shuffle(rows)
         assert intlat.hnf(rows) == h0
+    for base in _random_lattices(4):
+        h0 = intlat.hnf(base)
+        for _ in range(5):
+            assert intlat.hnf(_mix(base, rng, 4)) == h0
 
 
 def test_hnf_pivots_positive_and_reduced():
@@ -28,6 +68,11 @@ def test_hnf_pivots_positive_and_reduced():
         assert p > 0
         for k in range(i):
             assert 0 <= h[k][pivots[i]] < p
+    assert intlat.hnf(UNREDUCED_4X4) == [
+        [1, 0, 0, 10], [0, 1, 0, 6], [0, 0, 1, 7], [0, 0, 0, 47]
+    ]
+    for rows in _random_lattices(5):
+        _assert_canonical_shape(intlat.hnf(rows))
 
 
 def test_reduce_mod_lattice_idempotent():

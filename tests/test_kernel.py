@@ -16,6 +16,8 @@ from gradedk._kernel import (
     solve,
 )
 
+from reference_algorithms import bareiss_rank
+
 CHARS = [0, 2, 5, 10007]
 
 
@@ -48,6 +50,29 @@ def test_rank_matches_pivot_count(char):
         a = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), char)
         _red, pivots = rref(a, char)
         assert rank(a, char) == len(pivots)
+
+
+@pytest.mark.parametrize("char", [0, 2, 5])
+def test_rank_matches_bareiss_and_forward_elimination(char):
+    # a second rank algorithm as the reference: Bareiss over Q on Fraction
+    # and int entries, forward elimination mod p on negative and unreduced
+    # ints, on products of rank at most k and on empty and zero-width
+    # matrices
+    rng = random.Random(char + 11)
+    cases = [[], [[]], [[], [], []]]
+    for _ in range(40):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        k = rng.randint(0, min(n, m))
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
+        right = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(k)]
+        a = [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
+        cases.append(a)
+        if not char:
+            cases.append([[Fraction(x, rng.randint(1, 4)) for x in row] for row in a])
+    entries = [x for a in cases for row in a for x in row]
+    assert min(entries) < 0 and (not char or max(entries) >= char)
+    for a in cases:
+        assert rank(a, char) == bareiss_rank(a, char)
 
 
 @pytest.mark.parametrize("char", [0, 2, 5])

@@ -50,6 +50,7 @@ from gradedk.gmod.presentations import (
 )
 
 from entry_products import entries_matmul, hom_entries
+from reference_algorithms import left_mult_by_items
 
 # the package exports the function decompose under the submodule's name
 dec = importlib.import_module("gradedk.gmod.decompose")
@@ -110,6 +111,32 @@ def test_radical_dimensions(build, expected):
 def test_radical_dimensions_char_p(build, expected):
     fd = _end_of_regular(build())
     assert len(radical_basis(fd)) == expected
+
+
+@pytest.mark.parametrize("build,expected", CASES_RADICAL_CHAR_P)
+def test_left_multiplication_matches_structure_constant_sums(build, expected, monkeypatch):
+    # every L_u the radical chain takes from Bilinear.left (none when the
+    # trace form is nondegenerate), and L_u for the unit vectors and a few
+    # random u, equal L_u summed over every structure constant
+    fd = _end_of_regular(build())
+    p, n = fd.field.char, fd.dim
+    seen = []
+    left = _kernel.Bilinear.left
+
+    def recording_left(table, u, m):
+        L = left(table, u, m)
+        seen.append((table, list(u), m, L))
+        return L
+
+    monkeypatch.setattr(_kernel.Bilinear, "left", recording_left)
+    assert len(radical_basis(fd)) == expected
+    rng = random.Random(n)
+    us = [[int(i == b) for i in range(n)] for b in range(n)]
+    us += [[rng.randrange(p) for _ in range(n)] for _ in range(3)]
+    seen += [(fd.table, u, n, left(fd.table, u, n)) for u in us]
+    for table, u, m, L in seen:
+        assert table is fd.table and m == n
+        assert L == left_mult_by_items(table, u, n, p)
 
 
 def _p_regular_order(moduli, p):
