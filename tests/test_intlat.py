@@ -21,7 +21,8 @@ def _random_lattices(seed):
 
 
 def _mix(rows, rng, steps):
-    """The same lattice: add multiples of one row to another, permute."""
+    """The same lattice, mixed unimodularly: add a multiple of one row to
+    another and permute, ``steps`` times."""
     rows = [list(r) for r in rows]
     for _ in range(steps):
         i, j = rng.sample(range(len(rows)), 2)
@@ -46,13 +47,7 @@ def test_hnf_canonical_under_row_mixing():
     base = [[2, 1, 0], [0, 3, 1]]
     h0 = intlat.hnf(base)
     for _ in range(20):
-        rows = [list(r) for r in base]
-        # unimodular mixing: add a multiple of one row to another, permute
-        i, j = rng.sample(range(len(rows)), 2)
-        c = rng.randint(-3, 3)
-        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-        rng.shuffle(rows)
-        assert intlat.hnf(rows) == h0
+        assert intlat.hnf(_mix(base, rng, 1)) == h0
     for base in _random_lattices(4):
         h0 = intlat.hnf(base)
         for _ in range(5):
@@ -60,14 +55,7 @@ def test_hnf_canonical_under_row_mixing():
 
 
 def test_hnf_pivots_positive_and_reduced():
-    h = intlat.hnf([[4, 2], [6, 1]])
-    pivots = [next(j for j, x in enumerate(r) if x) for r in h]
-    assert pivots == sorted(pivots)
-    for i, r in enumerate(h):
-        p = r[pivots[i]]
-        assert p > 0
-        for k in range(i):
-            assert 0 <= h[k][pivots[i]] < p
+    _assert_canonical_shape(intlat.hnf([[4, 2], [6, 1]]))
     assert intlat.hnf(UNREDUCED_4X4) == [
         [1, 0, 0, 10], [0, 1, 0, 6], [0, 0, 1, 7], [0, 0, 0, 47]
     ]
