@@ -4,7 +4,8 @@ Elimination (``mat_mul``, ``rref``, ``rank``, ``solve``, ``nullspace``)
 lives in the ``pure`` submodule and is re-exported here.
 ``EchelonBasis`` is the one span of the package: grown one vector at a
 time, it answers membership, residues and coordinates in the vectors
-that grew it.  ``Bilinear`` holds sparse structure constants.
+that grew it.  ``Bilinear`` holds sparse structure constants, and reads
+the matrix of left multiplication and its trace from them.
 Elimination stays a submodule so that the calls ``solve``, ``rank`` and
 ``nullspace`` make to ``rref`` internally are not calls through this
 package's names, which is what ``perfbench/tracer.py`` counts.
@@ -268,6 +269,19 @@ class Bilinear:
         if m:
             return [[v % m for v in r] for r in acc]
         return [[Fraction(v, den) if v else _QZERO for v in r] for r in acc]
+
+    def left_trace(self, x):
+        """The trace of y -> B(x, y), for y in the space of the outputs:
+        the diagonal of ``left``, read from the cells (i, j) at k == j."""
+        rows = self.rows
+        total = 0
+        for i, a in enumerate(x):
+            row = rows.get(i) if a else None
+            if row:
+                total += a * sum(c for j, cell in row.items() for k, c in cell if k == j)
+        if self.modulus:
+            return total % self.modulus
+        return Fraction(total, self.den)
 
     def items(self):
         """Every nonzero structure constant as ``(i, j, k, c)``, c exact."""

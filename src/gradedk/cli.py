@@ -156,7 +156,9 @@ class Session:
         """Argument ``i`` by position (None: keyword only), else keyword
         ``name``, else ``default``.  An argument given both ways is an
         error, whichever of the two would be read.  ``i`` and ``name``
-        count as read for the check that follows the call."""
+        count as read for the check that follows the call.  A missing
+        argument is named by its keyword, else by its position counted
+        from 1."""
         read = self._read.setdefault(id(call), set())
         read.add(i)
         keyed = []
@@ -173,7 +175,7 @@ class Session:
             return self.eval(keyed[0])
         if default is not _REQUIRED:
             return default
-        raise EvalError(f"{call.name} missing argument {name or i}")
+        raise EvalError(f"{call.name} missing argument {name or i + 1}")
 
     def _check_keywords(self, call, read):
         """A position or keyword that no lookup of ``call`` read, an extra

@@ -54,7 +54,13 @@ the engine behind Krull-Schmidt decomposition:
   its q-adic lift runs in the parent's coordinates;
 * one Newton lift, sequentially orthogonalized, carries idempotents
   through the radical and through the q-adic lift alike, by the
-  3e^2 - 2e^3 iteration; everything is verified exactly.
+  3e^2 - 2e^3 iteration; everything is verified exactly;
+* orthogonality is read from ranks: idempotents e_i that sum to the
+  unit u are orthogonal exactly when the ranks of the L_{e_i} add up to
+  rank L_u.  An idempotent matrix over a field of characteristic 0 has
+  rank equal to its trace, and traces add, so over Q the idempotent and
+  sum checks already imply it; over GF(p) the ranks are counted.  The
+  trace form reads tr(L_{b_k}) from ``Bilinear.left_trace``.
 
 Every span this module grows or reads is a ``_kernel.EchelonBasis``:
 the powers a minimal polynomial is read from, the words of the
@@ -386,13 +392,11 @@ def radical_basis(fd: FDAlgebra):
 
 def _trace_form(fd):
     """The matrix tr(L_{b_i b_j}) = sum_k c_ijk tr(L_{b_k}), where L_x is
-    left multiplication by x and tr(L_{b_k}) = sum_r c_krr."""
+    left multiplication by x and tr(L_{b_k}) = sum_r c_krr
+    (``Bilinear.left_trace``)."""
     F = fd.field
     n = fd.dim
-    trace = [F.zero] * n
-    for k, r, s, c in fd.table.items():
-        if r == s:
-            trace[k] = F.add(trace[k], c)
+    trace = [fd.table.left_trace(_unit_vec(fd, k)) for k in range(n)]
     form = [[F.zero] * n for _ in range(n)]
     for i, j, k, c in fd.table.items():
         if trace[k]:
@@ -1062,6 +1066,22 @@ def _verify_centre_closed(fd: FDAlgebra, zvecs):
 
 
 def _verify_complete_orthogonal(fd: FDAlgebra, idems):
+    """The ``idems`` are idempotents that sum to the unit u and are
+    pairwise orthogonal.  Orthogonality is read from ranks, with no
+    product e_i e_j.
+
+    Let u be idempotent and the e_i idempotents with sum u.  The sum S of
+    the e_i A holds uA, since u a = sum e_i a, and dim S is at most the
+    sum of the ranks of the L_{e_i}.  When that sum is rank L_u = dim uA,
+    S = uA and the sum is direct.  Each e_j = e_j e_j then lies in uA, so
+    e_j = u e_j = sum_i e_i e_j, and reading the components of the direct
+    sum gives e_i e_j = 0 for i != j.  Orthogonal e_i conversely give a
+    direct sum.  In characteristic 0, L_x of an idempotent x is
+    idempotent, so its rank is its trace, and the traces of the L_{e_i}
+    add up to tr L_u for every family: there orthogonality follows from
+    the idempotent and sum checks.  Over GF(p) the ranks are counted.  A
+    unit that is not idempotent is refused first, as the sum of
+    orthogonal idempotents is idempotent."""
     F = fd.field
     total = [F.zero] * fd.dim
     for e in idems:
@@ -1070,10 +1090,16 @@ def _verify_complete_orthogonal(fd: FDAlgebra, idems):
         total = [F.add(a, b) for a, b in zip(total, e)]
     if total != list(fd.unit):
         raise SplitError("idempotents do not sum to the unit")
-    for i in range(len(idems)):
-        for j in range(len(idems)):
-            if i != j and any(fd.mul_vec(idems[i], idems[j])):
-                raise SplitError("idempotents are not orthogonal")
+    if fd.mul_vec(total, total) != total:
+        raise SplitError("idempotents are not orthogonal")
+    if F.char:
+        n = fd.dim
+
+        def rank(x):
+            return _kernel.rank(fd.table.left(x, n), F.char)
+
+        if sum(rank(e) for e in idems) != rank(total):
+            raise SplitError("idempotents are not orthogonal")
 
 
 def primitive_idempotents(fd: FDAlgebra, rng):

@@ -167,7 +167,19 @@ def hom_table(A, s1, s2, s3):
 
 
 class ComponentSpace:
-    """The degree-h component of a presentation, with a chosen basis."""
+    """The degree-h component of a presentation, with a chosen basis: the
+    image of the idempotent's component matrix E, whose basis is the
+    columns of E at the pivots of its reduced echelon form.
+
+    The dimension is read when the space is built.  An idempotent matrix
+    over a field of characteristic 0 has rank equal to its trace, so over
+    Q ``dim`` is tr E = sum_i tr(L_{e_ii} on A_{s_i + h}), read from the
+    diagonal pair tensors, and E is neither built nor eliminated; a trace
+    that is not an integer in [0, ambient_dim] shows an entry matrix that
+    is not idempotent and raises PresentationError.  Over GF(p) ``dim``
+    is the number of pivots of E mod p.  E, its pivots and the basis are
+    built on first read, once each.  The space keeps the algebra and the
+    entry matrix, not the presentation, which holds the space."""
 
     __slots__ = (
         "degree",
@@ -175,17 +187,19 @@ class ComponentSpace:
         "block_dims",
         "offsets",
         "ambient_dim",
-        "matrix",
-        "basis_columns",
         "dim",
-        "_char",
+        "_algebra",
+        "_entries",
+        "_matrix",
+        "_pivots",
+        "_basis",
         "_span",
     )
 
     def __init__(self, pres: "ProjectivePresentation", h: Degree):
         A = pres.algebra
-        char = A.field.char
-        self._char = char
+        self._algebra = A
+        self._entries = pres.entries
         self.degree = h
         self.block_degrees = [s + h for s in pres.shifts]
         self.block_dims = [A.component_dim(d) for d in self.block_degrees]
@@ -195,24 +209,66 @@ class ComponentSpace:
             self.offsets.append(off)
             off += d
         self.ambient_dim = off
-        self.matrix = _entries_component_matrix(
-            A, pres.entries, self.block_degrees, self.block_dims, self.block_degrees, self.block_dims
-        )
-        # image basis: pivot columns of the idempotent's component matrix
-        if self.ambient_dim:
-            _red, pivots = _kernel.rref(self.matrix, char)
-            self.basis_columns = [
-                [self.matrix[r][c] for r in range(self.ambient_dim)] for c in pivots
-            ]
+        self._matrix = self._pivots = self._basis = self._span = None
+        if A.field.char:
+            self.dim = len(self.pivots)
         else:
-            self.basis_columns = []
-        self.dim = len(self.basis_columns)
-        self._span = None
+            self.dim = self._trace()
+
+    def _trace(self):
+        """tr E, the sum of the traces of the diagonal entries acting on
+        their components; an integer in [0, ambient_dim] or an error."""
+        A = self._algebra
+        trace = 0
+        for i, (d, n) in enumerate(zip(self.block_degrees, self.block_dims)):
+            ent = self._entries[i][i]
+            if n and ent is not None:
+                trace += A.pair_tensor(ent.degree, d).left_trace(ent.coords)
+        if trace.denominator != 1 or not 0 <= trace <= self.ambient_dim:
+            raise PresentationError(
+                f"component trace {trace} at degree {self.degree} is not a "
+                f"dimension: the matrix is not idempotent"
+            )
+        return int(trace)
+
+    @property
+    def matrix(self):
+        """E: the entry matrix acting on the stacked components."""
+        if self._matrix is None:
+            self._matrix = _entries_component_matrix(
+                self._algebra, self._entries,
+                self.block_degrees, self.block_dims, self.block_degrees, self.block_dims,
+            )
+        return self._matrix
+
+    @property
+    def pivots(self):
+        """The pivot columns of E's reduced echelon form; over Q their
+        number must be the trace read at construction."""
+        if self._pivots is None:
+            pivots = []
+            if self.ambient_dim:
+                pivots = _kernel.rref(self.matrix, self._algebra.field.char)[1]
+            if self._algebra.field.char == 0 and len(pivots) != self.dim:
+                raise PresentationError(
+                    f"component rank {len(pivots)} at degree {self.degree} is not its "
+                    f"trace {self.dim}: the matrix is not idempotent"
+                )
+            self._pivots = pivots
+        return self._pivots
+
+    @property
+    def basis_columns(self):
+        """The image basis: the columns of E at its pivots."""
+        if self._basis is None:
+            E = self.matrix
+            self._basis = [[row[c] for row in E] for c in self.pivots]
+        return self._basis
 
     def express(self, vec):
         """Coordinates of an ambient vector in the image basis (must lie in)."""
         if self._span is None:
-            self._span = _kernel.EchelonBasis(self.basis_columns, self._char)
+            self._span = _kernel.EchelonBasis(self.basis_columns, self._algebra.field.char)
         sol = self._span.coords(vec)
         if sol is None:
             raise PresentationError("vector does not lie in the component")

@@ -2,12 +2,14 @@
 the tests.
 
 The package takes a rank from the pivots of ``rref``, left
-multiplication L_u from ``Bilinear.left`` and a subgroup's index from
-its Hermite form's pivots.  These compute the same things by the
-algorithms they replaced, so a test can check the answers against code
-they do not share: a fraction-free Bareiss rank over Q with forward
-elimination mod p, L_u summed over every structure constant, and the
-index as a determinant.
+multiplication L_u from ``Bilinear.left``, the traces of the trace form
+from ``Bilinear.left_trace``, orthogonality of idempotents from ranks
+and a subgroup's index from its Hermite form's pivots.  These compute
+the same things by the algorithms they replaced, so a test can check
+the answers against code they do not share: a fraction-free Bareiss
+rank over Q with forward elimination mod p, L_u and the trace form
+summed over every structure constant, orthogonality by every product
+e_i e_j, and the index as a determinant.
 """
 
 from fractions import Fraction
@@ -94,6 +96,40 @@ def left_mult_by_items(table, u, n, p):
         if u[i]:
             L[k][j] += u[i] * c
     return [[x % p for x in row] for row in L]
+
+
+def trace_form_by_items(fd):
+    """tr(L_{b_i b_j}) = sum_k c_ijk tr(L_{b_k}), with tr(L_{b_k}) =
+    sum_r c_krr, both summed over the structure constants of fd."""
+    F = fd.field
+    n = fd.dim
+    trace = [F.zero] * n
+    for k, r, s, c in fd.table.items():
+        if r == s:
+            trace[k] = F.add(trace[k], c)
+    form = [[F.zero] * n for _ in range(n)]
+    for i, j, k, c in fd.table.items():
+        form[i][j] = F.add(form[i][j], F.mul(c, trace[k]))
+    return form
+
+
+def orthogonality_by_products(fd, idems):
+    """The verdict on a family of idempotents of fd: None when they are
+    idempotent, sum to fd's unit and every product e_i e_j with i != j is
+    zero, else the message the package raises."""
+    F = fd.field
+    total = [F.zero] * fd.dim
+    for e in idems:
+        if fd.mul_vec(e, e) != list(e):
+            return "produced a non-idempotent"
+        total = [F.add(a, b) for a, b in zip(total, e)]
+    if total != list(fd.unit):
+        return "idempotents do not sum to the unit"
+    for i, x in enumerate(idems):
+        for j, y in enumerate(idems):
+            if i != j and any(fd.mul_vec(x, y)):
+                return "idempotents are not orthogonal"
+    return None
 
 
 def index_by_det(H):

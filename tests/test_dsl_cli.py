@@ -77,6 +77,18 @@ def test_arity_error():
         run_text("A = matrix(Q)\nk0(A)\n")
 
 
+@pytest.mark.parametrize(
+    "script,message",
+    [
+        ("k0()", "k0 missing argument 1 (line 1)"),
+        ("A = tensor(matrix(Q,[0]))", "tensor missing argument 2 (line 1)"),
+    ],
+)
+def test_missing_argument_is_counted_from_one(script, message):
+    with pytest.raises(EvalError, match=re.escape(message)):
+        run_text(script + "\n")
+
+
 def test_field_override():
     session = Session(field_override=GF(2))
     script = parse("A = matrix(Q, [0,1,2,2,3])\nk0(A)\n")

@@ -2,6 +2,7 @@
 
 import importlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -41,6 +42,7 @@ from entry_products import entries_eq, entries_matmul, hom_entries
 
 # the package exports the function decompose under the submodule's name
 dec = importlib.import_module("gradedk.gmod.decompose")
+pres = importlib.import_module("gradedk.gmod.presentations")
 
 
 # -- presentations and shifts ---------------------------------------------------
@@ -588,6 +590,65 @@ def test_shared_shift_keeps_its_component_spaces(Qx):
     space = P.shift(g).space(h)
     assert P.shift(g).space(h) is space
     assert space.dim == P.dim(g + h)
+
+
+def _trace_dim_corpus():
+    out = []
+    for F in (QQ, GF(2), GF(7)):
+        out.append((alg.matrix_algebra(F, [0, 1, 2, 2, 3]).positive_part(), [[0], [1], [3]]))
+        out.append((alg.forget_grading(alg.group_algebra(F, GradingGroup(0, (6,)))), [[], []]))
+        Z3 = alg.group_algebra(F, GradingGroup(0, (3,)))
+        out.append((alg.polynomial_extension(Z3, [1, 0]), [[0, 0], [1, 2]]))
+    return out
+
+
+TRACE_DIM_CASES = _trace_dim_corpus()
+
+
+@pytest.mark.parametrize(
+    "A,shifts", TRACE_DIM_CASES, ids=[A.describe() for A, _s in TRACE_DIM_CASES]
+)
+def test_component_dimension_is_the_rank_of_the_component_matrix(monkeypatch, A, shifts):
+    # dim is the rank of the component matrix on a window, for a random
+    # presentation and its summands; over Q it is read from the trace, so
+    # fresh copies answer dim with no component matrix and no rref
+    P = random_presentation(A, shifts, random.Random(len(shifts)))
+    modules = [P] + [S for S, _blk in split_projective(P, random.Random(0))]
+    window = default_window(A, [P], 1)
+    fresh = [ProjectivePresentation(A, X.shifts, X.entries, check=False) for X in modules]
+    built = []
+    matrix, rref = pres._entries_component_matrix, kern.rref
+    monkeypatch.setattr(
+        pres, "_entries_component_matrix", lambda *a: built.append("matrix") or matrix(*a)
+    )
+    monkeypatch.setattr(kern, "rref", lambda *a: built.append("rref") or rref(*a))
+    dims = [[X.dim(h) for h in window] for X in fresh]
+    monkeypatch.undo()
+    if not A.field.char:
+        assert built == []
+    assert any(map(any, dims))
+    for X, row in zip(fresh, dims):
+        for h, d in zip(window, row):
+            space = X.space(h)
+            assert d == kern.rank(space.matrix, A.field.char) == len(space.basis_columns)
+
+
+def test_component_trace_refuses_a_non_idempotent():
+    # over Q a trace that is not an integer in [0, ambient_dim] is refused
+    # when the dimension is read, and a trace that differs from the rank
+    # when the basis is
+    def scaled_unit(order, c):
+        A = alg.forget_grading(alg.group_algebra(QQ, GradingGroup(0, (order,))))
+        z = A.group.zero
+        return ProjectivePresentation(A, [z], [[A.one().scale(c)]], check=False), z
+
+    for order, c in ((6, QQ.of_int(2)), (3, Fraction(1, 2))):
+        X, z = scaled_unit(order, c)
+        with pytest.raises(PresentationError, match="not idempotent"):
+            X.dim(z)
+    X, z = scaled_unit(6, Fraction(1, 2))
+    with pytest.raises(PresentationError, match="not idempotent"):
+        X.space(z).basis_columns
 
 
 def _class_memo_corpus():

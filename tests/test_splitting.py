@@ -10,6 +10,7 @@ and over prime fields, cyclotomic commutative algebras).
 import importlib
 import importlib.util
 import random
+import sys
 from fractions import Fraction
 from math import comb, prod
 from pathlib import Path
@@ -50,7 +51,11 @@ from gradedk.gmod.presentations import (
 )
 
 from entry_products import entries_matmul, hom_entries
-from reference_algorithms import left_mult_by_items
+from reference_algorithms import (
+    left_mult_by_items,
+    orthogonality_by_products,
+    trace_form_by_items,
+)
 
 # the package exports the function decompose under the submodule's name
 dec = importlib.import_module("gradedk.gmod.decompose")
@@ -137,6 +142,31 @@ def test_left_multiplication_matches_structure_constant_sums(build, expected, mo
     for table, u, m, L in seen:
         assert table is fd.table and m == n
         assert L == left_mult_by_items(table, u, n, p)
+
+
+TRACE_FORM_CASES = [build for build, _expected in CASES_RADICAL_CHAR_P] + [
+    lambda: _forget(alg.matrix_algebra(QQ, [0, 1, 2]).positive_part()),
+]
+
+
+@pytest.mark.parametrize("build", TRACE_FORM_CASES)
+def test_trace_form_reads_the_left_traces(build):
+    # the trace form equals the one summed over every structure constant,
+    # and left_trace is the diagonal of left on unit and random vectors
+    fd = _end_of_regular(build())
+    F, n = fd.field, fd.dim
+    assert endos._trace_form(fd) == trace_form_by_items(fd)
+    rng = random.Random(n)
+    us = [endos._unit_vec(fd, b) for b in range(n)]
+    us += [[F.of_int(rng.randint(-3, 3)) for _ in range(n)] for _ in range(3)]
+    if not F.char:
+        us.append([Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)])
+    for u in us:
+        L = fd.table.left(u, n)
+        diagonal = F.zero
+        for i in range(n):
+            diagonal = F.add(diagonal, L[i][i])
+        assert fd.table.left_trace(u) == diagonal
 
 
 def _p_regular_order(moduli, p):
@@ -1533,3 +1563,76 @@ def test_conjugated_free_presentation_agrees_with_its_free_counterpart(monkeypat
     EndAlgebra(P)
     assert calls == [P]
     assert summand_classes(P) == summand_classes(free)
+
+
+def _recorded_orthogonality_checks(monkeypatch):
+    """Each family given to ``_verify_complete_orthogonal`` from now on,
+    as (algebra, family, caller, verdict), the verdict None or the
+    message raised."""
+    seen = []
+    real = endos._verify_complete_orthogonal
+
+    def recording(fd, idems):
+        caller = sys._getframe(1).f_code.co_name
+        try:
+            real(fd, idems)
+        except SplitError as exc:
+            seen.append((fd, list(idems), caller, str(exc)))
+            raise
+        seen.append((fd, list(idems), caller, None))
+
+    monkeypatch.setattr(endos, "_verify_complete_orthogonal", recording)
+    return seen
+
+
+@pytest.mark.parametrize("F", [QQ, GF(2), GF(7)], ids=["Q", "F2", "F7"])
+def test_orthogonality_by_ranks_matches_every_product(monkeypatch, F):
+    # on every family the splitting checks, the rank verdict is the one of
+    # all k(k-1) products; over GF(p), p more copies of e_1 keep the sum
+    # and are refused by both
+    verify = endos._verify_complete_orthogonal
+    seen = _recorded_orthogonality_checks(monkeypatch)
+    for build in _split_corpus(F):
+        split_projective(build(), random.Random(0))
+    callers = {"split_semisimple", "primitive_idempotents"}
+    assert {caller for _fd, _e, caller, _v in seen} == (
+        callers if F.char else callers | {"_reconstruct_partition"}
+    )
+    for fd, idems, _caller, verdict in seen:
+        assert verdict == orthogonality_by_products(fd, idems)
+        if F.char:
+            more = idems + [idems[0]] * F.char
+            assert orthogonality_by_products(fd, more) == "idempotents are not orthogonal"
+            with pytest.raises(SplitError, match="idempotents are not orthogonal"):
+                verify(fd, more)
+
+
+def _m2_matrix_units(F):
+    """M2(F) on the matrix units E_11, E_12, E_21, E_22."""
+    products = {}
+    for i in range(4):
+        for j in range(4):
+            vec = [F.zero] * 4
+            if i % 2 == j // 2:
+                vec[2 * (i // 2) + j % 2] = F.one
+            products[(i, j)] = vec
+    return FDAlgebra.from_products(F, products, [F.one, F.zero, F.zero, F.one])
+
+
+@pytest.mark.parametrize("F", [GF(2), GF(7)], ids=["F2", "F7"])
+def test_non_orthogonal_idempotents_summing_to_the_unit_are_refused(F):
+    # over GF(p), p + 1 copies of the unit sum to the unit, and so do E_11,
+    # E_22 and p copies of E_11 + E_12; neither family is orthogonal
+    p = F.char
+    m2 = _m2_matrix_units(F)
+    c6 = _end_of_regular(_forget(alg.group_algebra(F, GradingGroup(0, (6,)))))
+    e11, e22, f = [1, 0, 0, 0], [0, 0, 0, 1], [1, 1, 0, 0]
+    families = [(fd, [fd.unit] * (p + 1)) for fd in (m2, c6)]
+    families.append((m2, [e11, e22] + [f] * p))
+    for fd, family in families:
+        assert orthogonality_by_products(fd, family) == "idempotents are not orthogonal"
+        with pytest.raises(SplitError, match="idempotents are not orthogonal"):
+            endos._verify_complete_orthogonal(fd, family)
+    for family in ([e11, e22], [f, [0, F.neg(1), 0, 1]]):
+        assert orthogonality_by_products(m2, family) is None
+        endos._verify_complete_orthogonal(m2, family)
