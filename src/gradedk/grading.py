@@ -243,21 +243,19 @@ class Subgroup:
         return prod(r[i] for i, r in enumerate(self.rows))
 
     def order(self) -> Optional[int]:
-        """|H|; None when infinite."""
-        base = intlat.hnf(self.group.moduli_lattice())
-        if len(self.rows) != len(base):
+        """|H| = [H : L], L the moduli lattice; None when infinite.
+
+        The rows span a lattice that holds L, of rank t, the number of
+        torsion moduli.  H is finite exactly when that rank is t.  Then
+        the rows lie in L's span, the torsion coordinates, and are upper
+        triangular there, so [H : L] is the product of the moduli over
+        the product of the pivots."""
+        t = len(self.group.torsion_moduli)
+        if len(self.rows) != t:
             return None
-        if not base:
-            return 1
-        a = [[self.rows[i][j] for i in range(len(self.rows))] for j in range(self.group.dim)]
-        cmat = []
-        for brow in base:
-            x = intlat.solve_int(a, list(brow))
-            if x is None:
-                raise GradingError("moduli lattice escaped subgroup lattice")
-            cmat.append(x)
-        det = intlat.int_det(cmat)
-        return abs(det) if det else None
+        m = self.group.free_rank
+        pivots = prod(r[m + i] for i, r in enumerate(self.rows))
+        return prod(self.group.torsion_moduli) // pivots
 
     def generators(self) -> list:
         gens = []
@@ -404,12 +402,11 @@ def _perm_power(perm, n):
 class Orbit:
     """One orbit of the label action together with its true stabilizer."""
 
-    __slots__ = ("labels", "stabilizer", "label_stabilizer")
+    __slots__ = ("labels", "stabilizer")
 
-    def __init__(self, labels, stabilizer: Subgroup, label_stabilizer: Subgroup):
+    def __init__(self, labels, stabilizer: Subgroup):
         self.labels = tuple(labels)
         self.stabilizer = stabilizer
-        self.label_stabilizer = label_stabilizer
 
     @property
     def size(self) -> int:
@@ -491,9 +488,7 @@ class ShiftModule:
                                 "declared stabilizer does not fix the orbit labels"
                             )
                     stab = Subgroup.from_degrees(self.group, given)
-            orbits.append(
-                Orbit([self.classes[x] for x in members], stab, label_stab)
-            )
+            orbits.append(Orbit([self.classes[x] for x in members], stab))
             orbit_index += 1
         return tuple(orbits)
 

@@ -1,7 +1,10 @@
 """Small integer-lattice utilities: Hermite form, integer solve, kernels.
 
-Everything here runs on tiny matrices (grading groups have a handful of
-coordinates), so plain row operations with exact ints are enough.
+Every lattice question reads one elimination, ``hnf_with_transform``:
+canonical subgroups, index and order, kernels and preimages of grading
+maps, and Dade's unimodularity.  Everything here runs on tiny matrices
+(grading groups have a handful of coordinates), so plain row operations
+with exact ints are enough.
 """
 
 from __future__ import annotations
@@ -130,26 +133,3 @@ def kernel_int(a_rows):
     rank = len(pivots)
     return [list(T[i]) for i in range(rank, m)]
 
-
-def int_det(rows):
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    mat = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        if not mat[c][c]:
-            pr = next((i for i in range(c + 1, n) if mat[i][c]), -1)
-            if pr < 0:
-                return 0
-            mat[c], mat[pr] = mat[pr], mat[c]
-            sign = -sign
-        piv = mat[c][c]
-        for i in range(c + 1, n):
-            fi = mat[i][c]
-            for j in range(c, n):
-                mat[i][j] = (mat[i][j] * piv - fi * mat[c][j]) // prev
-        prev = piv
-    return sign * mat[n - 1][n - 1]

@@ -193,14 +193,11 @@ def dade_check(A: GradedAlgebra, seed: int = 0) -> dict:
         cols.append(col)
         correspondence.append({"source": f"Q{o.block}", "image": _image(cm)})
     square = len(cols) == len(zb)
-    unimodular = False
-    if square and zb:
-        mat = [[cols[c][r] for c in range(len(cols))] for r in range(len(zb))]
-        det = intlat.int_det(mat)
-        unimodular = abs(det) == 1
-    elif square:
-        unimodular = True
-    verdict = "pass" if (square and unimodular) else "fail"
+    # a square integer matrix is unimodular exactly when its Hermite form
+    # is the identity; the empty matrix is its own identity
+    identity = [[int(i == j) for j in range(len(zb))] for i in range(len(zb))]
+    unimodular = square and intlat.hnf(cols) == identity
+    verdict = "pass" if unimodular else "fail"
     data = {
         "k0_identity_component": k_a0.to_json(),
         "k0_graded": k_a.to_json(),

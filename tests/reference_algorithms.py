@@ -3,19 +3,21 @@ the tests.
 
 The package takes a rank from the pivots of ``rref``, left
 multiplication L_u from ``Bilinear.left``, the traces of the trace form
-from ``Bilinear.left_trace``, orthogonality of idempotents from ranks
-and a subgroup's index from its Hermite form's pivots.  These compute
-the same things by the algorithms they replaced, so a test can check
-the answers against code they do not share: a fraction-free Bareiss
-rank over Q with forward elimination mod p, L_u and the trace form
-summed over every structure constant, orthogonality by every product
-e_i e_j, and the index as a determinant.
+from ``Bilinear.left_trace``, orthogonality of idempotents from ranks,
+a subgroup's index and order from Hermite pivots and unimodularity from
+a Hermite form.  These compute the same things by the algorithms they
+replaced, so a test can check the answers against code they do not
+share: a fraction-free Bareiss rank over Q with forward elimination mod
+p, L_u and the trace form summed over every structure constant,
+orthogonality by every product e_i e_j, and the index, the order and
+unimodularity by a Bareiss determinant.
 """
 
 from fractions import Fraction
 from math import gcd
 
 from gradedk import intlat
+from gradedk.grading import GradingError
 
 
 def bareiss_rank(a, char):
@@ -132,10 +134,53 @@ def orthogonality_by_products(fd, idems):
     return None
 
 
+def int_det(rows):
+    """Determinant of a square integer matrix (fraction-free Bareiss)."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    mat = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for c in range(n - 1):
+        if not mat[c][c]:
+            pr = next((i for i in range(c + 1, n) if mat[i][c]), -1)
+            if pr < 0:
+                return 0
+            mat[c], mat[pr] = mat[pr], mat[c]
+            sign = -sign
+        piv = mat[c][c]
+        for i in range(c + 1, n):
+            fi = mat[i][c]
+            for j in range(c, n):
+                mat[i][j] = (mat[i][j] * piv - fi * mat[c][j]) // prev
+        prev = piv
+    return sign * mat[n - 1][n - 1]
+
+
 def index_by_det(H):
     """[G : H] as the absolute determinant of H's rows; None when
     infinite."""
     if len(H.rows) < H.group.dim:
         return None
-    det = intlat.int_det([list(r) for r in H.rows])
+    det = int_det([list(r) for r in H.rows])
+    return abs(det) if det else None
+
+
+def order_by_det(H):
+    """|H| as the absolute determinant of the moduli lattice's rows
+    solved in H's rows; None when infinite."""
+    base = intlat.hnf(H.group.moduli_lattice())
+    if len(H.rows) != len(base):
+        return None
+    if not base:
+        return 1
+    a = [[H.rows[i][j] for i in range(len(H.rows))] for j in range(H.group.dim)]
+    cmat = []
+    for brow in base:
+        x = intlat.solve_int(a, list(brow))
+        if x is None:
+            raise GradingError("moduli lattice escaped subgroup lattice")
+        cmat.append(x)
+    det = int_det(cmat)
     return abs(det) if det else None

@@ -5,7 +5,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedk import intlat
 from gradedk.grading import (
     Degree,
     GradingError,
@@ -19,7 +18,7 @@ from gradedk.grading import (
     shift_module_iso,
 )
 
-from reference_algorithms import index_by_det
+from reference_algorithms import index_by_det, int_det, order_by_det
 
 ZxZ2 = GradingGroup(1, (2,))
 Z = GradingGroup(1, ())
@@ -172,16 +171,29 @@ def test_subgroup_equality_is_lattice_equality():
 
 
 @pytest.mark.parametrize(
-    "group", [GradingGroup(3, ()), GradingGroup(2, (4,)), GradingGroup(1, (2, 6))]
+    "group",
+    [
+        GradingGroup(3, ()),
+        GradingGroup(2, (4,)),
+        GradingGroup(1, (2, 6)),
+        GradingGroup(0, (4,)),
+        GradingGroup(0, (2, 6)),
+        TRIVIAL_GROUP,
+    ],
 )
 def test_subgroup_index_is_the_determinant(group):
     # the product of the Hermite pivots against |det| of the rows, and on a
-    # free group against |det| of the generators
+    # free group against |det| of the generators; the order read from the
+    # pivots against |det| of the moduli lattice solved in the rows, on
+    # the subgroup, on one of a prefix of its generators and on one of
+    # their torsion parts
     rng = random.Random(group.dim)
+    m = group.free_rank
+    orders = []
     seen = 0
     while seen < 25:
         gens = [[rng.randint(-5, 5) for _ in range(group.dim)] for _ in range(group.dim)]
-        det = abs(intlat.int_det(gens))
+        det = abs(int_det(gens))
         if not det:
             continue
         seen += 1
@@ -189,6 +201,13 @@ def test_subgroup_index_is_the_determinant(group):
         assert H.index() == index_by_det(H)
         if not group.torsion_moduli:
             assert H.index() == det
+        prefix = Subgroup(group, gens[: rng.randint(0, group.dim)])
+        torsion = Subgroup(group, [[0] * m + g[m:] for g in gens])
+        for K in (H, prefix, torsion):
+            assert K.order() == order_by_det(K)
+            orders.append(K.order())
+    assert (None in orders) == bool(m)
+    assert any(o is not None for o in orders)
 
 
 def test_subgroup_prepend_and_restrict():

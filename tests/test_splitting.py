@@ -50,7 +50,7 @@ from gradedk.gmod.presentations import (
     vec_to_entries,
 )
 
-from entry_products import entries_matmul, hom_entries
+from entry_products import entries_eq, entries_matmul, hom_entries
 from reference_algorithms import (
     left_mult_by_items,
     orthogonality_by_products,
@@ -1605,6 +1605,32 @@ def test_orthogonality_by_ranks_matches_every_product(monkeypatch, F):
             assert orthogonality_by_products(fd, more) == "idempotents are not orthogonal"
             with pytest.raises(SplitError, match="idempotents are not orthogonal"):
                 verify(fd, more)
+
+
+@pytest.mark.parametrize("F", [QQ, GF(2), GF(7)], ids=["Q", "F2", "F7"])
+def test_split_summands_are_validated_once(monkeypatch, F):
+    # the idempotents are verified in End(X)_0, so the summands skip
+    # ProjectivePresentation._validate; each is still an idempotent of
+    # the right degrees by the entry-by-entry products
+    modules = [build() for build in _split_corpus(F)]
+    calls = []
+    validate = ProjectivePresentation._validate
+
+    def counting(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(ProjectivePresentation, "_validate", counting)
+    for X in modules:
+        for P, _blk in split_projective(X, random.Random(0)):
+            e = P.entries
+            assert entries_eq(entries_matmul(e, e), e)
+            for i, row in enumerate(e):
+                for j, ent in enumerate(row):
+                    if ent is not None:
+                        assert ent.degree == P.shifts[i] - P.shifts[j]
+                        assert not ent.is_zero()
+    assert calls == []
 
 
 def _m2_matrix_units(F):
