@@ -4,14 +4,16 @@ Every algebra answers two queries exactly and deterministically: a finite
 basis of any degree component, and structure constants for products of
 basis elements.  The family is closed under the operations the K-theory
 layer needs (degree-zero part, positive truncation, identity component,
-trivial extension of the grading, regrading along a group homomorphism),
-and each constructor reports per-coordinate support bounds so that
-component queries stay finite even for algebras with infinite support
-such as polynomial extensions.
+trivial extension of the grading, forgetting the grading and reducing Z
+to Z/n), and each constructor reports per-coordinate support bounds so
+that component queries stay finite even for algebras with infinite
+support such as polynomial extensions.
 
 The first four are slices: one :class:`SliceAlgebra` reads its parent
 along a degree map.  Each is cached on the parent, so repeated calls
-return the same object.
+return the same object.  The last two are regradings: one
+:class:`RegradedAlgebra` groups the finite support of its parent into
+fibres along a degree map, and lays each fibre's components end to end.
 
 Support bounds use ``None`` for an unbounded side.  The first free
 coordinate of the grading group is the distinguished one: the functors in
@@ -20,12 +22,13 @@ coordinate of the grading group is the distinguished one: the functors in
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from . import _kernel, intlat
+from . import _kernel
 from .fields import Field
-from .grading import Degree, GradingGroup, GradingError, Subgroup, TRIVIAL_GROUP
+from .grading import Degree, GradingGroup, TRIVIAL_GROUP
 
 
 class AlgebraError(ValueError):
@@ -597,112 +600,31 @@ def _trivial_extension(a: GradedAlgebra, extra: int) -> SliceAlgebra:
     return ext
 
 
-class GroupHom:
-    """Homomorphism between grading groups, given on generators."""
-
-    def __init__(self, source: GradingGroup, target: GradingGroup, images: Sequence[Degree]):
-        if len(images) != source.dim:
-            raise GradingError("need one image per source generator")
-        if any(d.group != target for d in images):
-            raise GradingError("images must live in the target group")
-        self.source = source
-        self.target = target
-        self.images = tuple(images)
-        m = source.free_rank
-        for i, n in enumerate(source.torsion_moduli):
-            if not (n * self.images[m + i]).is_zero():
-                raise GradingError(
-                    f"torsion generator {i} of order {n} maps to an element whose "
-                    "order does not divide it"
-                )
-
-    def apply(self, deg: Degree) -> Degree:
-        if deg.group != self.source:
-            raise GradingError("degree not in the source group")
-        acc = self.target.zero
-        for v, img in zip(deg.values, self.images):
-            if v:
-                acc = acc + v * img
-        return acc
-
-    def _lattice_matrix(self):
-        """Integer matrix over the target coordinates (rows) whose columns
-        are the images of the source generators, then the generators of
-        the target's moduli lattice."""
-        gens = [d.values for d in self.images] + list(self.target.moduli_lattice())
-        return [[g[i] for g in gens] for i in range(self.target.dim)]
-
-    def kernel_subgroup(self) -> Subgroup:
-        """Kernel as a subgroup of the source."""
-        sdim = self.source.dim
-        if self.target.dim:
-            ker = intlat.kernel_int(self._lattice_matrix())
-        else:
-            ker = [[1 if i == j else 0 for i in range(sdim)] for j in range(sdim)]
-        return Subgroup(self.source, [v[:sdim] for v in ker])
-
-    def solve(self, target_deg: Degree) -> Optional[Degree]:
-        """One preimage of target_deg, or None."""
-        if self.target.dim == 0:
-            return self.source.zero
-        x = intlat.solve_int(self._lattice_matrix(), list(target_deg.values))
-        if x is None:
-            return None
-        return self.source.degree(x[: self.source.dim])
-
-
 class RegradedAlgebra(GradedAlgebra):
-    """Push the grading forward along a group homomorphism.
+    """A finite-support parent regraded along a degree map ``to_target``.
 
-    Components of the result sum the source components in each fiber, so
-    either the fibers must be finite (finite kernel) or the source support
-    must be finite.
+    The component at D lays the parent's components at the fibre of D,
+    the support degrees that map to D, end to end in the order of their
+    values; a basis label is (parent degree values, parent label).  A
+    parent without finite support is refused, so every fibre is finite
+    and read once from the parent's support.
     """
 
-    def __init__(self, parent: GradedAlgebra, hom: GroupHom):
-        if hom.source != parent.group:
-            raise AlgebraError("homomorphism source must be the parent grading group")
-        super().__init__(hom.target, parent.field)
+    def __init__(self, parent: GradedAlgebra, group: GradingGroup, to_target):
+        if not parent.finite_support():
+            raise AlgebraError("regrading needs a finite-support parent")
+        super().__init__(group, parent.field)
         self.parent = parent
-        self.hom = hom
-        self._kernel = hom.kernel_subgroup()
-        self._kernel_order = self._kernel.order()
-        if self._kernel_order is None and not parent.finite_support():
-            raise AlgebraError(
-                "regrading needs a finite kernel or a finite-support parent"
-            )
-        self._finite_image = None
-
-    def _kernel_elements(self):
-        # finite subgroups of Z^m x T live inside the torsion part
-        out = []
-        for t in self.parent.group.torsion_elements():
-            if self._kernel.contains(t):
-                out.append(t)
-        return out
-
-    def _fiber(self, deg):
-        if self._kernel_order is not None:
-            x0 = self.hom.solve(deg)
-            if x0 is None:
-                return []
-            fiber = []
-            for k in self._kernel_elements():
-                d = x0 + k
-                if self.parent.component_dim(d):
-                    fiber.append(d)
-            return sorted(fiber, key=lambda d: d.values)
-        return sorted(
-            (d for d in self.parent.support_degrees() if self.hom.apply(d) == deg),
-            key=lambda d: d.values,
-        )
+        self._fibres = {}
+        for d in sorted(parent.support_degrees(), key=lambda d: d.values):
+            self._fibres.setdefault(to_target(d), []).append(d)
 
     def _component_basis(self, deg):
-        out = []
-        for d in self._fiber(deg):
-            for lbl in self.parent.component_basis(d):
-                out.append((d.values, lbl))
-        return tuple(out)
+        return tuple(
+            (d.values, lbl)
+            for d in self._fibres.get(deg, ())
+            for lbl in self.parent.component_basis(d)
+        )
 
     def _mul_labels(self, da, la, db, lb):
         av, xa = la
@@ -716,35 +638,14 @@ class RegradedAlgebra(GradedAlgebra):
         z = self.parent.group.zero
         return [((z.values, lbl), c) for lbl, c in self.parent.one_terms()]
 
-    def _image_support(self):
-        if self._finite_image is None:
-            self._finite_image = sorted(
-                {self.hom.apply(d) for d in self.parent.support_degrees()},
-                key=lambda d: d.values,
-            )
-        return self._finite_image
-
     def support_bounds(self):
-        m = self.group.free_rank
-        if m == 0:
-            return ()
-        if self.parent.finite_support():
-            img = self._image_support()
-            return tuple(
-                (min(d.values[j] for d in img), max(d.values[j] for d in img))
-                for j in range(m)
-            )
-        return tuple((None, None) for _ in range(m))
+        return tuple(
+            (min(d.values[j] for d in self._fibres), max(d.values[j] for d in self._fibres))
+            for j in range(self.group.free_rank)
+        )
 
     def support_radius(self):
-        m = self.group.free_rank
-        if m == 0:
-            return ()
-        if self.parent.finite_support():
-            return tuple(
-                max(abs(lo), abs(hi)) for lo, hi in self.support_bounds()
-            )
-        return tuple(1 for _ in range(m))
+        return tuple(max(abs(lo), abs(hi)) for lo, hi in self.support_bounds())
 
     def describe(self):
         return f"regrade({self.parent.describe()} -> {self.group.describe()})"
@@ -811,31 +712,25 @@ def identity_component(a: GradedAlgebra) -> GradedAlgebra:
 
 def forget_grading(a: GradedAlgebra) -> RegradedAlgebra:
     """Collapse the grading to the trivial group (finite support only)."""
-    hom = GroupHom(a.group, TRIVIAL_GROUP, [TRIVIAL_GROUP.zero] * a.group.dim)
-    return RegradedAlgebra(a, hom)
+    return RegradedAlgebra(a, TRIVIAL_GROUP, lambda d: TRIVIAL_GROUP.zero)
 
 
 def regrade_mod(a: GradedAlgebra, n: int) -> RegradedAlgebra:
-    """Reduce a rank-1 free grading modulo n (other coordinates unchanged)."""
+    """Reduce a rank-1 free grading modulo n (other coordinates unchanged):
+    (v, t...) goes to the degree with v mod n at the sorted position of n
+    among the torsion moduli (finite support only)."""
     g = a.group
     if g.free_rank != 1:
         raise AlgebraError("regrade_mod needs exactly one free coordinate")
-    import bisect
-
     mods = list(g.torsion_moduli)
     pos = bisect.bisect_left(mods, n)
-    new_mods = mods[:pos] + [n] + mods[pos:]
-    tgt = GradingGroup(0, tuple(new_mods))
+    tgt = GradingGroup(0, tuple(mods[:pos] + [n] + mods[pos:]))
 
-    def unit(i):
-        v = [0] * tgt.dim
-        v[i] = 1
-        return tgt.degree(v)
+    def to_target(d):
+        v, *t = d.values
+        return tgt.degree(t[:pos] + [v] + t[pos:])
 
-    images = [unit(pos)]  # the free generator goes to the new Z/n coordinate
-    for i in range(len(mods)):
-        images.append(unit(i if i < pos else i + 1))
-    return RegradedAlgebra(a, GroupHom(g, tgt, images))
+    return RegradedAlgebra(a, tgt, to_target)
 
 
 def project_pi(a: HomogeneousElement) -> HomogeneousElement:

@@ -144,7 +144,10 @@ class Session:
         if isinstance(node, Ref):
             if node.name in self.env:
                 return self.env[node.name]
-            b = self._builtin(node.name)
+            try:
+                b = self._builtin(node.name)
+            except ValueError as exc:  # GradingError among them: F4, Z1, Z0
+                raise EvalError(f"{node.name}: {exc}", node.line, node.col) from None
             if b is not None:
                 return b
             raise EvalError(f"undefined name {node.name!r}", node.line, node.col)

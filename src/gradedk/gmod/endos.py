@@ -59,8 +59,10 @@ the engine behind Krull-Schmidt decomposition:
   unit u are orthogonal exactly when the ranks of the L_{e_i} add up to
   rank L_u.  An idempotent matrix over a field of characteristic 0 has
   rank equal to its trace, and traces add, so over Q the idempotent and
-  sum checks already imply it; over GF(p) the ranks are counted.  The
-  trace form reads tr(L_{b_k}) from ``Bilinear.left_trace``.
+  sum checks already imply it.  Over GF(p) the ranks are counted: when
+  the algebra's dimension n is below p, each is the trace mod p read as
+  an integer in [0, n], and otherwise an elimination.  The trace form
+  reads tr(L_{b_k}) from ``Bilinear.left_trace``.
 
 Every span this module grows or reads is a ``_kernel.EchelonBasis``:
 the powers a minimal polynomial is read from, the words of the
@@ -1079,8 +1081,10 @@ def _verify_complete_orthogonal(fd: FDAlgebra, idems):
     direct sum.  In characteristic 0, L_x of an idempotent x is
     idempotent, so its rank is its trace, and the traces of the L_{e_i}
     add up to tr L_u for every family: there orthogonality follows from
-    the idempotent and sum checks.  Over GF(p) the ranks are counted.  A
-    unit that is not idempotent is refused first, as the sum of
+    the idempotent and sum checks.  Over GF(p) the ranks are counted:
+    when n = dim A < p, the rank of an idempotent L_x is its trace mod p
+    read as an integer, as it lies in [0, n]; otherwise by elimination.
+    A unit that is not idempotent is refused first, as the sum of
     orthogonal idempotents is idempotent."""
     F = fd.field
     total = [F.zero] * fd.dim
@@ -1096,6 +1100,8 @@ def _verify_complete_orthogonal(fd: FDAlgebra, idems):
         n = fd.dim
 
         def rank(x):
+            if n < F.char:
+                return fd.table.left_trace(x)
             return _kernel.rank(fd.table.left(x, n), F.char)
 
         if sum(rank(e) for e in idems) != rank(total):

@@ -1,10 +1,9 @@
-"""Small integer-lattice utilities: Hermite form, integer solve, kernels.
+"""Small integer-lattice utilities: the Hermite form and lattice membership.
 
 Every lattice question reads one elimination, ``hnf_with_transform``:
-canonical subgroups, index and order, kernels and preimages of grading
-maps, and Dade's unimodularity.  Everything here runs on tiny matrices
-(grading groups have a handful of coordinates), so plain row operations
-with exact ints are enough.
+canonical subgroups, their index and order, and Dade's unimodularity.
+Everything here runs on tiny matrices (grading groups have a handful of
+coordinates), so plain row operations with exact ints are enough.
 """
 
 from __future__ import annotations
@@ -38,7 +37,8 @@ def in_lattice(vec, hnf_rows) -> bool:
 
 
 def hnf_with_transform(rows):
-    """Row HNF together with the transform: returns (H, T) with T*rows == H.
+    """Row HNF together with the transform: returns (H, T, pivots) with
+    T*rows == H and the pivot column of each nonzero row of H.
 
     Zero rows of the reduced matrix are kept (with their transform rows) so
     that T is square unimodular.
@@ -84,52 +84,3 @@ def hnf_with_transform(rows):
     H = [row[:m] for row in mat]
     T = [row[m:] for row in mat]
     return H, T, pivots
-
-
-def solve_int(a_rows, b):
-    """One integer solution x of ``a_rows @ x == b``, or None.
-
-    ``a_rows`` is an n x m integer matrix, ``b`` a length-n vector.
-    """
-    n = len(a_rows)
-    m = len(a_rows[0]) if n else 0
-    if n == 0:
-        return [0] * m
-    # Work with columns: HNF of the transpose tracks column operations on a.
-    at = [[a_rows[i][j] for i in range(n)] for j in range(m)]
-    H, T, pivots = hnf_with_transform(at)  # T @ at == H, i.e. a @ T^t == H^t
-    # Solve H^t y = b by forward substitution on the pivot structure.
-    rank = len(pivots)
-    y = [0] * m
-    resid = list(b)
-    for i in range(rank):
-        c = pivots[i]  # row index in original a
-        piv = H[i][c]
-        if resid[c] % piv:
-            return None
-        t = resid[c] // piv
-        y[i] = t
-        for j in range(n):
-            resid[j] -= t * H[i][j]
-    if any(resid):
-        return None
-    # x = T^t y
-    x = [0] * m
-    for i in range(m):
-        if y[i]:
-            for j in range(m):
-                x[j] += T[i][j] * y[i]
-    return x
-
-
-def kernel_int(a_rows):
-    """Basis of the integer kernel {x : a_rows @ x == 0}."""
-    n = len(a_rows)
-    m = len(a_rows[0]) if n else 0
-    if n == 0:
-        return [[1 if i == j else 0 for i in range(m)] for j in range(m)]
-    at = [[a_rows[i][j] for i in range(n)] for j in range(m)]
-    H, T, pivots = hnf_with_transform(at)
-    rank = len(pivots)
-    return [list(T[i]) for i in range(rank, m)]
-

@@ -4,16 +4,20 @@ the tests.
 The package takes a rank from the pivots of ``rref``, left
 multiplication L_u from ``Bilinear.left``, the traces of the trace form
 from ``Bilinear.left_trace``, orthogonality of idempotents from ranks,
-a subgroup's index and order from Hermite pivots and unimodularity from
-a Hermite form.  These compute the same things by the algorithms they
-replaced, so a test can check the answers against code they do not
+a subgroup's index and order from Hermite pivots, unimodularity from
+a Hermite form, and a regrading's fibres from its parent's support.
+These compute the same things by the algorithms they replaced, or by
+brute force, so a test can check the answers against code they do not
 share: a fraction-free Bareiss rank over Q with forward elimination mod
 p, L_u and the trace form summed over every structure constant,
-orthogonality by every product e_i e_j, and the index, the order and
-unimodularity by a Bareiss determinant.
+orthogonality by every product e_i e_j, the index, the order and
+unimodularity by a Bareiss determinant (the order with an integer
+solve), and a regrading's components from every degree of the parent's
+support box.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 from gradedk import intlat
@@ -167,6 +171,39 @@ def index_by_det(H):
     return abs(det) if det else None
 
 
+def solve_int(a_rows, b):
+    """One integer solution x of ``a_rows @ x == b``, or None.
+
+    ``a_rows`` is an n x m integer matrix, ``b`` a length-n vector.  The
+    Hermite form of the transpose tracks column operations on a."""
+    n = len(a_rows)
+    m = len(a_rows[0]) if n else 0
+    if n == 0:
+        return [0] * m
+    at = [[a_rows[i][j] for i in range(n)] for j in range(m)]
+    H, T, pivots = intlat.hnf_with_transform(at)  # T @ at == H, i.e. a @ T^t == H^t
+    # solve H^t y = b by forward substitution on the pivot structure
+    y = [0] * m
+    resid = list(b)
+    for i, c in enumerate(pivots):  # c is a row index of a
+        piv = H[i][c]
+        if resid[c] % piv:
+            return None
+        t = resid[c] // piv
+        y[i] = t
+        for j in range(n):
+            resid[j] -= t * H[i][j]
+    if any(resid):
+        return None
+    # x = T^t y
+    x = [0] * m
+    for i in range(m):
+        if y[i]:
+            for j in range(m):
+                x[j] += T[i][j] * y[i]
+    return x
+
+
 def order_by_det(H):
     """|H| as the absolute determinant of the moduli lattice's rows
     solved in H's rows; None when infinite."""
@@ -178,9 +215,24 @@ def order_by_det(H):
     a = [[H.rows[i][j] for i in range(len(H.rows))] for j in range(H.group.dim)]
     cmat = []
     for brow in base:
-        x = intlat.solve_int(a, list(brow))
+        x = solve_int(a, list(brow))
         if x is None:
             raise GradingError("moduli lattice escaped subgroup lattice")
         cmat.append(x)
     det = int_det(cmat)
     return abs(det) if det else None
+
+
+def regraded_basis_by_brute_force(parent, image, target_values):
+    """The basis of a regrading of ``parent`` at the degree whose values
+    are ``target_values``: for every degree of the parent's support box,
+    in the order of its values, that ``image`` maps there, the pairs
+    (parent degree values, parent label)."""
+    g = parent.group
+    free = [range(lo, hi + 1) for lo, hi in parent.support_bounds()]
+    torsion = [range(n) for n in g.torsion_moduli]
+    out = []
+    for values in product(*free, *torsion):
+        if tuple(image(values)) == tuple(target_values):
+            out += [(values, lbl) for lbl in parent.component_basis(g.degree(values))]
+    return out

@@ -12,6 +12,8 @@ from gradedk.algebra import AlgebraError, is_strongly_graded, project_pi
 from gradedk.fields import GF, QQ
 from gradedk.grading import GradingGroup
 
+from reference_algorithms import regraded_basis_by_brute_force
+
 
 def test_m5_component_dims(M5):
     # blocks of equal shifts 1,1,2,1 give 1+1+4+1 = 7 in degree zero
@@ -229,6 +231,68 @@ def test_forget_grading(M5):
     U = alg.forget_grading(M5)
     assert U.group.is_trivial()
     assert U.component_dim(U.group.zero) == 25
+
+
+def _z_by_torsion(modulus):
+    # a matrix algebra over Z x Z/modulus with shifts in both coordinates
+    G = GradingGroup(1, (modulus,))
+    shifts = [[0, 0], [1, 1], [1, 2], [2, 0], [3, 1]]
+    return alg.matrix_algebra(QQ, [G.degree(s) for s in shifts], group=G)
+
+
+REGRADINGS = [
+    # (build, image of parent degree values, target moduli)
+    pytest.param(
+        lambda: alg.forget_grading(alg.matrix_algebra(QQ, [0, 1, 2, 2, 3])),
+        lambda v: (),
+        (),
+        id="forget(M5)",
+    ),
+    pytest.param(
+        lambda: alg.forget_grading(alg.group_algebra(QQ, GradingGroup(0, (2, 3)))),
+        lambda v: (),
+        (),
+        id="forget(groupalg(Q,Z2xZ3))",
+    ),
+    # Z/2 goes before Z/3, and Z/3 after Z/2
+    pytest.param(
+        lambda: alg.regrade_mod(_z_by_torsion(3), 2),
+        lambda v: (v[0] % 2, v[1]),
+        (2, 3),
+        id="regrade_mod(ZxZ3,2)",
+    ),
+    pytest.param(
+        lambda: alg.regrade_mod(_z_by_torsion(2), 3),
+        lambda v: (v[1], v[0] % 3),
+        (2, 3),
+        id="regrade_mod(ZxZ2,3)",
+    ),
+]
+
+
+@pytest.mark.parametrize("build,image,moduli", REGRADINGS)
+def test_regradings_match_a_brute_force_fibre_reference(build, image, moduli):
+    # each component is the parent's components over its fibre, in the
+    # order of their values, label for label; together they hold every
+    # basis element of the parent once
+    R = build()
+    assert R.group == GradingGroup(0, moduli)
+    total = 0
+    for D in R.group.box([]):
+        want = regraded_basis_by_brute_force(R.parent, image, D.values)
+        assert list(R.component_basis(D)) == want
+        total += len(want)
+    P = R.parent
+    ranges = [range(lo, hi + 1) for lo, hi in P.support_bounds()]
+    assert total == sum(P.component_dim(d) for d in P.group.box(ranges)) > 0
+
+
+@pytest.mark.parametrize(
+    "regrade", [alg.forget_grading, lambda A: alg.regrade_mod(A, 2)], ids=["forget", "regrade_mod"]
+)
+def test_regrading_refuses_a_parent_without_finite_support(Qx, regrade):
+    with pytest.raises(AlgebraError, match="regrading needs a finite-support parent"):
+        regrade(Qx)
 
 
 def test_identity_component(M5):

@@ -306,6 +306,39 @@ def test_error_in_a_declaration_names_its_line(tmp_path, capsys):
     assert err.splitlines() == ["error: unknown group literal Y^2 (line 2)"]
 
 
+@pytest.mark.parametrize(
+    "literal,message",
+    [
+        ("F4", "field characteristic 4 is not prime"),
+        ("Z1", "torsion moduli must be integers >= 2"),
+        ("Z0", "torsion moduli must be integers >= 2"),
+    ],
+)
+def test_bad_literal_in_a_declaration_names_its_line_and_column(
+    tmp_path, capsys, literal, message
+):
+    # a field or group literal that cannot be built is malformed input,
+    # inside a call or not, and not a failed verification
+    script = f"A = matrix(Q,[0])\nK = {literal}\nk0(A)\n"
+    assert cli.main([str(_write(tmp_path, script))]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: {literal}: {message} (line 2, column 5)"]
+
+
+@pytest.mark.parametrize(
+    "name,call", [("forget", "forget(X)"), ("regrade_mod", "regrade_mod(X, 2)")]
+)
+def test_regrading_without_finite_support_is_a_user_error(tmp_path, capsys, name, call):
+    script = f"X = poly(matrix(Q,[0]),deg=[1])\nk0({call})\n"
+    assert cli.main([str(_write(tmp_path, script))]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: {name}: regrading needs a finite-support parent (line 2)"
+    ]
+
+
 def test_zero_extension_count_is_valid(tmp_path):
     script = "k0(trivial_extension(matrix(Q,[0,1]), 0))\nlemma(matrix(Q,[0,1]), 0)\n"
     assert cli.main([str(_write(tmp_path, script))]) == 0

@@ -1645,6 +1645,23 @@ def _m2_matrix_units(F):
     return FDAlgebra.from_products(F, products, [F.one, F.zero, F.zero, F.one])
 
 
+@pytest.mark.parametrize("F,eliminations", [(GF(7), 0), (GF(2), 3)], ids=["F7", "F2"])
+def test_idempotent_ranks_are_traces_below_the_characteristic(monkeypatch, F, eliminations):
+    # M2(F) has dimension 4: below 7 each rank of L_e is its trace, and
+    # over F2 the three ranks (E_11, E_22 and their sum) are eliminations
+    m2 = _m2_matrix_units(F)
+    calls = []
+    rank = _kernel.rank
+
+    def counting(a, char):
+        calls.append(char)
+        return rank(a, char)
+
+    monkeypatch.setattr(_kernel, "rank", counting)
+    endos._verify_complete_orthogonal(m2, [[1, 0, 0, 0], [0, 0, 0, 1]])
+    assert len(calls) == eliminations
+
+
 @pytest.mark.parametrize("F", [GF(2), GF(7)], ids=["F2", "F7"])
 def test_non_orthogonal_idempotents_summing_to_the_unit_are_refused(F):
     # over GF(p), p + 1 copies of the unit sum to the unit, and so do E_11,
