@@ -598,6 +598,9 @@ def main(argv=None) -> int:
                         help="override field declarations: q or fp:<p>")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     args = parser.parse_args(argv)
+    if args.degree_bound < 0:
+        print(f"error: --degree-bound must be >= 0, got {args.degree_bound}", file=sys.stderr)
+        return 2
 
     try:
         override = parse_field(args.field) if args.field else None

@@ -88,6 +88,9 @@ QQ = Field(0)
 
 
 def GF(p: int) -> Field:
+    if not p:
+        # Field(0) is the rationals, which GF(0) must not silently become
+        raise ValueError("field characteristic 0 is not prime")
     return Field(p)
 
 
@@ -98,7 +101,11 @@ def parse_field(text: str) -> Field:
     if low in ("q", "qq", "rationals"):
         return QQ
     if low.startswith("fp:"):
-        return GF(int(low[3:]))
-    if (low.startswith("f") or low.startswith("gf")) and low.lstrip("gf").isdigit():
-        return GF(int(low.lstrip("gf")))
-    raise ValueError(f"unknown field spec {text!r} (use q or fp:<p>)")
+        p = int(low[3:])
+    elif (low.startswith("f") or low.startswith("gf")) and low.lstrip("gf").isdigit():
+        p = int(low.lstrip("gf"))
+    else:
+        raise ValueError(f"unknown field spec {text!r} (use q or fp:<p>)")
+    if not p:
+        raise ValueError(f"field spec {text!r} has characteristic 0 (use q for the rationals)")
+    return GF(p)

@@ -175,10 +175,23 @@ class _FiniteRegistry:
         if prof is None:
             raise PresentationError("cannot match a zero module")
         for blk, info in enumerate(self.classes):
-            if info.dim_profile != prof:
+            if len(dims) != len(info.dim_profile):
                 continue
-            # X ~ rep(shift): support(rep(shift)) = support(rep) - shift
-            base = info.anchor - anchor
+            # X ~ rep(shift): support(rep(shift)) = support(rep) - shift,
+            # so some degree a of X's support is the image of the class
+            # anchor.  A torsion shift need not keep the lex-min anchor,
+            # so every a is tried, X's own anchor first.
+            a = next(
+                (
+                    a
+                    for a in (anchor, *dims)
+                    if {h - a: n for h, n in dims.items()} == info.dim_profile
+                ),
+                None,
+            )
+            if a is None:
+                continue
+            base = info.anchor - a
             for delta in info.symmetries:
                 shift = base + delta
                 if (blk, shift) in taken:

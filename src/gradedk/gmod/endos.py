@@ -9,14 +9,19 @@ e End(F)_0 e and Hom(P, Q)_0 = e_Q Hom(F, G)_0 e_P are its corners.
 Splitting the unit into primitive orthogonal idempotents is
 the engine behind Krull-Schmidt decomposition:
 
-* radical: one chain of ideals, after Cohen, Ivanyos and Wales
-  (*Finding the radical of an algebra of linear transformations*, JPAA
-  1997), whose level i keeps the x with g_i(x b) = 0 for every b, g_i
-  the coefficient of lambda^(dim - p^i) in the characteristic polynomial
-  of left multiplication.  Level 0 is the null space of the trace form,
-  and in characteristic 0 or over GF(p) with p > dim the chain stops
-  there; at level i >= 1, g_i is linear on the previous level, so it
-  costs one characteristic polynomial per basis vector of that level.
+* radical: the null space of the trace form, which is the radical in
+  characteristic 0 and over GF(p) with p > dim.  Over GF(p) with
+  p <= dim, a commutative algebra's radical is the kernel of the
+  GF(p)-linear map x -> x^(p^k), p^k >= dim (after Berlekamp, *Factoring
+  polynomials over large finite fields*, Math. Comp. 1970, and Ronyai,
+  *Computing the structure of finite algebras*, JSC 1990): one product
+  chain per basis vector and one null space.  Any other algebra runs the
+  chain of ideals of Cohen, Ivanyos and Wales (*Finding the radical of
+  an algebra of linear transformations*, JPAA 1997), whose level i keeps
+  the x with g_i(x b) = 0 for every b, g_i the coefficient of
+  lambda^(dim - p^i) in the characteristic polynomial of left
+  multiplication; g_i is linear on the previous level, so it costs one
+  characteristic polynomial per basis vector of that level.
   Self-checks (two-sided ideal, nilpotent, clean quotient) turn any
   failure into a loud internal error instead of a wrong answer.  The
   ideal and nilpotency checks run through generators: J is an ideal
@@ -149,6 +154,16 @@ class FDAlgebra:
 
     def mul_vec(self, x, y):
         return self.table(x, y)
+
+    def is_commutative(self):
+        """Whether b_i b_j = b_j b_i for every i, j: the table's cells equal
+        their transposes (cells are kept sorted, without zero terms)."""
+        rows = self.table.rows
+        return all(
+            rows.get(j, {}).get(i) == cell
+            for i, row in rows.items()
+            for j, cell in row.items()
+        )
 
     def minimal_polynomial(self, x, e):
         """Monic minimal polynomial m of x in the corner e A e, whose unit
@@ -355,26 +370,85 @@ def _charpoly_modp(M, p):
 
 
 def radical_basis(fd: FDAlgebra):
-    """Basis (list of coordinate vectors) of the Jacobson radical, by the
-    chain of ideals of Cohen, Ivanyos and Wales (*Finding the radical of
-    an algebra of linear transformations*, JPAA 1997).
+    """Basis (list of coordinate vectors) of the Jacobson radical.
 
-    With g_i(x) the coefficient of lambda^(n - p^i) in the characteristic
-    polynomial of left multiplication L_x, n = dim, the chain I_{-1} = A,
-    I_i = {x in I_{i-1} : g_i(x b) = 0 for every b in A} is a chain of
-    ideals that reaches the radical once p^(i+1) > n.  Level 0 is the
-    null space of the trace form, which is the radical already in
-    characteristic 0 and for p > n.  At level i >= 1, g_i is
-    p^i-semilinear on I_{i-1}, which over GF(p) means linear, so one
-    characteristic polynomial per basis vector u_t of I_{i-1} gives
-    every g_i(u_a b_j) = sum_t coords_t(u_a b_j) g_i(u_t)."""
+    Level 0 is the null space of the trace form, which is the radical
+    already in characteristic 0 and over GF(p) for p > n = dim.  Over
+    GF(p) with p <= n, when that null space is not zero, one of two
+    paths finishes:
+
+    * a commutative algebra (``FDAlgebra.is_commutative``): the radical
+      is the set of nilpotent elements, the kernel of x -> x^(p^k) for
+      the least k with p^k >= n (``_frobenius_kernel``).  A nilpotent
+      element of a unital n-dimensional algebra has x^n = 0, and x -> x^p
+      is GF(p)-linear when the algebra is commutative;
+    * otherwise the chain of ideals of Cohen, Ivanyos and Wales
+      (``_radical_chain``).
+
+    Either way the answer passes ``_verify_radical``."""
     p = fd.field.char
     n = fd.dim
     if n == 0:
         return []
     ideal = _kernel.nullspace(_trace_form(fd), p)
+    if ideal and 0 < p <= n:
+        if fd.is_commutative():
+            ideal = _frobenius_kernel(fd)
+        else:
+            ideal = _radical_chain(fd, ideal)
+    _verify_radical(fd, ideal)
+    return ideal
+
+
+def _frobenius_kernel(fd: FDAlgebra):
+    """The kernel of x -> x^(p^k) on a commutative algebra over GF(p),
+    for the least k with p^k >= dim: its nilpotent elements.
+
+    c^p = c for c in GF(p), and (x + y)^p = x^p + y^p when x and y
+    commute, so the map sends sum c_i b_i to sum c_i b_i^(p^k): its
+    matrix has the columns b_i^(p^k), each built by k p-th powers."""
+    p = fd.field.char
+    n = fd.dim
+    cols = []
+    for i in range(n):
+        x = _unit_vec(fd, i)
+        q = 1
+        while q < n:
+            x = _power(fd, x, p)
+            q *= p
+        cols.append(x)
+    return _kernel.nullspace([list(r) for r in zip(*cols)], p)
+
+
+def _power(fd: FDAlgebra, x, e):
+    """x^e for e >= 1, by square and multiply."""
+    out = None
+    while True:
+        if e & 1:
+            out = x if out is None else fd.mul_vec(out, x)
+        e >>= 1
+        if not e:
+            return out
+        x = fd.mul_vec(x, x)
+
+
+def _radical_chain(fd: FDAlgebra, ideal):
+    """The radical over GF(p), from the null space ``ideal`` of the trace
+    form, by the chain of ideals of Cohen, Ivanyos and Wales (*Finding
+    the radical of an algebra of linear transformations*, JPAA 1997).
+
+    With g_i(x) the coefficient of lambda^(n - p^i) in the characteristic
+    polynomial of left multiplication L_x, n = dim, the chain I_{-1} = A,
+    I_i = {x in I_{i-1} : g_i(x b) = 0 for every b in A} is a chain of
+    ideals that reaches the radical once p^(i+1) > n; level 0 is the
+    trace form's null space.  At level i >= 1, g_i is p^i-semilinear on
+    I_{i-1}, which over GF(p) means linear, so one characteristic
+    polynomial per basis vector u_t of I_{i-1} gives every
+    g_i(u_a b_j) = sum_t coords_t(u_a b_j) g_i(u_t)."""
+    p = fd.field.char
+    n = fd.dim
     pw = p
-    while ideal and 0 < pw <= n:
+    while ideal and pw <= n:
         span = _kernel.EchelonBasis(ideal, p)
         # column j of L_u is u b_j
         lmats = [fd.table.left(u, n) for u in ideal]
@@ -388,7 +462,6 @@ def radical_basis(fd: FDAlgebra):
                 form[j][a] = sum(c * gt for c, gt in zip(coords, g)) % p
         ideal = [_up(ideal, v, fd.field, n) for v in _kernel.nullspace(form, p)]
         pw *= p
-    _verify_radical(fd, ideal)
     return ideal
 
 
@@ -1028,14 +1101,18 @@ def split_semisimple(fd: FDAlgebra, rng):
 
     A primitive central idempotent z cuts out a simple block zA, which is
     M_r over its centre, the field zZ; r = 1 blocks need no splitting.
-    The centre Z is split in fd's own coordinates; a commutative algebra
-    is its own centre, so its blocks are fields."""
+    The centre Z is split in fd's own coordinates.  A commutative
+    algebra (``FDAlgebra.is_commutative``) is its own centre, spanned by
+    its unit vectors with no commutator system, so its blocks are
+    fields."""
     if fd.dim == 0:
         return []
     char = fd.field.char
-    zvecs = fd.center_basis()
-    commutative = len(zvecs) == fd.dim
-    if not commutative:
+    commutative = fd.is_commutative()
+    if commutative:
+        zvecs = [_unit_vec(fd, i) for i in range(fd.dim)]
+    else:
+        zvecs = fd.center_basis()
         _verify_centre_closed(fd, zvecs)
     out = []
     for blk, (z, d_z) in enumerate(_split_commutative(fd, zvecs, rng)):

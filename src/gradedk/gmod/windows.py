@@ -18,6 +18,10 @@ WINDOW_CAP = 100_000
 
 
 def default_window(A: GradedAlgebra, presentations=(), margin: int = 2):
+    if margin < 0:
+        # a negative margin can empty the ranges, and every check on an
+        # empty window passes without looking at a degree
+        raise ValueError(f"window margin must be >= 0, got {margin}")
     m = A.group.free_rank
     radius = A.support_radius()
     spans = []

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from gradedk import cli
 from gradedk.cli import EvalError, Session, run_text
 from gradedk.dsl import Call, Command, Decl, ParseError, Script, parse, unparse
-from gradedk.fields import GF
+from gradedk.fields import GF, parse_field
 
 
 def test_parse_smoke():
@@ -151,6 +151,34 @@ def test_exit_codes(tmp_path):
     assert run("k0(Undeclared)\n") == 2
     assert run("A = matrix(Q, [0,1)\n") == 2
     assert run("k0(matrix(Q, [0]))\n", "--field", "nonsense") == 2
+
+
+@pytest.mark.parametrize("bound", ["-1", "-5"])
+def test_negative_degree_bound_is_refused(tmp_path, capsys, bound):
+    # a negative margin can empty every free range of a window, and the
+    # per-degree checks of swan, filtration and dade would then pass on
+    # no degree at all
+    script = str(_write(tmp_path, "swan(free(matrix(Q, [0,1]), shifts=[[0]]))\n"))
+    assert cli.main([script, "--degree-bound", bound]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: --degree-bound must be >= 0, got {bound}"]
+    assert cli.main([script, "--degree-bound", "0"]) == 0
+
+
+@pytest.mark.parametrize("spec", ["fp:0", "F0", "gf0", "GF0"])
+def test_field_of_characteristic_zero_is_refused(tmp_path, capsys, spec):
+    # GF(0) would be the rationals under a prime field's name
+    message = f"field spec {spec!r} has characteristic 0 (use q for the rationals)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_field(spec)
+    script = str(_write(tmp_path, "k0(matrix(Q, [0]))\n"))
+    assert cli.main([script, "--field", spec]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+    with pytest.raises(ValueError, match="field characteristic 0 is not prime"):
+        GF(0)
 
 
 @pytest.mark.parametrize("command", ["k0", "dade"])
@@ -310,6 +338,7 @@ def test_error_in_a_declaration_names_its_line(tmp_path, capsys):
     "literal,message",
     [
         ("F4", "field characteristic 4 is not prime"),
+        ("F0", "field characteristic 0 is not prime"),
         ("Z1", "torsion moduli must be integers >= 2"),
         ("Z0", "torsion moduli must be integers >= 2"),
     ],

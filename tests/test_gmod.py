@@ -75,6 +75,15 @@ def test_shift_axioms(Qx):
         assert P.shift(g).dim(h) == P.dim(g + h)
 
 
+def test_default_window_refuses_a_negative_margin(Qx):
+    # margin 0 still holds the support; a negative one could empty the box
+    P = free_module(Qx, [[0]])
+    assert Qx.deg([0]) in default_window(Qx, [P], 0)
+    for margin in (-1, -5):
+        with pytest.raises(ValueError, match=f"window margin must be >= 0, got {margin}"):
+            default_window(Qx, [P], margin)
+
+
 def test_free_module_components(Qx):
     # shift(A(0), w) has dim at h equal to dim A_{w+h}
     w = Qx.deg([2])

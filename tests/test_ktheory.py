@@ -91,6 +91,27 @@ def test_dade_m2_mod2(M201):
     assert len(rep["lhs_basis"]) == 2
 
 
+@pytest.mark.parametrize(
+    "F,shifts", [(QQ, [0, 1, 2]), (QQ, [0, 1, 1]), (GF(2), [0, 1, 2])]
+)
+def test_torsion_regrading_counts_each_summand_class_once(F, shifts):
+    # M_3 graded by Z/2: every column module is a shift of the first, so
+    # K0 is Z[Z/2] free of rank 1, as for the same algebra built over Z2
+    # directly.  The first and third columns have equal supports up to a
+    # shift that moves the lex-min support degree, so matching must try
+    # every alignment of the supports, not the lex-min anchors only.
+    C = alg.regrade_mod(alg.matrix_algebra(F, shifts), 2)
+    Z2 = GradingGroup(0, (2,))
+    direct = alg.matrix_algebra(F, [[s % 2] for s in shifts], group=Z2)
+    for A in (C, direct):
+        res = kt.k0(A)
+        assert res.module.describe() == "free Z[Z/2]-module of rank 1"
+        assert len(res.orbits) == 1
+    rep = kt.dade_check(C)
+    assert rep["verdict"] == "pass"
+    assert rep["data"]["zbasis_size"] == 2
+
+
 def test_dade_refuses_a_change_of_basis_that_is_not_unimodular(M201, monkeypatch):
     # doubling every class map of the base change makes the square change
     # of basis 2I, whose Hermite form is not the identity

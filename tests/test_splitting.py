@@ -193,6 +193,125 @@ def test_radical_of_modular_abelian_group_algebra(p, moduli):
     assert len(radical_basis(fd)) == order - _p_regular_order(moduli, p)
 
 
+def _truncated_polynomials(p, k):
+    """F_p[x]/(x^k) on the basis 1, x, ..., x^(k-1), by its products."""
+    products = {
+        (i, j): [int(t == i + j) for t in range(k)]
+        for i in range(k)
+        for j in range(k)
+        if i + j < k
+    }
+    return FDAlgebra.from_products(GF(p), products, [1] + [0] * (k - 1))
+
+
+def _group_end(p, moduli):
+    return _end_of_regular(_forget(alg.group_algebra(GF(p), GradingGroup(0, moduli))))
+
+
+# (algebra builder, radical dimension): commutative algebras over GF(p)
+# with p <= dim and a trace form that leaves a nonzero null space
+COMMUTATIVE_MODULAR = [
+    (lambda: _group_end(2, (16,)), 15),
+    (lambda: _group_end(2, (2, 4)), 7),
+    (lambda: _group_end(5, (10,)), 8),
+    # dim 9 = 3^2: x^(p^k) with p^k = dim exactly
+    (lambda: _group_end(3, (9,)), 8),
+    (lambda: _truncated_polynomials(2, 5), 4),
+    (lambda: _truncated_polynomials(3, 4), 3),
+    (lambda: _truncated_polynomials(5, 10), 9),
+]
+
+
+@pytest.mark.parametrize("build,expected", COMMUTATIVE_MODULAR)
+def test_frobenius_kernel_spans_the_radical_chain(build, expected):
+    # on a commutative algebra the kernel of x -> x^(p^k) and the chain of
+    # ideals, called directly from the trace form's null space, span one
+    # space: the nilpotent elements
+    fd = build()
+    p = fd.field.char
+    assert fd.is_commutative() and p <= fd.dim
+    level0 = _kernel.nullspace(endos._trace_form(fd), p)
+    assert level0
+    chain = endos._radical_chain(fd, level0)
+    frobenius = endos._frobenius_kernel(fd)
+    assert len(frobenius) == len(chain) == expected
+    span = _kernel.EchelonBasis(chain, p)
+    assert all(span.contains(v) for v in frobenius)
+    got = radical_basis(fd)
+    assert _kernel.EchelonBasis(got, p).pivots == span.pivots
+    assert all(span.contains(v) for v in got)
+
+
+def _radical_calls(fd, monkeypatch):
+    """(charpoly calls, _verify_radical calls) of one radical_basis(fd)."""
+    calls = {"charpoly": 0, "verify": 0}
+    charpoly, verify = endos._charpoly_modp, endos._verify_radical
+
+    def counting_charpoly(M, p):
+        calls["charpoly"] += 1
+        return charpoly(M, p)
+
+    def counting_verify(fd, J):
+        calls["verify"] += 1
+        return verify(fd, J)
+
+    monkeypatch.setattr(endos, "_charpoly_modp", counting_charpoly)
+    monkeypatch.setattr(endos, "_verify_radical", counting_verify)
+    radical_basis(fd)
+    return calls["charpoly"], calls["verify"]
+
+
+def test_radical_path_is_chosen_by_commutativity(monkeypatch):
+    # F2[Z4] is commutative and its trace form vanishes (tr L_1 = 4 = 0):
+    # the radical is a Frobenius kernel, with no characteristic
+    # polynomial; M4(F2) is not commutative and keeps the chain.  Both
+    # answers still pass the radical's self-check.
+    commutative = _group_end(2, (4,))
+    assert not any(any(row) for row in endos._trace_form(commutative))
+    assert _radical_calls(commutative, monkeypatch) == (0, 1)
+    assert commutative.is_commutative()
+    matrices = _end_of_regular(_forget(alg.matrix_algebra(GF(2), [0] * 4)))
+    assert not matrices.is_commutative()
+    charpolys, verifies = _radical_calls(matrices, monkeypatch)
+    assert charpolys > 0 and verifies == 1
+
+
+def test_commutativity_is_a_full_centre():
+    # the table equals its transpose exactly when the centre is everything
+    for F in (QQ, GF(2), GF(3)):
+        for build in _split_corpus(F):
+            fd = EndAlgebra(build()).fd
+            assert fd.is_commutative() == (len(fd.center_basis()) == fd.dim)
+    assert _truncated_polynomials(2, 3).is_commutative()
+    # b_0 b_1 = b_1 and b_1 b_0 = 0: the upper triangular 2 x 2 matrices
+    upper = FDAlgebra.from_products(
+        GF(2), {(0, 0): [1, 0, 0], (0, 1): [0, 1, 0], (1, 2): [0, 1, 0], (2, 2): [0, 0, 1]},
+        [1, 0, 1],
+    )
+    assert not upper.is_commutative()
+
+
+def test_commutative_split_reads_no_commutator_system(monkeypatch):
+    # a commutative algebra is its own centre: its unit vectors, which is
+    # what the commutator system's null space gives, and the split never
+    # builds that system
+    # semisimple: p does not divide |G|
+    algebras = [_group_end(p, m) for p, m in ((5, (2, 3)), (7, (6,)), (2, (3, 3)))]
+    algebras.append(_end_of_regular(_forget(alg.group_algebra(QQ, GradingGroup(0, (6,))))))
+    for fd in algebras:
+        units = [endos._unit_vec(fd, i) for i in range(fd.dim)]
+        assert fd.center_basis() == units
+        want = endos._split_commutative(fd, units, random.Random(0))
+
+        def refuse(self):
+            raise AssertionError("commutator system built")
+
+        with monkeypatch.context() as m:
+            m.setattr(FDAlgebra, "center_basis", refuse)
+            got = endos.split_semisimple(fd, random.Random(0))
+        assert [v for v, _blk in got] == [z for z, _d in want]
+
+
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_charpoly_modp_matches_sympy(p):
     import sympy
