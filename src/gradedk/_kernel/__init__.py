@@ -4,8 +4,10 @@ Elimination (``mat_mul``, ``rref``, ``rank``, ``solve``, ``nullspace``)
 lives in the ``pure`` submodule and is re-exported here.
 ``EchelonBasis`` is the one span of the package: grown one vector at a
 time, it answers membership, residues and coordinates in the vectors
-that grew it.  ``Bilinear`` holds sparse structure constants, and reads
-the matrix of left multiplication and its trace from them.
+that grew it.  ``Bilinear`` holds sparse structure constants, reads
+the matrix of left multiplication and its trace from them, and composes
+tables from tables: placed at block offsets (``placed``) or as
+Kronecker products (``kron``), read on their int rows.
 Elimination stays a submodule so that the calls ``solve``, ``rank`` and
 ``nullspace`` make to ``rref`` internally are not calls through this
 package's names, which is what ``perfbench/tracer.py`` counts.
@@ -219,6 +221,84 @@ class Bilinear:
                 (k, c if modulus else c.numerator * (den // c.denominator))
                 for k, c in sorted(cell.items())
             )
+
+    @classmethod
+    def _of_rows(cls, rows, out_dim, modulus, den):
+        """A table of rows already in this class's form."""
+        table = cls.__new__(cls)
+        table.rows = rows
+        table.out_dim = out_dim
+        table.modulus = modulus
+        table.den = den
+        return table
+
+    @classmethod
+    def placed(cls, parts, out_dim, modulus=0):
+        """The table made of the tables in ``parts``, each given as
+        ``(table, i0, j0, k0)`` and moved to the rows from i0, the columns
+        from j0 and the outputs from k0.  No two parts may share a cell.
+
+        The parts' int rows are read as they are: over Q each part is
+        scaled from its ``den`` to the least common multiple of them all.
+        Every part's ``den`` is the least common denominator of its own
+        constants, so the lcm is the whole table's, as ``__init__`` would
+        find it.  A part with k0 = 0 and no scaling lends its cells, which
+        are tuples."""
+        parts = [part for part in parts if part[0].rows]
+        den = 1
+        if not modulus:
+            for table, *_ in parts:
+                den = den // gcd(den, table.den) * table.den
+        rows = {}
+        for table, i0, j0, k0 in parts:
+            s = den // table.den
+            for i, row in table.rows.items():
+                out = rows.setdefault(i0 + i, {})
+                if s == 1 and not k0:
+                    for j, cell in row.items():
+                        out[j0 + j] = cell
+                else:
+                    for j, cell in row.items():
+                        out[j0 + j] = tuple((k0 + k, c * s) for k, c in cell)
+        return cls._of_rows(rows, out_dim, modulus, den)
+
+    def kron(self, other, rows_dim, cols_dim):
+        """The Kronecker product of two tables over one field: (e_i (x)
+        f_a)(e_j (x) f_b) = e_i e_j (x) f_a f_b, on the rows i * rows_dim +
+        a, the columns j * cols_dim + b and the outputs k * other.out_dim
+        + c, where rows_dim and cols_dim are the dimensions of ``other``'s
+        two inputs.  Over a field a product of nonzero constants is not
+        zero.  Over Q the product of the two ``den`` is divided by its gcd
+        with every product of constants, which leaves the least common
+        denominator."""
+        m = self.modulus
+        n = other.out_dim
+        rows = {}
+        for i, row in self.rows.items():
+            for a, orow in other.rows.items():
+                rows[i * rows_dim + a] = {
+                    j * cols_dim + b: tuple(
+                        (k * n + c, x * y % m if m else x * y)
+                        for k, x in cell
+                        for c, y in ocell
+                    )
+                    for j, cell in row.items()
+                    for b, ocell in orow.items()
+                }
+        den = 1 if m else self.den * other.den
+        g = den
+        if g > 1:
+            for row in rows.values():
+                for cell in row.values():
+                    for _k, c in cell:
+                        g = gcd(g, c)
+            if g > 1:
+                den //= g
+                rows = {
+                    i: {j: tuple((k, c // g) for k, c in cell) for j, cell in row.items()}
+                    for i, row in rows.items()
+                }
+        return self._of_rows(rows, self.out_dim * n, m, den)
 
     def __call__(self, x, y):
         m = self.modulus

@@ -15,6 +15,16 @@ return the same object.  The last two are regradings: one
 :class:`RegradedAlgebra` groups the finite support of its parent into
 fibres along a degree map, and lays each fibre's components end to end.
 
+Structure constants come as one table per pair of degrees
+(``pair_tensor``).  Only the base constructors read theirs from basis
+labels (``_mul_labels``).  Each derived constructor composes its
+tables from its owners': a slice's are its parent's, and a regrading,
+a polynomial extension and a tensor product place their parent's,
+base's or factors' tables at the offsets of its component blocks.
+Coarsening a grading makes each new component the direct sum of the
+old ones over a fibre (Hazrat, *Graded Rings and Graded Grothendieck
+Groups*, LMS LN 435, 2016), and the same holds for the others.
+
 Support bounds use ``None`` for an unbounded side.  The first free
 coordinate of the grading group is the distinguished one: the functors in
 :mod:`gradedk.gmod` restrict along it.
@@ -58,6 +68,7 @@ class GradedAlgebra:
         self.field = field
         self._basis_cache = {}
         self._mul_cache = {}
+        self._layout = {}  # blocks of the components of a derived constructor
         self._slices = {}  # zero part, positive part, ... by name; extensions by k
         self._registry = None  # decomposition class registry, set lazily
 
@@ -67,7 +78,8 @@ class GradedAlgebra:
 
     def _mul_labels(self, da: Degree, la, db: Degree, lb):
         """Structure constants: product of two basis labels, as
-        [(label, coeff)] in the component at da+db."""
+        [(label, coeff)] in the component at da+db.  Read only by the
+        base ``_pair_tensor``."""
         raise NotImplementedError
 
     def one_terms(self):
@@ -102,11 +114,24 @@ class GradedAlgebra:
         return len(self.component_basis(deg))
 
     def pair_tensor(self, da: Degree, db: Degree) -> _kernel.Bilinear:
-        """Cached structure constants of component(da) x component(db)."""
+        """Structure constants of component(da) x component(db), built once
+        by ``_pair_tensor`` and kept in ``_mul_cache`` under (da, db).
+
+        This is the one cached entry point.  A constructor whose products
+        are its parent's or its factors' does not answer label by label:
+        its ``_pair_tensor`` composes the table from theirs, so a slice
+        returns its parent's table itself, and a regrading, a polynomial
+        extension and a tensor product place their owners' tables at block
+        offsets (``_kernel.Bilinear.placed``)."""
         key = (da, db)
         hit = self._mul_cache.get(key)
-        if hit is not None:
-            return hit
+        if hit is None:
+            hit = self._mul_cache[key] = self._pair_tensor(da, db)
+        return hit
+
+    def _pair_tensor(self, da: Degree, db: Degree) -> _kernel.Bilinear:
+        """Build hook of ``pair_tensor``: the table read label by label
+        from ``_mul_labels``."""
         ba = self.component_basis(da)
         bb = self.component_basis(db)
         target = self.component_basis(da + db)
@@ -118,10 +143,25 @@ class GradedAlgebra:
             for ia, la in enumerate(ba)
             for ib, lb in enumerate(bb)
         }
-        tensor = self._mul_cache[key] = _kernel.Bilinear(
-            cells, len(target), self.field.char
-        )
-        return tensor
+        return _kernel.Bilinear(cells, len(target), self.field.char)
+
+    def _block_dims(self, deg):
+        """A derived constructor's blocks of the component at deg, in
+        order, as (key, data, dimension); a block may be empty."""
+        raise NotImplementedError
+
+    def _blocks(self, deg):
+        """The nonempty blocks of the component at deg, by key: (data,
+        offset of the block), built once from ``_block_dims``."""
+        hit = self._layout.get(deg)
+        if hit is None:
+            hit = self._layout[deg] = {}
+            off = 0
+            for key, data, n in self._block_dims(deg):
+                if n:
+                    hit[key] = (data, off)
+                    off += n
+        return hit
 
     def mul_coords(self, da: Degree, ca, db: Degree, cb):
         """Coordinates of the product of two coordinate vectors."""
@@ -323,12 +363,21 @@ class GroupAlgebraA(GradedAlgebra):
 
     def __init__(self, field: Field, group: GradingGroup):
         super().__init__(group, field)
+        self._unit_table = None
 
     def _component_basis(self, deg):
         return ("u",)
 
     def _mul_labels(self, da, la, db, lb):
         yield "u", self.field.one
+
+    def _pair_tensor(self, da, db):
+        """u u = u in every pair of degrees: one 1 x 1 table, built once."""
+        if self._unit_table is None:
+            self._unit_table = _kernel.Bilinear(
+                {(0, 0): [(0, self.field.one)]}, 1, self.field.char
+            )
+        return self._unit_table
 
     def one_terms(self):
         return [("u", self.field.one)]
@@ -389,21 +438,30 @@ class PolynomialExtensionAlgebra(GradedAlgebra):
             kmin = 0 if lo is None else max(0, -((lo - g) // c))
         return range(max(0, kmin), kmax + 1)
 
-    def _component_basis(self, deg):
-        out = []
+    def _block_dims(self, deg):
+        """One block per power k of x, with its base degree deg - k x."""
         for k in self._power_range(deg):
             bdeg = deg - k * self.var_degree
-            for lbl in self.base.component_basis(bdeg):
-                out.append((k, lbl))
-        return tuple(out)
+            yield k, bdeg, self.base.component_dim(bdeg)
 
-    def _mul_labels(self, da, la, db, lb):
-        ka, bla = la
-        kb, blb = lb
-        bda = da - ka * self.var_degree
-        bdb = db - kb * self.var_degree
-        for lbl, c in self.base._mul_labels(bda, bla, bdb, blb):
-            yield (ka + kb, lbl), c
+    def _component_basis(self, deg):
+        return tuple(
+            (k, lbl)
+            for k, (bdeg, _off) in self._blocks(deg).items()
+            for lbl in self.base.component_basis(bdeg)
+        )
+
+    def _pair_tensor(self, da, db):
+        """x is central: (x^a b)(x^c b') = x^(a+c) b b', so each pair of
+        blocks holds the base's table, placed in the block of x^(a+c)."""
+        out = self._blocks(da + db)
+        parts = []
+        for ka, (bda, i0) in self._blocks(da).items():
+            for kb, (bdb, j0) in self._blocks(db).items():
+                table = self.base.pair_tensor(bda, bdb)
+                if table.rows:
+                    parts.append((table, i0, j0, out[ka + kb][1]))
+        return _kernel.Bilinear.placed(parts, self.component_dim(da + db), self.field.char)
 
     def one_terms(self):
         return [((0, lbl), c) for lbl, c in self.base.one_terms()]
@@ -463,32 +521,38 @@ class TensorProductAlgebra(GradedAlgebra):
             ranges.append(range(lo, hi + 1))
         return self.group.box(ranges)
 
-    def _component_basis(self, deg):
-        out = []
+    def _block_dims(self, deg):
+        """One block A_alpha (x) B_beta per left degree alpha, with beta =
+        deg - alpha and the dimension of B_beta."""
         for alpha in self._left_degrees(deg):
-            la = self.left.component_basis(alpha)
-            if not la:
-                continue
-            lb = self.right.component_basis(deg - alpha)
-            if not lb:
-                continue
-            for x in la:
-                for y in lb:
-                    out.append((alpha.values, x, y))
-        return tuple(out)
+            beta = deg - alpha
+            n = self.left.component_dim(alpha)
+            m = n and self.right.component_dim(beta)
+            yield alpha, (beta, m), n * m
 
-    def _mul_labels(self, da, la, db, lb):
-        av, xa, ya = la
-        bv, xb, yb = lb
-        alpha = self.group.degree(av)
-        beta = self.group.degree(bv)
-        gamma = alpha + beta
-        F = self.field
-        lterms = list(self.left._mul_labels(alpha, xa, beta, xb))
-        rterms = list(self.right._mul_labels(da - alpha, ya, db - beta, yb))
-        for lx, cx in lterms:
-            for ly, cy in rterms:
-                yield (gamma.values, lx, ly), F.mul(cx, cy)
+    def _component_basis(self, deg):
+        return tuple(
+            (alpha.values, x, y)
+            for alpha, ((beta, _m), _off) in self._blocks(deg).items()
+            for x in self.left.component_basis(alpha)
+            for y in self.right.component_basis(beta)
+        )
+
+    def _pair_tensor(self, da, db):
+        """(x (x) y)(x' (x) y') = x x' (x) y y': each pair of blocks holds
+        the Kronecker product of the factors' tables, placed in the block
+        of alpha + alpha'."""
+        out = self._blocks(da + db)
+        parts = []
+        for a1, ((b1, m1), i0) in self._blocks(da).items():
+            for a2, ((b2, m2), j0) in self._blocks(db).items():
+                left = self.left.pair_tensor(a1, a2)
+                if not left.rows:
+                    continue
+                right = self.right.pair_tensor(b1, b2)
+                if right.rows:
+                    parts.append((left.kron(right, m1, m2), i0, j0, out[a1 + a2][1]))
+        return _kernel.Bilinear.placed(parts, self.component_dim(da + db), self.field.char)
 
     def one_terms(self):
         z = self.group.zero
@@ -532,8 +596,14 @@ class SliceAlgebra(GradedAlgebra):
         d = self.to_parent(deg)
         return () if d is None else self.parent.component_basis(d)
 
-    def _mul_labels(self, da, la, db, lb):
-        return self.parent._mul_labels(self.to_parent(da), la, self.to_parent(db), lb)
+    def _pair_tensor(self, da, db):
+        """The parent's table itself: ``to_parent`` is additive where it
+        is defined.  Where it is not, a component is empty and so is the
+        table."""
+        pa, pb = self.to_parent(da), self.to_parent(db)
+        if pa is None or pb is None:
+            return _kernel.Bilinear({}, self.component_dim(da + db), self.field.char)
+        return self.parent.pair_tensor(pa, pb)
 
     def one_terms(self):
         return self.parent.one_terms()
@@ -619,20 +689,29 @@ class RegradedAlgebra(GradedAlgebra):
         for d in sorted(parent.support_degrees(), key=lambda d: d.values):
             self._fibres.setdefault(to_target(d), []).append(d)
 
+    def _block_dims(self, deg):
+        """One block per parent degree of the fibre of deg."""
+        for d in self._fibres.get(deg, ()):
+            yield d, None, self.parent.component_dim(d)
+
     def _component_basis(self, deg):
         return tuple(
-            (d.values, lbl)
-            for d in self._fibres.get(deg, ())
-            for lbl in self.parent.component_basis(d)
+            (d.values, lbl) for d in self._blocks(deg) for lbl in self.parent.component_basis(d)
         )
 
-    def _mul_labels(self, da, la, db, lb):
-        av, xa = la
-        bv, xb = lb
-        alpha = self.parent.group.degree(av)
-        beta = self.parent.group.degree(bv)
-        for lbl, c in self.parent._mul_labels(alpha, xa, beta, xb):
-            yield ((alpha + beta).values, lbl), c
+    def _pair_tensor(self, da, db):
+        """A product of components at d1 and d2 of the parent lies at
+        d1 + d2, which the degree map sends to da + db: each pair of
+        blocks holds the parent's table, placed in the block of d1 + d2."""
+        P = self.parent
+        out = self._blocks(da + db)
+        parts = []
+        for d1, (_, i0) in self._blocks(da).items():
+            for d2, (_, j0) in self._blocks(db).items():
+                table = P.pair_tensor(d1, d2)
+                if table.rows:
+                    parts.append((table, i0, j0, out[d1 + d2][1]))
+        return _kernel.Bilinear.placed(parts, self.component_dim(da + db), self.field.char)
 
     def one_terms(self):
         z = self.parent.group.zero

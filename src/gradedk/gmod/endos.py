@@ -27,7 +27,8 @@ the engine behind Krull-Schmidt decomposition:
   ideal and nilpotency checks run through generators: J is an ideal
   when J t and t J lie in J for a few unit vectors t that generate the
   algebra, and with J = A S the chain of powers J^(k+1) = J^k S
-  multiplies by S only;
+  multiplies by S only.  On a commutative algebra J t = t J, and J is
+  nilpotent when each of its basis vectors is, which k squarings show;
 * the centre: the commutator system is read from the table's integer
   cells, without repeated rows, and eliminated mod a prime.  Over Q the
   prime is a word-size one, each null vector is rebuilt by rational
@@ -520,17 +521,39 @@ def _verify_radical(fd, J):
     fd (``_generators``), J is a two-sided ideal when J t and t J lie in
     J for every t in T.  With S in J such that J = A S, found greedily,
     J^(k+1) = J^k A S = J^k S, so the chain of powers multiplies by S
-    only."""
+    only.
+
+    A commutative fd (``FDAlgebra.is_commutative``) has J t = t J, so
+    the ideal check reads one side.  Its nilpotency check reads each
+    vector j of J alone: j^(2^k) = 0 for the least k with 2^k >= dim, by
+    k squarings.  A nilpotent element x of a unital algebra of dimension
+    n has x^n = 0: if x^m is its first zero power, 1, x, ..., x^(m-1)
+    are independent, so m <= n.  The check is exact for each j.
+    Nilpotents that commute add up to nilpotents (binomial theorem), so
+    J, spanned by them, is nil; and with j_1, ..., j_r spanning J and
+    j_i^(n_i) = 0, every product of n_1 + ... + n_r elements of J
+    expands into monomials each of which has some j_i at least n_i
+    times.  So J is nilpotent."""
     char = fd.field.char
     if not J:
         return
     mul = fd.mul_vec
     gens = _generators(fd)
     in_span = _kernel.EchelonBasis(J, char).contains
+    commutative = fd.is_commutative()
     for t in gens:
         for j in J:
-            if not in_span(mul(j, t)) or not in_span(mul(t, j)):
+            if not in_span(mul(j, t)) or not (commutative or in_span(mul(t, j))):
                 raise SplitError("computed radical is not an ideal")
+    if commutative:
+        for j in J:
+            q = 1
+            while q < fd.dim:
+                j = mul(j, j)
+                q *= 2
+            if any(j):
+                raise SplitError("computed radical is not nilpotent")
+        return
 
     def left(v):
         return [mul(t, v) for t in gens]

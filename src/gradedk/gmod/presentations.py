@@ -12,10 +12,12 @@ entries intertwining the idempotents.  This module owns their one
 product: a degree-0 map between free modules A(s_1) + ... + A(s_k) is
 held on its raw positions (i, j, d, b), coordinate b of entry (i, j) of
 degree d (``raw_positions``, ``entries_to_vec``, ``vec_to_entries``),
-and maps compose by one table read from the algebra's pair tensors
-(``hom_table``).  The idempotent check, random presentations, the
-sections and psi of ``swan``, hom spaces and End(P)_0 (``endos``) and
-the isomorphism test of ``decompose`` all multiply there.
+and maps compose by one table made of the algebra's pair tensors,
+placed at the offsets of the entry blocks; between free modules of one
+summand each it is a pair tensor itself (``hom_table``).  The
+idempotent check, random presentations, the sections and psi of
+``swan``, hom spaces and End(P)_0 (``endos``) and the isomorphism test
+of ``decompose`` all multiply there.
 
 A presentation does not change once built, so what is derived from it
 is computed once and kept in its ``_derived`` dict: the presentations
@@ -35,7 +37,6 @@ read their source along the same degree maps.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .. import _kernel
@@ -133,36 +134,32 @@ def hom_table(A, s1, s2, s3):
     triple and kept in the algebra's ``_mul_cache`` beside the pair
     tensors it is read from.
 
-    (E_ij a)(E_jk b) = E_ik ab, so each cell is one cell of the pair
-    tensor of the two entry degrees, moved to the positions of block
-    (i, k).  Cells come in the order of the positions, as products in
-    that basis would."""
+    (E_ij a)(E_jk b) = E_ik ab, so the pair tensor of the two entry
+    degrees is placed at the positions of blocks (i, j), (j, k) and
+    (i, k) (``_kernel.Bilinear.placed``).  When each free module has one
+    summand there is one block each, and the table is that pair tensor
+    itself."""
     key = (s1, s2, s3)
     hit = A._mul_cache.get(key)
     if hit is not None:
         return hit
-    out = raw_positions(A, s3, s1)
-    start = {(i, k): z for z, (i, k, _d, b) in enumerate(out) if b == 0}
-    lefts, rights = (
-        [(i, j, d, x) for x, (i, j, d, b) in enumerate(raw_positions(A, t, s)) if b == 0]
-        for t, s in ((s3, s2), (s2, s1))
-    )
-    cells = {}
-    for i, j, d1, x0 in lefts:
-        right = []
-        for jj, k, d2, y0 in rights:
-            z0 = start.get((i, k))
-            if jj == j and z0 is not None:
-                tensor = A.pair_tensor(d1, d2)
-                right.append((tensor.rows, tensor.den, y0, z0))
-        for b1 in range(A.component_dim(d1)):
-            for rows, den, y0, z0 in right:
-                for b2, cell in rows.get(b1, {}).items():
-                    cells[x0 + b1, y0 + b2] = [
-                        (z0 + b3, c if den == 1 else Fraction(c, den))
-                        for b3, c in cell
-                    ]
-    table = A._mul_cache[key] = _kernel.Bilinear(cells, len(out), A.field.char)
+    if len(s1) == len(s2) == len(s3) == 1:
+        table = A.pair_tensor(s3[0] - s2[0], s2[0] - s1[0])
+    else:
+        out = raw_positions(A, s3, s1)
+        start = {(i, k): z for z, (i, k, _d, b) in enumerate(out) if b == 0}
+        lefts, rights = (
+            [(i, j, d, x) for x, (i, j, d, b) in enumerate(raw_positions(A, t, s)) if b == 0]
+            for t, s in ((s3, s2), (s2, s1))
+        )
+        parts = [
+            (A.pair_tensor(d1, d2), x0, y0, start[i, k])
+            for i, j, d1, x0 in lefts
+            for jj, k, d2, y0 in rights
+            if jj == j and (i, k) in start
+        ]
+        table = _kernel.Bilinear.placed(parts, len(out), A.field.char)
+    A._mul_cache[key] = table
     return table
 
 

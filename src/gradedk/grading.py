@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import prod
+from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
 from . import intlat
@@ -159,11 +160,11 @@ class Degree:
 
     def __add__(self, other: "Degree") -> "Degree":
         self._check(other)
-        return self.group.degree(tuple(a + b for a, b in zip(self.values, other.values)))
+        return self.group.degree(tuple(map(add, self.values, other.values)))
 
     def __sub__(self, other: "Degree") -> "Degree":
         self._check(other)
-        return self.group.degree(tuple(a - b for a, b in zip(self.values, other.values)))
+        return self.group.degree(tuple(map(sub, self.values, other.values)))
 
     def __neg__(self) -> "Degree":
         return self.group.degree(tuple(-a for a in self.values))

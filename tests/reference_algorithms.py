@@ -5,22 +5,25 @@ The package takes a rank from the pivots of ``rref``, left
 multiplication L_u from ``Bilinear.left``, the traces of the trace form
 from ``Bilinear.left_trace``, orthogonality of idempotents from ranks,
 a subgroup's index and order from Hermite pivots, unimodularity from
-a Hermite form, and a regrading's fibres from its parent's support.
+a Hermite form, a regrading's fibres from its parent's support, and
+the pair tensors of derived algebras from their owners' tables.
 These compute the same things by the algorithms they replaced, or by
 brute force, so a test can check the answers against code they do not
 share: a fraction-free Bareiss rank over Q with forward elimination mod
 p, L_u and the trace form summed over every structure constant,
 orthogonality by every product e_i e_j, the index, the order and
 unimodularity by a Bareiss determinant (the order with an integer
-solve), and a regrading's components from every degree of the parent's
-support box.
+solve), a regrading's components from every degree of the parent's
+support box, and a pair tensor label by label, each product of two
+basis labels recursed down to the base constructors' ``_mul_labels``.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from gradedk import intlat
+from gradedk import _kernel, intlat
+from gradedk import algebra as alg
 from gradedk.grading import GradingError
 
 
@@ -236,3 +239,46 @@ def regraded_basis_by_brute_force(parent, image, target_values):
         if tuple(image(values)) == tuple(target_values):
             out += [(values, lbl) for lbl in parent.component_basis(g.degree(values))]
     return out
+
+
+def mul_labels(A, da, la, db, lb):
+    """The product of two basis labels of A, as [(label, coeff)] in the
+    component at da + db: a derived algebra's labels are recursed into
+    its parent's or its factors', down to a base constructor's
+    ``_mul_labels``."""
+    if isinstance(A, alg.SliceAlgebra):
+        return list(mul_labels(A.parent, A.to_parent(da), la, A.to_parent(db), lb))
+    if isinstance(A, alg.RegradedAlgebra):
+        (av, xa), (bv, xb) = la, lb
+        alpha, beta = A.parent.group.degree(av), A.parent.group.degree(bv)
+        return [
+            (((alpha + beta).values, lbl), c)
+            for lbl, c in mul_labels(A.parent, alpha, xa, beta, xb)
+        ]
+    if isinstance(A, alg.PolynomialExtensionAlgebra):
+        (ka, xa), (kb, xb) = la, lb
+        bda, bdb = da - ka * A.var_degree, db - kb * A.var_degree
+        return [((ka + kb, lbl), c) for lbl, c in mul_labels(A.base, bda, xa, bdb, xb)]
+    if isinstance(A, alg.TensorProductAlgebra):
+        (av, xa, ya), (bv, xb, yb) = la, lb
+        alpha, beta = A.group.degree(av), A.group.degree(bv)
+        lterms = mul_labels(A.left, alpha, xa, beta, xb)
+        rterms = mul_labels(A.right, da - alpha, ya, db - beta, yb)
+        return [
+            (((alpha + beta).values, lx, ly), A.field.mul(cx, cy))
+            for lx, cx in lterms
+            for ly, cy in rterms
+        ]
+    return list(A._mul_labels(da, la, db, lb))
+
+
+def pair_tensor_by_labels(A, da, db):
+    """The table of component(da) x component(db) built from every pair
+    of basis labels (``mul_labels``), cell by cell."""
+    index = {lbl: i for i, lbl in enumerate(A.component_basis(da + db))}
+    cells = {
+        (ia, ib): [(index[lbl], c) for lbl, c in mul_labels(A, da, la, db, lb) if c]
+        for ia, la in enumerate(A.component_basis(da))
+        for ib, lb in enumerate(A.component_basis(db))
+    }
+    return _kernel.Bilinear(cells, len(index), A.field.char)

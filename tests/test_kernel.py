@@ -390,6 +390,69 @@ def test_bilinear_left_columns_are_products_with_basis_vectors(modulus):
             assert all(type(v) is Fraction for row in left for v in row)
 
 
+def _rand_table(rng, rows, cols, out_dim, modulus):
+    """A random table on rows x cols inputs and its cells; over Q the
+    constants mix integers and fractions, so that products cancel."""
+    if modulus:
+        coeff = lambda: rng.randrange(1, modulus)
+    else:
+        coeff = lambda: Fraction(rng.choice((1, 2, 3, 4, 6)), rng.choice((1, 1, 2, 3, 9)))
+    cells = {}
+    for i in range(rows):
+        for j in range(cols):
+            if rng.random() < 0.5:
+                cells[(i, j)] = [(k, coeff()) for k in sorted(rng.sample(range(out_dim), 2))]
+    return Bilinear(cells, out_dim, modulus), cells
+
+
+def _same_table(got, want):
+    return (got.rows, got.den, got.out_dim, got.modulus) == (
+        want.rows, want.den, want.out_dim, want.modulus
+    )
+
+
+@pytest.mark.parametrize("modulus", [0, 7])
+def test_placed_tables_equal_the_table_of_their_moved_cells(modulus):
+    rng = random.Random(16 + modulus)
+    for _ in range(25):
+        parts, cells = [], {}
+        i0 = j0 = k0 = 0
+        for _ in range(rng.randint(1, 4)):
+            n, m, o = rng.randint(1, 3), rng.randint(1, 3), rng.randint(2, 4)
+            table, part_cells = _rand_table(rng, n, m, o, modulus)
+            parts.append((table, i0, j0, k0))
+            for (i, j), terms in part_cells.items():
+                cells[(i0 + i, j0 + j)] = [(k0 + k, c) for k, c in terms]
+            i0, j0, k0 = i0 + n, j0 + m, k0 + rng.randint(0, o)
+        out_dim = k0 + 4
+        assert _same_table(Bilinear.placed(parts, out_dim, modulus), Bilinear(cells, out_dim, modulus))
+    empty = Bilinear.placed([(Bilinear({}, 2, modulus), 0, 0, 0)], 3, modulus)
+    assert _same_table(empty, Bilinear({}, 3, modulus))
+
+
+@pytest.mark.parametrize("modulus", [0, 7])
+def test_kron_equals_the_table_of_products(modulus):
+    rng = random.Random(17 + modulus)
+    for _ in range(25):
+        n1, m1, o1 = rng.randint(1, 3), rng.randint(1, 3), rng.randint(2, 3)
+        n2, m2, o2 = rng.randint(1, 3), rng.randint(1, 3), rng.randint(2, 3)
+        left, lcells = _rand_table(rng, n1, m1, o1, modulus)
+        right, rcells = _rand_table(rng, n2, m2, o2, modulus)
+        cells = {
+            (i * n2 + a, j * m2 + b): [
+                (k * o2 + c, x * y) for k, x in lterms for c, y in rterms
+            ]
+            for (i, j), lterms in lcells.items()
+            for (a, b), rterms in rcells.items()
+        }
+        want = Bilinear(cells, o1 * o2, modulus)
+        assert _same_table(left.kron(right, n2, m2), want)
+    if not modulus:
+        # 1/2 times 2: the denominators' product 2 reduces to 1
+        half, two = Bilinear({(0, 0): [(0, Fraction(1, 2))]}, 1), Bilinear({(0, 0): [(0, 2)]}, 1)
+        assert half.kron(two, 1, 1).den == 1 and half.kron(two, 1, 1).rows == {0: {0: ((0, 1),)}}
+
+
 def test_solve_detects_inconsistency():
     a = [[Fraction(1)], [Fraction(1)]]
     b = [[Fraction(0)], [Fraction(1)]]

@@ -53,6 +53,7 @@ from gradedk.gmod.presentations import (
 from entry_products import entries_eq, entries_matmul, hom_entries
 from reference_algorithms import (
     left_mult_by_items,
+    mul_labels,
     orthogonality_by_products,
     trace_form_by_items,
 )
@@ -460,6 +461,37 @@ def test_generators_generate(F):
 
 
 # -- the commutative split against number theory -------------------------------
+
+
+def _split_product(F):
+    """F x F on its two idempotents e_1, e_2: commutative and semisimple."""
+    return FDAlgebra.from_products(F, {(0, 0): [F.one, F.zero], (1, 1): [F.zero, F.one]}, [F.one, F.one])
+
+
+@pytest.mark.parametrize("F", [QQ, GF(2), GF(7)], ids=["Q", "F2", "F7"])
+def test_verify_radical_on_commutative_algebras_refuses_with_the_right_message(F, monkeypatch):
+    # span{x} in F[x]/(x^3) is nilpotent but not an ideal (x x = x^2);
+    # span{e_1} in F x F is an ideal but not nilpotent.  The commutative
+    # path reads one side and squares each vector: no power of J is
+    # eliminated, and the verdicts are those of every product
+    cubic = _unipotent_truncation(F, 3)
+    x = [F.neg(F.one), F.one, F.zero]  # u - 1
+    product = _split_product(F)
+    cases = [(cubic, [x], NOT_AN_IDEAL), (product, [[F.one, F.zero]], NOT_NILPOTENT)]
+
+    for fd, J, want in cases:
+        assert fd.is_commutative()
+        assert _radical_verdict_by_every_product(fd, J) == want
+
+    def no_elimination(*_args):
+        raise AssertionError("the commutative check eliminated a power of J")
+
+    monkeypatch.setattr(_kernel, "rref", no_elimination)
+    for fd, J, want in cases:
+        with pytest.raises(SplitError, match=want):
+            endos._verify_radical(fd, J)
+    # and the true radical, span{x, x^2}, passes
+    endos._verify_radical(cubic, [x, cubic.mul_vec(x, x)])
 
 
 def _cyclic_field_dims(n, p):
@@ -919,7 +951,7 @@ def _naive_mul_coords(A, da, ca, db, cb):
     out = [F.zero] * len(index)
     for ia, la in enumerate(A.component_basis(da)):
         for ib, lb in enumerate(A.component_basis(db)):
-            for lbl, c in A._mul_labels(da, la, db, lb):
+            for lbl, c in mul_labels(A, da, la, db, lb):
                 k = index[lbl]
                 out[k] = F.add(out[k], F.mul(F.mul(ca[ia], cb[ib]), c))
     return out
@@ -949,6 +981,11 @@ MUL_COORDS_CASES = [
     ),
     (lambda F: alg.regrade_mod(alg.matrix_algebra(F, [0, 1, 2]), 2), [(0,), (1,)]),
     (lambda F: _forget(alg.matrix_algebra(F, [0, 1, 1])), [()]),
+    # slices read their parent's tables, empty where a degree leaves the slice
+    (lambda F: alg.matrix_algebra(F, [0, 1, 1, 2]).zero_part(), [()]),
+    (lambda F: alg.matrix_algebra(F, [0, 1, 2]).positive_part(), [(-1,), (0,), (1,), (2,)]),
+    (lambda F: alg.matrix_algebra(F, [0, 1]).identity_component(), [()]),
+    (lambda F: alg.matrix_algebra(F, [0, 1]).trivial_extension(1), [(0, 0), (1, 0), (0, -1), (1, 1)]),
 ]
 
 
