@@ -444,6 +444,38 @@ def test_verify_radical_refuses_one_sided_ideals(F):
     assert len(one_sided) == 2
 
 
+def _split_product(F):
+    """F x F on its two idempotents e_1, e_2: commutative and semisimple."""
+    products = {(0, 0): [F.one, F.zero], (1, 1): [F.zero, F.one]}
+    return FDAlgebra.from_products(F, products, [F.one, F.one])
+
+
+@pytest.mark.parametrize("F", [QQ, GF(2), GF(7)], ids=["Q", "F2", "F7"])
+def test_verify_radical_on_commutative_algebras_refuses_with_the_right_message(F, monkeypatch):
+    # with x = u - 1, F[u]/(u-1)^3 is F[x]/(x^3): span{x} is nilpotent
+    # but not an ideal (x x = x^2), and span{e_1} in F x F is an ideal
+    # but not nilpotent.  The commutative path reads one side and squares
+    # each vector: no power of J is eliminated, and the verdicts are
+    # those of every product
+    cubic = _unipotent_truncation(F, 3)
+    x = [F.neg(F.one), F.one, F.zero]  # u - 1
+    product = _split_product(F)
+    cases = [(cubic, [x], NOT_AN_IDEAL), (product, [[F.one, F.zero]], NOT_NILPOTENT)]
+    for fd, J, want in cases:
+        assert fd.is_commutative()
+        assert _radical_verdict_by_every_product(fd, J) == want
+
+    def no_elimination(*_args):
+        raise AssertionError("the commutative check eliminated a power of J")
+
+    monkeypatch.setattr(_kernel, "rref", no_elimination)
+    for fd, J, want in cases:
+        with pytest.raises(SplitError, match=want):
+            endos._verify_radical(fd, J)
+    # and the true radical, span{x, x^2}, passes
+    endos._verify_radical(cubic, [x, cubic.mul_vec(x, x)])
+
+
 @pytest.mark.parametrize("F", [QQ, GF(2), GF(7)], ids=["Q", "F2", "F7"])
 def test_generators_generate(F):
     # the span of the unit closed under right products with T is the
@@ -461,37 +493,6 @@ def test_generators_generate(F):
 
 
 # -- the commutative split against number theory -------------------------------
-
-
-def _split_product(F):
-    """F x F on its two idempotents e_1, e_2: commutative and semisimple."""
-    return FDAlgebra.from_products(F, {(0, 0): [F.one, F.zero], (1, 1): [F.zero, F.one]}, [F.one, F.one])
-
-
-@pytest.mark.parametrize("F", [QQ, GF(2), GF(7)], ids=["Q", "F2", "F7"])
-def test_verify_radical_on_commutative_algebras_refuses_with_the_right_message(F, monkeypatch):
-    # span{x} in F[x]/(x^3) is nilpotent but not an ideal (x x = x^2);
-    # span{e_1} in F x F is an ideal but not nilpotent.  The commutative
-    # path reads one side and squares each vector: no power of J is
-    # eliminated, and the verdicts are those of every product
-    cubic = _unipotent_truncation(F, 3)
-    x = [F.neg(F.one), F.one, F.zero]  # u - 1
-    product = _split_product(F)
-    cases = [(cubic, [x], NOT_AN_IDEAL), (product, [[F.one, F.zero]], NOT_NILPOTENT)]
-
-    for fd, J, want in cases:
-        assert fd.is_commutative()
-        assert _radical_verdict_by_every_product(fd, J) == want
-
-    def no_elimination(*_args):
-        raise AssertionError("the commutative check eliminated a power of J")
-
-    monkeypatch.setattr(_kernel, "rref", no_elimination)
-    for fd, J, want in cases:
-        with pytest.raises(SplitError, match=want):
-            endos._verify_radical(fd, J)
-    # and the true radical, span{x, x^2}, passes
-    endos._verify_radical(cubic, [x, cubic.mul_vec(x, x)])
 
 
 def _cyclic_field_dims(n, p):
