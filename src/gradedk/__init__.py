@@ -22,10 +22,8 @@ from .fields import QQ, GF, Field
 from .grading import (
     Degree,
     GradingGroup,
-    GroupRingElement,
     ShiftModule,
     Subgroup,
-    degree_add,
     induce_module,
     shift_module_iso,
 )
@@ -37,10 +35,8 @@ __all__ = [
     "Field",
     "Degree",
     "GradingGroup",
-    "GroupRingElement",
     "ShiftModule",
     "Subgroup",
-    "degree_add",
     "induce_module",
     "shift_module_iso",
     "__version__",

@@ -173,9 +173,6 @@ class GradedAlgebra:
             raise AlgebraError("coordinate vector has the wrong length")
         return HomogeneousElement(self, deg, coords)
 
-    def zero_element(self, deg: Degree) -> "HomogeneousElement":
-        return self.element(deg, (self.field.zero,) * self.component_dim(deg))
-
     def basis_element(self, deg: Degree, i: int) -> "HomogeneousElement":
         n = self.component_dim(deg)
         F = self.field
@@ -267,21 +264,6 @@ class HomogeneousElement:
             self.algebra,
             self.degree,
             tuple(F.add(a, b) for a, b in zip(self.coords, other.coords)),
-        )
-
-    def __neg__(self):
-        F = self.algebra.field
-        return HomogeneousElement(
-            self.algebra, self.degree, tuple(F.neg(a) for a in self.coords)
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        F = self.algebra.field
-        return HomogeneousElement(
-            self.algebra, self.degree, tuple(F.mul(c, a) for a in self.coords)
         )
 
     def __mul__(self, other: "HomogeneousElement"):
@@ -810,20 +792,6 @@ def regrade_mod(a: GradedAlgebra, n: int) -> RegradedAlgebra:
         return tgt.degree(t[:pos] + [v] + t[pos:])
 
     return RegradedAlgebra(a, tgt, to_target)
-
-
-def project_pi(a: HomogeneousElement) -> HomogeneousElement:
-    """Projection onto the degree-zero part along the first free coordinate.
-
-    Kills every component with nonzero first coordinate; the result lives
-    in the embedded zero part (same grading group, support in 0 x G).
-    """
-    A = a.algebra
-    zpe = A.zero_part_embedded()
-    if a.degree.values[0] != 0:
-        return zpe.zero_element(a.degree)
-    # the embedded zero part reads A's own components at these degrees
-    return zpe.element(a.degree, a.coords)
 
 
 def is_strongly_graded(A: GradedAlgebra, window: Optional[Iterable[Degree]] = None) -> bool:

@@ -18,7 +18,6 @@ additivity of the layers is what ties the filtration to K0.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import List, Optional
 
 from . import _kernel
@@ -143,20 +142,6 @@ def psi_q(P: ProjectivePresentation, q: Optional[int] = None) -> ProjectivePrese
     elif n > q:
         raise HypothesisError(f"filtration bound {n} exceeds the declared bound {q}")
     return functor_T(P)
-
-
-@dataclass
-class FilteredModule:
-    """A module with its filtration data: bound, jumps, induced layers."""
-
-    base: ProjectivePresentation
-    bound: int
-    jumps: List[int]
-    layers: List[ProjectivePresentation]
-
-    @staticmethod
-    def of(P: ProjectivePresentation) -> "FilteredModule":
-        return FilteredModule(P, filtration_bound(P), jump_degrees(P), layers(P))
 
 
 def layer_dims_additive(P: ProjectivePresentation, window=None, margin: int = 2) -> bool:

@@ -5,10 +5,8 @@ from .presentations import (
     GradedMap,
     PresentationError,
     ProjectivePresentation,
-    component_matrix,
     direct_sum,
     free_module,
-    identity_map,
     random_presentation,
     regular_module,
     restrict_rows,
@@ -41,10 +39,8 @@ __all__ = [
     "GradedMap",
     "PresentationError",
     "ProjectivePresentation",
-    "component_matrix",
     "direct_sum",
     "free_module",
-    "identity_map",
     "random_presentation",
     "regular_module",
     "restrict_rows",

@@ -30,9 +30,10 @@ The zero part, its embedding, a trivial extension of the grading and
 the identity component read their components from the parent's basis
 labels, so a presentation moves between these algebras along a degree
 map alone (``relabel``): an entry keeps its coordinates and takes the
-degree the map gives it, or is dropped where the map gives None.  Maps
+degree the map gives it, or is dropped where the map gives None.  A map
 between presentations over an algebra and over its embedded zero part
-read their source along the same degree maps.
+reads its source block by block: the two components at a degree agree
+or one of them is empty.
 """
 
 from __future__ import annotations
@@ -461,64 +462,47 @@ def relabel(P: ProjectivePresentation, B: GradedAlgebra, deg) -> ProjectivePrese
     )
 
 
-def _coercion(src: GradedAlgebra, tgt: GradedAlgebra):
-    """The degree map reading src components in tgt."""
-    if src is tgt or (tgt.group.free_rank >= 1 and src is tgt.zero_part_embedded()):
-        return same_degree
-    if src.group.free_rank >= 1 and tgt is src.zero_part_embedded():
-        return zero_slice
-    raise PresentationError(
-        "maps are supported between presentations over one algebra or its "
-        "embedded zero part"
-    )
-
-
-def _coerce_coords(deg, src: GradedAlgebra, tgt: GradedAlgebra, d: Degree, coords):
-    """Coordinates of a src component vector at d inside tgt's component
-    at d, the vector being dropped where ``deg`` drops d."""
-    if src is tgt:
-        return coords
-    if deg(d) is None or not coords:
-        return [tgt.field.zero] * tgt.component_dim(d)
-    if src.component_basis(d) != tgt.component_basis(d):  # pragma: no cover
-        raise PresentationError("zero part basis mismatch")
-    return list(coords)
-
-
 class GradedMap:
     """A degree-zero homogeneous-entry map between presentations.
 
     Entries live in the algebra of the target; (i, j) has degree
-    (target shift i) - (source shift j).  When source and target algebras
-    differ by the zero-part embedding, source vectors are read in the
-    target along the degree map ``deg`` before multiplying.  The entries
-    are taken as given: a map f of presentations satisfies
-    e_target f e_source == f, as hom-space bases and the functors' maps do.
+    (target shift i) - (source shift j).  Source and target lie over one
+    algebra, or one over an algebra with a free coordinate and the other
+    over its embedded zero part, whose component at each degree is empty
+    or the algebra's own with the same labels.  The entries are taken as
+    given: a map f of presentations satisfies e_target f e_source == f,
+    as hom-space bases and the functors' maps do.
     """
 
-    def __init__(self, source: ProjectivePresentation, target: ProjectivePresentation, entries, *, check: bool = True):
+    def __init__(self, source: ProjectivePresentation, target: ProjectivePresentation, entries):
         self.source = source
         self.target = target
-        self.deg = _coercion(source.algebra, target.algebra)
+        B, A = source.algebra, target.algebra
+        if B is not A and not any(
+            big.group.free_rank >= 1 and small is big.zero_part_embedded()
+            for big, small in ((A, B), (B, A))
+        ):
+            raise PresentationError(
+                "maps are supported between presentations over one algebra or its "
+                "embedded zero part"
+            )
         rows = target.rank
         cols = source.rank
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise PresentationError("map matrix shape mismatch")
         self.entries = [list(r) for r in entries]
-        A = target.algebra
-        if check:
-            for i in range(rows):
-                for j in range(cols):
-                    ent = self.entries[i][j]
-                    if ent is None:
-                        continue
-                    if ent.algebra is not A:
-                        raise PresentationError("map entry must live in the target algebra")
-                    want = target.shifts[i] - source.shifts[j]
-                    if ent.degree != want:
-                        raise PresentationError(
-                            f"map entry ({i},{j}) has degree {ent.degree}, expected {want}"
-                        )
+        for i in range(rows):
+            for j in range(cols):
+                ent = self.entries[i][j]
+                if ent is None:
+                    continue
+                if ent.algebra is not A:
+                    raise PresentationError("map entry must live in the target algebra")
+                want = target.shifts[i] - source.shifts[j]
+                if ent.degree != want:
+                    raise PresentationError(
+                        f"map entry ({i},{j}) has degree {ent.degree}, expected {want}"
+                    )
 
     # -- per-degree realization ----------------------------------------------
     def component_matrix(self, h: Degree):
@@ -527,7 +511,9 @@ class GradedMap:
         tgt_sp = self.target.space(h)
         A = self.target.algebra
         F = A.field
-        # coerce source ambient basis vectors into target-algebra coordinates
+        # source ambient basis vectors in target-algebra coordinates: a
+        # block is copied where the two components agree, and otherwise one
+        # of them is empty, so the block is zero-filled or dropped
         src_degrees = src_sp.block_degrees
         coerced_dims = [A.component_dim(d) for d in src_degrees]
         # ambient action matrix of the entries on coerced source coordinates
@@ -539,10 +525,10 @@ class GradedMap:
         for basis_col in src_sp.basis_columns:
             vec = []
             off = 0
-            for d, n_src in zip(src_degrees, src_sp.block_dims):
+            for n_src, n in zip(src_sp.block_dims, coerced_dims):
                 chunk = basis_col[off : off + n_src]
                 off += n_src
-                vec.extend(_coerce_coords(self.deg, self.source.algebra, A, d, chunk))
+                vec.extend(chunk if n_src == n else [F.zero] * n)
             for row, x in zip(coerced, vec):
                 row.append(x)
         if coerced:
@@ -575,15 +561,6 @@ class GradedMap:
         return True
 
 
-def identity_map(P: ProjectivePresentation) -> GradedMap:
-    return GradedMap(P, P, P.entries, check=False)
-
-
-def component_matrix(f: GradedMap, h: Degree):
-    """Spec-level accessor: the matrix of f on the degree-h components."""
-    return f.component_matrix(h)
-
-
 # -- randomized test modules -------------------------------------------------
 
 
@@ -591,9 +568,12 @@ def random_presentation(A: GradedAlgebra, shifts, rng) -> ProjectivePresentation
     """A random projective presentation: a 0/1 diagonal idempotent d
     conjugated by g = LU, L and U unitriangular, so that g^-1 = U^-1 L^-1
     is exact (the finite Neumann series of a nilpotent).  Every product
-    is taken on raw positions in ``hom_table``."""
+    is taken on raw positions in ``hom_table``.  With no shifts it is the
+    zero module, and rng is not drawn from."""
     shifts = tuple(s if isinstance(s, Degree) else A.deg(s) for s in shifts)
     k = len(shifts)
+    if not k:
+        return zero_module(A)
     F = A.field
     diag = [rng.randint(0, 1) for _ in range(k)]
     if not any(diag):

@@ -186,11 +186,6 @@ class Degree:
         return "(" + ",".join(str(v) for v in self.values) + ")"
 
 
-def degree_add(a: Degree, b: Degree) -> Degree:
-    """Group law on degrees (componentwise, torsion reduced)."""
-    return a + b
-
-
 class Subgroup:
     """A subgroup of a grading group, canonicalized by Hermite form."""
 
@@ -243,21 +238,6 @@ class Subgroup:
             return None
         return prod(r[i] for i, r in enumerate(self.rows))
 
-    def order(self) -> Optional[int]:
-        """|H| = [H : L], L the moduli lattice; None when infinite.
-
-        The rows span a lattice that holds L, of rank t, the number of
-        torsion moduli.  H is finite exactly when that rank is t.  Then
-        the rows lie in L's span, the torsion coordinates, and are upper
-        triangular there, so [H : L] is the product of the moduli over
-        the product of the pivots."""
-        t = len(self.group.torsion_moduli)
-        if len(self.rows) != t:
-            return None
-        m = self.group.free_rank
-        pivots = prod(r[m + i] for i, r in enumerate(self.rows))
-        return prod(self.group.torsion_moduli) // pivots
-
     def generators(self) -> list:
         gens = []
         for row in self.rows:
@@ -305,97 +285,18 @@ class Subgroup:
         return "<" + ", ".join(str(g) for g in gens) + ">"
 
 
-class GroupRingElement:
-    """An element of the integral group ring Z[G]: finite support map."""
-
-    __slots__ = ("group", "coeffs")
-
-    def __init__(self, group: GradingGroup, coeffs=None):
-        self.group = group
-        self.coeffs = {}
-        if coeffs:
-            for d, c in dict(coeffs).items():
-                if not isinstance(d, Degree) or d.group != group:
-                    raise GradingError("coefficient key from wrong group")
-                c = int(c)
-                if c:
-                    self.coeffs[d] = c
-
-    @staticmethod
-    def unit(group: GradingGroup) -> "GroupRingElement":
-        return GroupRingElement(group, {group.zero: 1})
-
-    @staticmethod
-    def of(degree: Degree, coeff: int = 1) -> "GroupRingElement":
-        return GroupRingElement(degree.group, {degree: coeff})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            out[d] = out.get(d, 0) + c
-        return GroupRingElement(self.group, out)
-
-    def __neg__(self):
-        return GroupRingElement(self.group, {d: -c for d, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return GroupRingElement(
-                self.group, {d: c * other for d, c in self.coeffs.items()}
-            )
-        out = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
-                d = d1 + d2
-                out[d] = out.get(d, 0) + c1 * c2
-        return GroupRingElement(self.group, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupRingElement)
-            and self.group == other.group
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.group, tuple(sorted((d.values, c) for d, c in self.coeffs.items()))))
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        terms = sorted(self.coeffs.items(), key=lambda t: t[0].values)
-        return " + ".join(f"{c}*g{d}" for d, c in terms)
-
-
-def _perm_inverse(perm):
-    inv = [0] * len(perm)
-    for i, j in enumerate(perm):
-        inv[j] = i
-    return tuple(inv)
-
-
 def _perm_compose(p, q):
     """p after q: (p*q)(x) = p(q(x))."""
     return tuple(p[q[i]] for i in range(len(q)))
 
 
 def _perm_power(perm, n):
-    k = len(perm)
-    out = tuple(range(k))
-    base = perm if n >= 0 else _perm_inverse(perm)
-    n = abs(n)
+    """perm^n for n >= 0, by repeated squaring."""
+    out = tuple(range(len(perm)))
     while n:
         if n & 1:
-            out = _perm_compose(base, out)
-        base = _perm_compose(base, base)
+            out = _perm_compose(perm, out)
+        perm = _perm_compose(perm, perm)
         n >>= 1
     return out
 

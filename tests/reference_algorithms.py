@@ -4,16 +4,15 @@ the tests.
 The package takes a rank from the pivots of ``rref``, left
 multiplication L_u from ``Bilinear.left``, the traces of the trace form
 from ``Bilinear.left_trace``, orthogonality of idempotents from ranks,
-a subgroup's index and order from Hermite pivots, unimodularity from
+a subgroup's index from Hermite pivots, unimodularity from
 a Hermite form, a regrading's fibres from its parent's support, and
 the pair tensors of derived algebras from their owners' tables.
 These compute the same things by the algorithms they replaced, or by
 brute force, so a test can check the answers against code they do not
 share: a fraction-free Bareiss rank over Q with forward elimination mod
 p, L_u and the trace form summed over every structure constant,
-orthogonality by every product e_i e_j, the index, the order and
-unimodularity by a Bareiss determinant (the order with an integer
-solve), a regrading's components from every degree of the parent's
+orthogonality by every product e_i e_j, the index and unimodularity
+by a Bareiss determinant, a regrading's components from every degree of the parent's
 support box, and a pair tensor label by label, each product of two
 basis labels recursed down to the base constructors' ``_mul_labels``.
 """
@@ -22,9 +21,8 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from gradedk import _kernel, intlat
+from gradedk import _kernel
 from gradedk import algebra as alg
-from gradedk.grading import GradingError
 
 
 def bareiss_rank(a, char):
@@ -171,58 +169,6 @@ def index_by_det(H):
     if len(H.rows) < H.group.dim:
         return None
     det = int_det([list(r) for r in H.rows])
-    return abs(det) if det else None
-
-
-def solve_int(a_rows, b):
-    """One integer solution x of ``a_rows @ x == b``, or None.
-
-    ``a_rows`` is an n x m integer matrix, ``b`` a length-n vector.  The
-    Hermite form of the transpose tracks column operations on a."""
-    n = len(a_rows)
-    m = len(a_rows[0]) if n else 0
-    if n == 0:
-        return [0] * m
-    at = [[a_rows[i][j] for i in range(n)] for j in range(m)]
-    H, T, pivots = intlat.hnf_with_transform(at)  # T @ at == H, i.e. a @ T^t == H^t
-    # solve H^t y = b by forward substitution on the pivot structure
-    y = [0] * m
-    resid = list(b)
-    for i, c in enumerate(pivots):  # c is a row index of a
-        piv = H[i][c]
-        if resid[c] % piv:
-            return None
-        t = resid[c] // piv
-        y[i] = t
-        for j in range(n):
-            resid[j] -= t * H[i][j]
-    if any(resid):
-        return None
-    # x = T^t y
-    x = [0] * m
-    for i in range(m):
-        if y[i]:
-            for j in range(m):
-                x[j] += T[i][j] * y[i]
-    return x
-
-
-def order_by_det(H):
-    """|H| as the absolute determinant of the moduli lattice's rows
-    solved in H's rows; None when infinite."""
-    base = intlat.hnf(H.group.moduli_lattice())
-    if len(H.rows) != len(base):
-        return None
-    if not base:
-        return 1
-    a = [[H.rows[i][j] for i in range(len(H.rows))] for j in range(H.group.dim)]
-    cmat = []
-    for brow in base:
-        x = solve_int(a, list(brow))
-        if x is None:
-            raise GradingError("moduli lattice escaped subgroup lattice")
-        cmat.append(x)
-    det = int_det(cmat)
     return abs(det) if det else None
 
 

@@ -205,6 +205,7 @@ def test_unsupported_algebra_is_a_user_error(tmp_path, command):
         "k0(trivial_extension(matrix(Q,[0,1]), 1/2))",
         "lemma(matrix(Q,[0,1]), -2)",
         "k0(matrix(Q, [1/2]))",
+        "k0(matrix(Q, [1/-2]))",
         "k0(matrix(Q, [0, 1], group=Z^2))",
     ],
 )
@@ -371,6 +372,87 @@ def test_regrading_without_finite_support_is_a_user_error(tmp_path, capsys, name
 def test_zero_extension_count_is_valid(tmp_path):
     script = "k0(trivial_extension(matrix(Q,[0,1]), 0))\nlemma(matrix(Q,[0,1]), 0)\n"
     assert cli.main([str(_write(tmp_path, script))]) == 0
+
+
+def test_random_proj_without_shifts_is_the_zero_module(tmp_path, capsys):
+    # swan of it passes exactly as swan of the free module of rank 0 does
+    strip = lambda reports: [{k: v for k, v in r.items() if k != "command"} for r in reports]
+    T = "T = positive_part(matrix(Q,[0,1]))\n"
+    random_proj = T + "swan(random_proj(T, shifts=[]))\n"
+    free = T + "swan(free(T, shifts=[]))\n"
+    reports = run_text(random_proj)
+    assert reports[0]["verdict"] == "pass"
+    assert strip(reports) == strip(run_text(free))
+    assert cli.main([str(_write(tmp_path, random_proj))]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "[0] swan(random_proj(T, shifts=[])) -> PASS"
+
+
+def test_identity_component_constructor(tmp_path, capsys):
+    script = "k0(identity_component(matrix(Q,[0,1])))\n"
+    assert cli.main([str(_write(tmp_path, script))]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "      k0: Z^2"
+    script = "A = matrix(Q,[0])\nk0(identity_component(3))\n"
+    assert cli.main([str(_write(tmp_path, script))]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: identity_component: expected an algebra, got 3 (line 2)"]
+
+
+def test_zero_entry_of_proj_is_an_absent_entry(tmp_path, capsys):
+    T = "T = positive_part(matrix(Q,[0,1]))\n"
+    script = T + "P = proj(T, shifts=[[0],[0]], idem=[[[1,0],0],[0,[0,1]]])\nswan(P)\n"
+    session = Session()
+    assert session.run_script(parse(script))[-1]["verdict"] == "pass"
+    P = session.env["P"]
+    assert P.entries[0][1] is None and P.entries[1][0] is None
+    assert cli.main([str(_write(tmp_path, script))]) == 0
+    capsys.readouterr()
+    script = T + "P = proj(T, shifts=[[0],[0]], idem=[[[1,0],1],[0,[0,1]]])\n"
+    assert cli.main([str(_write(tmp_path, script))]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "error: proj: entry (0,1) must be 0 or a coefficient list (line 2)"
+    ]
+
+
+def test_text_report_of_basis_and_filtration(tmp_path, capsys):
+    script = (
+        "basis(matrix(Q,[0,1]), deg=[1])\n"
+        "filtration(free(positive_part(matrix(Q,[0,1])), [[0],[1]]))\n"
+    )
+    assert cli.main([str(_write(tmp_path, script))]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["[0] basis(matrix(Q, [0, 1]), deg=[1]) -> PASS", "      basis: ['(1, 0)']"]
+    assert lines[2] == "[1] filtration(free(positive_part(matrix(Q, [0, 1])), [[0], [1]])) -> PASS"
+    assert lines[-1] == "      jumps: [-1, 0] bound: 2"
+
+
+def test_negative_denominator_literal(tmp_path):
+    # -1/-1 is one literal, read as 1, so the idempotent is the identity
+    script = "P = proj(matrix(Q,[0]), shifts=[[0]], idem=[[[-1/-1]]])\nswan(P)\n"
+    assert "idem=[[[-1/-1]]]" in unparse(parse(script))
+    assert cli.main([str(_write(tmp_path, script))]) == 0
+
+
+@pytest.mark.parametrize(
+    "script,message,line,col",
+    [
+        ("A = matrix(Q,[0])\n[1]", "statement must start with a name, found '['", 2, 1),
+        ("A = matrix(Q,[0])\nA", "expected a command call", 2, 1),
+        ("k0(matrix(Q,[0])) k0(A)", "unexpected 'k0' after statement", 1, 19),
+        ("k0(A, k=1, 2)", "positional argument after keyword argument", 1, 12),
+        ("A = matrix(Q,[0])\nk0(A) $", "unexpected character '$'", 2, 7),
+    ],
+)
+def test_parse_error_names_its_line_and_column(tmp_path, capsys, script, message, line, col):
+    with pytest.raises(ParseError, match=re.escape(message)) as exc:
+        parse(script + "\n")
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert cli.main([str(_write(tmp_path, script + "\n"))]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: {message} (line {line}, column {col})"]
 
 
 def _write(tmp_path, text):

@@ -130,9 +130,9 @@ def test_layer_with_section_seed_is_canonical(Qx):
 
 def test_filtered_module_assembly(M201x):
     P = random_presentation(M201x, [[0, 0], [1, 0]], random.Random(30))
-    fm = filt.FilteredModule.of(P)
-    assert fm.bound >= max(abs(j) for j in fm.jumps) if fm.jumps else fm.bound == 0
-    assert len(fm.layers) == len(fm.jumps)
+    bound, jumps = filt.filtration_bound(P), filt.jump_degrees(P)
+    assert bound >= max(abs(j) for j in jumps) if jumps else bound == 0
+    assert len(filt.layers(P)) == len(jumps)
 
 
 def test_hypothesis_gate(M5):

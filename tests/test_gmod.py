@@ -15,7 +15,6 @@ from gradedk.gmod import (
     GradedMap,
     PresentationError,
     ProjectivePresentation,
-    component_matrix,
     decompose,
     default_window,
     direct_sum,
@@ -23,7 +22,6 @@ from gradedk.gmod import (
     functor_S,
     functor_T,
     graded_iso,
-    identity_map,
     indec_iso,
     nakayama_zero_test,
     nu,
@@ -100,6 +98,16 @@ def test_zero_module_total(Qx):
     assert Z.dim(Qx.group.zero) == 0
 
 
+def test_random_presentation_without_shifts_is_the_zero_module(Qx):
+    # as free(A, []) is; the rng is not drawn from, so a seeded rng shared
+    # with later draws gives them the same values as before
+    rng = random.Random(3)
+    P = random_presentation(Qx, [], rng)
+    assert P.rank == 0 and P.is_zero()
+    assert decompose(P) == []
+    assert rng.getstate() == random.Random(3).getstate()
+
+
 # -- functors -----------------------------------------------------------------
 
 
@@ -150,7 +158,7 @@ def test_nu_is_identity_matrix(Bx):
     nq = nu(Q, Bx)
     w = default_window(Bx, [Q], 2)
     for h in w:
-        m = component_matrix(nq, h)
+        m = nq.component_matrix(h)
         n = Q.dim(h)
         assert m == kern.identity(n, Bx.field.char) if n else m == []
 
@@ -209,7 +217,7 @@ def test_psi_isomorphism_and_restriction(Qx, M201x, Bx):
             ps = psi(P, rng)  # raises VerificationError if T(psi) != nu
             assert ps.is_iso_on(w)
             for h in w:
-                m = component_matrix(ps, h)
+                m = ps.component_matrix(h)
                 n = P.dim(h)
                 assert len(m) == n and all(len(r) == n for r in m)
 
@@ -217,14 +225,23 @@ def test_psi_isomorphism_and_restriction(Qx, M201x, Bx):
 def test_component_matrix_identity_and_zero(Qx):
     P = free_module(Qx, [[0], [-1]])
     w = default_window(Qx, [P], 1)
-    ident = identity_map(P)
+    ident = GradedMap(P, P, P.entries)
     for h in w:
         n = P.dim(h)
-        assert component_matrix(ident, h) == kern.identity(n, 0)
-    zm = GradedMap(P, P, [[None, None], [None, None]], check=False)
+        assert ident.component_matrix(h) == kern.identity(n, 0)
+    zm = GradedMap(P, P, [[None, None], [None, None]])
     for h in w:
-        m = component_matrix(zm, h)
+        m = zm.component_matrix(h)
         assert all(not x for row in m for x in row)
+
+
+def test_graded_map_refuses_unrelated_algebras(Qx, M201x):
+    # maps run within one algebra or between it and its embedded zero part
+    P = regular_module(Qx)
+    with pytest.raises(PresentationError, match="embedded zero part"):
+        GradedMap(P, regular_module(M201x), [[None]])
+    with pytest.raises(PresentationError, match="embedded zero part"):
+        GradedMap(P, regular_module(Qx.zero_part()), [[None]])
 
 
 # -- Nakayama ------------------------------------------------------------------
@@ -337,10 +354,10 @@ def test_nu_naturality_square(Bx):
     nu1 = nu(Q1, A)
     nu2 = nu(Q2, A)
     for entries in maps[:3]:
-        f = GradedMap(Q1, Q2, entries, check=False)
+        f = GradedMap(Q1, Q2, entries)
         # the restriction of the induced map has the same entries, so the
         # square commutes iff f o nu1 == nu2 o f on every component
-        ts_f = GradedMap(nu1.source, nu2.source, entries, check=False)
+        ts_f = GradedMap(nu1.source, nu2.source, entries)
         for h in w:
             lhs = kern.mat_mul(
                 f.component_matrix(h), nu1.component_matrix(h), A.field.char
@@ -649,7 +666,8 @@ def test_component_trace_refuses_a_non_idempotent():
     def scaled_unit(order, c):
         A = alg.forget_grading(alg.group_algebra(QQ, GradingGroup(0, (order,))))
         z = A.group.zero
-        return ProjectivePresentation(A, [z], [[A.one().scale(c)]], check=False), z
+        entry = A.element(z, [A.field.mul(c, x) for x in A.one().coords])
+        return ProjectivePresentation(A, [z], [[entry]], check=False), z
 
     for order, c in ((6, QQ.of_int(2)), (3, Fraction(1, 2))):
         X, z = scaled_unit(order, c)

@@ -1,12 +1,11 @@
 """Integer lattice utilities: Hermite forms; the Bareiss determinant as
-a reference for unimodularity, and the integer solve that the old order
-used, read from the Hermite form's transform."""
+a reference for unimodularity."""
 
 import random
 
 from gradedk import intlat
 
-from reference_algorithms import int_det, solve_int
+from reference_algorithms import int_det
 
 
 # A lattice on which reducing above the pivots from the last row up
@@ -74,23 +73,6 @@ def test_reduce_mod_lattice_idempotent():
     assert intlat.reduce_mod_lattice(v, h) == v
     assert intlat.in_lattice([4, 9], h)
     assert not intlat.in_lattice([1, 0], h)
-
-
-def test_solve_int_and_kernel():
-    rng = random.Random(2)
-    for _ in range(25):
-        n, m = rng.randint(1, 3), rng.randint(1, 4)
-        a = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)]
-        x = [rng.randint(-3, 3) for _ in range(m)]
-        b = [sum(a[i][j] * x[j] for j in range(m)) for i in range(n)]
-        got = solve_int(a, b)
-        assert got is not None
-        back = [sum(a[i][j] * got[j] for j in range(m)) for i in range(n)]
-        assert back == b
-
-
-def test_solve_int_unsolvable():
-    assert solve_int([[2]], [1]) is None
 
 
 def test_int_det():

@@ -1541,7 +1541,7 @@ def _indec_iso_by_graded_maps(X, Y):
     if window != dec.module_support_degrees(Y):
         return False
     return not window or any(
-        GradedMap(X, X, entries_matmul(v, u), check=False).is_iso_on(list(window))
+        GradedMap(X, X, entries_matmul(v, u)).is_iso_on(list(window))
         for u in hom_entries(X, Y)
         for v in hom_entries(Y, X)
     )
