@@ -96,6 +96,20 @@ INVARIANT_ERRORS = (
 _REQUIRED = object()  # the default of an argument that must be given
 
 
+class _Literal(Fraction):
+    """A script's fraction literal, printed as written (1/-2, not -1/2)."""
+
+    def __new__(cls, num, den):
+        self = super().__new__(cls, num, den)
+        self.text = f"{num}/{den}"
+        return self
+
+    def __str__(self):
+        return self.text
+
+    __repr__ = __str__
+
+
 def _jsonable(x):
     if isinstance(x, Fraction):
         return str(x) if x.denominator != 1 else str(x.numerator)
@@ -134,7 +148,7 @@ class Session:
         if isinstance(node, Num):
             return node.value
         if isinstance(node, Frac):
-            return Fraction(node.num, node.den)
+            return _Literal(node.num, node.den)
         if isinstance(node, ListExpr):
             return [self.eval(i) for i in node.items]
         if isinstance(node, GroupPower):

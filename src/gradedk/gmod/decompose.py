@@ -1,37 +1,45 @@
 """Krull-Schmidt decomposition and graded isomorphism testing.
 
-One reduction per algebra, chosen by constructor in :func:`_registry`
-and kept in ``A._registry``.  Its ``count(P, rng)`` gives the summands
-of P as {(block id, shift): multiplicity}, and ``classes[block id]`` is
-one :class:`_ClassInfo` per class:
+Every indecomposable graded projective over A is a shift Q(g) of some
+Q = eA, e a primitive idempotent of A_0 (End_gr(A)_0 = A_0; graded
+Krull-Schmidt, Nastasescu-Van Oystaeyen, LNM 1836, 2004).  So each
+algebra keeps one class table, built by :func:`_registry` on first use
+and kept in ``A._registry``: ``classes[block id]`` holds one
+:class:`_ClassInfo` per class, and ``count(P)`` gives P's summands as
+{(block id, shift): multiplicity}.  The table has three sources:
 
-* matrix algebras: one class, the first column module; the multiplicity
-  of column(g) is the rank against the first column idempotent in
-  degree -g;
-* group algebras of the grading group: one class, the regular module;
-  they are strongly graded with simple degree components, so every
-  graded projective is free;
-* finite-support algebras (:class:`_FiniteRegistry`): split End(P)_0 into
-  primitive idempotents and match the summands against the classes
-  registered so far (shift alignment by support translation, then an
-  exact pairing test).  The split tags each summand with its simple
-  block of End(P)_0/J, and summands are matched once per block: eP and
-  fP are isomorphic at shift 0 exactly when e and f lie in one block
-  (Wedderburn: a simple block is a matrix algebra, whose primitive
-  idempotents are conjugate, while a map between different blocks
-  composes into the radical).  So every summand of a block gets its
-  block's key, and a block never tests the keys other blocks of its
-  split already hold -- though it can still be a nonzero shift of one
-  of their classes;
-* infinite support with an N-supported leading coordinate
-  (:class:`_Induction`): restrict to the zero part, count slice by slice
-  with the zero part's reduction, and lift classes back along the
-  induction functor (the correspondence is a bijection on classes, so
-  labels are (zero-part class, full shift), and each record is the zero
-  part's, induced).
+* a matrix algebra: one class, e11 A, with trivial stabilizer;
+* a group algebra of the grading group: one class, A, whose stabilizer
+  is the whole group;
+* any other finite-support algebra: one split of A(0) into primitive
+  idempotents of A_0.  Its blocks give the classes; summands of one
+  block are isomorphic, those of different blocks are not at shift 0,
+  and a later block that pairs nonzero with an earlier class at some
+  g != 0 is that class, shifted (``match``).
 
-Class identities are (block id, shift modulo the class stabilizer);
-two presentations are isomorphic iff their class multisets agree.
+P is counted by the composition pairing (after Auslander-Reiten-Smalo,
+*Representation Theory of Artin Algebras*, 1995).  With D = End(Q)_0/J
+and lambda a functional on End(Q)_0 that is zero on J and nonzero at e,
+the multiplicity of Q(g) in P is rank [lambda(v u)] / dim D, for u over
+a basis of Hom(Q(g), P)_0 and v over one of Hom(P, Q(g))_0: a composite
+through a summand not isomorphic to Q(g) lies in J, and (a, b) ->
+lambda(ab) is nondegenerate on D.  A seeded class reads lambda as the
+coordinate of e, with D = F; a split class reads it from a coordinate of
+the split's radical quotient, and dim D from the block sizes.  Shifts
+are tried where both Hom spaces can be nonzero, modulo the stabilizer
+{g : Q(g) = Q}, which the same pairing decides.  A free module over a
+split algebra is read off the split of A(0); every other count must
+pass the dimension identity (sum of m dim Q(g)_h = dim P_h at each
+support degree h) or raises SplitError.
+
+An infinite-support algebra with an N-supported leading coordinate
+(:class:`_Induction`) counts each slice of P against the zero part's
+table and lifts classes back along the induction functor, a bijection
+on classes: labels are (zero-part class, full shift).
+
+Class identities are (block id, shift modulo the class stabilizer); two
+presentations are isomorphic iff their class multisets agree.  Block ids
+come from the table alone, not from what was decomposed first.
 """
 
 from __future__ import annotations
@@ -46,7 +54,9 @@ from .endos import hom_basis, split_projective
 from .presentations import (
     PresentationError,
     ProjectivePresentation,
+    SplitError,
     hom_table,
+    identity_entries,
     regular_module,
     relabel,
     restrict_rows,
@@ -112,19 +122,17 @@ def indec_iso(X: ProjectivePresentation, Y: ProjectivePresentation) -> bool:
 
 @dataclass(eq=False)
 class _ClassInfo:
-    """One class of indecomposables: its representative at shift zero,
-    its stabilizer {g : rep(g) = rep} and a registration-order-independent
-    signature that orders K0 bases.  A finite-support class also keeps
-    what matching reads: its shift-normalized dimension profile, its
-    anchor (lex-min support degree of rep) and the translation symmetries
-    of the profile."""
+    """One class of indecomposables: its representative Q = eA at shift
+    zero, its stabilizer {g : Q(g) = Q} and a registration-order-independent
+    signature that orders K0 bases.  A class of a table also keeps what
+    its pairing reads: ``weights``, lambda as a vector on the coordinates
+    of A_0 = End(A)_0, and ``division_dim``, dim D."""
 
     _rep: object  # a presentation, or a function building it on first read
     stabilizer: Subgroup
     signature: tuple
-    dim_profile: dict = None
-    anchor: object = None
-    symmetries: list = None
+    weights: list = None
+    division_dim: int = 1
 
     @property
     def rep(self) -> ProjectivePresentation:
@@ -134,95 +142,114 @@ class _ClassInfo:
 
 
 class _FiniteRegistry:
-    """Classes of indecomposables over one finite-support algebra, in
-    the order they were first met."""
+    """The class table of an algebra with finitely many classes up to
+    shift, seeded by its constructor or read from the split of A(0)."""
 
-    def __init__(self, algebra):
+    def __init__(self, algebra, classes=()):
         self.algebra = algebra
-        self.classes = []
+        self.classes = list(classes)
+        self.support = algebra.support_degrees() if algebra.finite_support() else None
+        self.regular = None  # A(0)'s count, when the table was read from its split
 
-    @staticmethod
-    def _profile(X):
-        """(support dims, anchor, anchored profile) of X."""
-        dims = module_support_degrees(X)
-        if not dims:
-            return dims, None, None
-        anchor = min(dims, key=lambda d: d.values)
-        prof = {(h - anchor): n for h, n in dims.items()}
-        return dims, anchor, prof
-
-    @staticmethod
-    def _profile_symmetries(dims):
-        """Translation symmetries of a finite dimension function."""
-        degrees = list(dims)
-        base = degrees[0]
-        candidates = {d - base for d in degrees}
-        sym = []
-        for delta in candidates:
-            shifted = {}
-            for h, n in dims.items():
-                shifted[h - delta] = n
-            if shifted == dims:
-                sym.append(delta)
-        return sym
-
-    def match(self, X, taken) -> tuple:
-        """(block id, shift) with X isomorphic to rep(shift); registers a
-        new class when nothing matches.  ``taken`` holds keys already
-        given to summands known not to be isomorphic to X; those
-        candidates are skipped without a test."""
-        dims, anchor, prof = self._profile(X)
-        if prof is None:
-            raise PresentationError("cannot match a zero module")
-        for blk, info in enumerate(self.classes):
-            if len(dims) != len(info.dim_profile):
-                continue
-            # X ~ rep(shift): support(rep(shift)) = support(rep) - shift,
-            # so some degree a of X's support is the image of the class
-            # anchor.  A torsion shift need not keep the lex-min anchor,
-            # so every a is tried, X's own anchor first.
-            a = next(
-                (
-                    a
-                    for a in (anchor, *dims)
-                    if {h - a: n for h, n in dims.items()} == info.dim_profile
-                ),
-                None,
-            )
-            if a is None:
-                continue
-            base = info.anchor - a
-            for delta in info.symmetries:
-                shift = base + delta
-                if (blk, shift) in taken:
-                    continue
-                if indec_iso(X, info.rep.shift(shift)):
-                    return blk, shift
-        # new class
-        sym = self._profile_symmetries(dims)
-        stab_elems = [d for d in sym if d.is_zero() or indec_iso(X.shift(d), X)]
-        stabilizer = Subgroup.from_degrees(self.algebra.group, stab_elems)
-        signature = ("profile", tuple(sorted((d.values, n) for d, n in prof.items())))
-        self.classes.append(_ClassInfo(X, stabilizer, signature, prof, anchor, sym))
-        return len(self.classes) - 1, self.algebra.group.zero
-
-    def count(self, P, rng) -> dict:
+    @classmethod
+    def from_split(cls, A):
+        """The table of a finite-support algebra, read from one split of
+        A(0) with a fixed seed."""
+        table = cls(A)
+        split = split_projective(regular_module(A), random.Random(0))
+        units = _kernel.identity(A.component_dim(A.group.zero), A.field.char)
         keys = {}  # split block -> class key of its summands
-        out = {}
-        for summand, blk in split_projective(P, rng):
+        table.regular = {}
+        for X, blk in split:
             key = keys.get(blk)
             if key is None:
-                key = keys[blk] = self.match(summand, set(keys.values()))
-            out[key] = out.get(key, 0) + 1
+                # lambda: the first coordinate of E/J where the block's e is nonzero
+                e = split.project(X.entries[0][0].coords)
+                c = next(i for i, x in enumerate(e) if x)
+                weights = [split.project(u)[c] for u in units]
+                key = keys[blk] = table.match(
+                    X, set(keys.values()), weights, split.division_dims[blk]
+                )
+            table.regular[key] = table.regular.get(key, 0) + 1
+        return table
+
+    def match(self, X, taken, weights=None, division_dim=1) -> tuple:
+        """(block id, shift) with X, an indecomposable, isomorphic to
+        rep(shift): the first class that pairs nonzero with X at a shift.
+        ``taken`` holds keys known not to be X's, which are skipped.
+        When nothing matches, X starts a class at shift 0 with the
+        functional ``weights`` and dim D ``division_dim`` of its block,
+        which only the split of A(0) has."""
+        for blk, info in enumerate(self.classes):
+            for g in self._shifts(info, X):
+                if (blk, g) not in taken and self._rank(info, g, X):
+                    return blk, g
+        if weights is None:
+            raise SplitError("class table: an indecomposable matches no class")
+        # the signature: X's dimension profile from its lex-min support degree
+        dims = module_support_degrees(X)
+        a = min(dims, key=lambda d: d.values)
+        signature = ("profile", tuple(sorted(((h - a).values, n) for h, n in dims.items())))
+        group = self.algebra.group
+        info = _ClassInfo(X, Subgroup.trivial(group), signature, weights, division_dim)
+        stab = [g for g in self._shifts(info, X) if g.is_zero() or self._rank(info, g, X)]
+        info.stabilizer = Subgroup.from_degrees(group, stab)
+        self.classes.append(info)
+        return len(self.classes) - 1, group.zero
+
+    def _shifts(self, info, P):
+        """The shifts g, modulo the stabilizer, at which Hom(Q(g), P)_0
+        and Hom(P, Q(g))_0 can both be nonzero: some s - g and some g - s'
+        lie in the support, for shifts s, s' of P."""
+        stab = info.stabilizer
+        if self.support is None:
+            return {stab.reduce(r) for r in stab.coset_representatives()}
+        into = {stab.reduce(s - d) for s in P.shifts for d in self.support}
+        return into & {stab.reduce(s + d) for s in P.shifts for d in self.support}
+
+    def _rank(self, info, g, P) -> int:
+        """rank [lambda(v u)] over bases u of Hom(Q(g), P)_0 and v of
+        Hom(P, Q(g))_0, each composite v u taken in ``hom_table``."""
+        Q = info.rep.shift(g)
+        us = hom_basis(Q, P)
+        vs = hom_basis(P, Q) if us else []
+        if not vs:
+            return 0
+        compose = hom_table(self.algebra, Q.shifts, P.shifts, Q.shifts)
+        weights = [(k, c) for k, c in enumerate(info.weights) if c]
+        pairing = [
+            [sum(c * vu[k] for k, c in weights) for vu in (compose(v, u) for u in us)]
+            for v in vs
+        ]
+        return _kernel.rank(pairing, self.algebra.field.char)
+
+    def count(self, P) -> dict:
+        """P's summands: a free P read off the split of A(0), else paired."""
+        out = {}
+        if self.regular is not None and P.entries == identity_entries(P.algebra, P.shifts):
+            for s in P.shifts:
+                for (blk, g), m in self.regular.items():
+                    out[(blk, g + s)] = out.get((blk, g + s), 0) + m
+            return out
+        for blk, info in enumerate(self.classes):
+            for g in self._shifts(info, P):
+                m = self._rank(info, g, P) // info.division_dim
+                if m:
+                    out[(blk, g)] = m
+        # the gate: the dimension identity at every support degree of P,
+        # or at zero and the generators when the support is infinite
+        group = self.algebra.group
+        degrees = [group.zero] + group.generators()
+        if self.support is not None:
+            degrees = {d - s for d in self.support for s in P.shifts}
+        for h in degrees:
+            total = sum(m * self.classes[blk].rep.dim(g + h) for (blk, g), m in out.items())
+            if total != P.dim(h):
+                raise SplitError(
+                    f"class count: the summands have dimension {total} at degree {h}, "
+                    f"the module {P.dim(h)}"
+                )
         return out
-
-
-class _ClosedForm:
-    """One class, block 0, counted by a closed rule ``count(P, rng)``."""
-
-    def __init__(self, count, rep, stabilizer, signature):
-        self.count = count
-        self.classes = [_ClassInfo(rep, stabilizer, signature)]
 
 
 class _Induction:
@@ -233,7 +260,7 @@ class _Induction:
         self.algebra = algebra
         self.classes = {}  # zero-part block id -> its record, induced
 
-    def count(self, P, rng) -> dict:
+    def count(self, P) -> dict:
         A = self.algebra
         Az = A.zero_part()
         tp = functor_T(P)
@@ -248,7 +275,7 @@ class _Induction:
             # the slice over the residual zero-part algebra
             zpres = relabel(block, Az, lambda d: Az.group.degree(d.values[1:]))
             inner = _registry(Az)
-            for (blk, g), m in inner.count(zpres, rng).items():
+            for (blk, g), m in inner.count(zpres).items():
                 if blk not in self.classes:
                     self.classes[blk] = self._induced(inner.classes[blk])
                 key = (blk, A.group.degree((w,) + g.values))
@@ -267,19 +294,19 @@ class _Induction:
 def _registry(A):
     """The reduction of A, chosen by constructor and built on first use."""
     if A._registry is None:
+        z = A.group.zero
         if isinstance(A, MatrixAlgebra):
-            z = A.group.zero
             e11 = A.basis_element(z, A.component_basis(z).index((0, 0)))
             column = ProjectivePresentation(A, (z,), [[e11]], check=False)
-            reduction = _ClosedForm(
-                _matrix_count, column, Subgroup.trivial(A.group), ("matrix-column",)
-            )
+            reduction = _FiniteRegistry(A, [_ClassInfo(
+                column, Subgroup.trivial(A.group), ("matrix-column",), list(e11.coords)
+            )])
         elif isinstance(A, GroupAlgebraA):
-            reduction = _ClosedForm(
-                _group_algebra_count, regular_module(A), Subgroup.full(A.group), ("free",)
-            )
+            reduction = _FiniteRegistry(A, [_ClassInfo(
+                regular_module(A), Subgroup.full(A.group), ("free",), list(A.one().coords)
+            )])
         elif A.finite_support():
-            reduction = _FiniteRegistry(A)
+            reduction = _FiniteRegistry.from_split(A)
         elif A.positively_supported():
             reduction = _Induction(A)
         else:
@@ -289,60 +316,6 @@ def _registry(A):
             )
         A._registry = reduction
     return A._registry
-
-
-def _matrix_count(P: ProjectivePresentation, _rng) -> dict:
-    """Column-module shifts for presentations over a matrix algebra:
-    multiplicity of column(g) is the rank against the first matrix
-    column in degree -g."""
-    A = P.algebra
-    char = A.field.char
-    cand = set()
-    for i, s in enumerate(P.shifts):
-        for d in A.support_degrees():
-            # ambient block i contains a first-column unit at degree d
-            cand.add(d - s)
-    out = {}
-    for h in cand:
-        sp = P.space(h)
-        cols = []
-        off = 0
-        for blk, bdeg in enumerate(sp.block_degrees):
-            basis = A.component_basis(bdeg)
-            for b, lbl in enumerate(basis):
-                if lbl[1] == 0:  # first-column matrix units
-                    cols.append(off + b)
-            off += sp.block_dims[blk]
-        if not cols or sp.ambient_dim == 0:
-            continue
-        sub = [[row[c] for c in cols] for row in sp.matrix]
-        r = _kernel.rank(sub, char) if sub else 0
-        if r:
-            out[(0, -h)] = r
-    # the multiplicities must reproduce the component dimensions
-    col_dim = {}
-    for s in A.shifts:
-        d = A.shifts[0] - s
-        col_dim[d] = col_dim.get(d, 0) + 1
-    module_degrees = {d - s for d in A.support_degrees() for s in P.shifts}
-    for h in module_degrees:
-        total = sum(m * col_dim.get(g + h, 0) for (_blk, g), m in out.items())
-        if total != P.dim(h):
-            raise UnsupportedAlgebra(
-                "matrix-algebra decomposition bookkeeping failed"
-            )  # pragma: no cover
-    return out
-
-
-def _group_algebra_count(P: ProjectivePresentation, _rng) -> dict:
-    A = P.algebra
-    z = A.group.zero
-    r = P.dim(z)
-    gens = A.group.generators()
-    for g in gens + [z]:
-        if P.dim(g) != r:  # pragma: no cover - would contradict Dade freeness
-            raise UnsupportedAlgebra("non-free projective over a group algebra")
-    return {(0, z): r} if r else {}
 
 
 def class_info(A: GradedAlgebra, block: int) -> _ClassInfo:
@@ -364,16 +337,16 @@ def summand_classes(P: ProjectivePresentation, seed: int = 0) -> dict:
     """Canonical class multiset: (block, shift mod class stabilizer) -> mult.
 
     Computed once per presentation and seed and kept in ``P._derived``;
-    a caller gets a copy.  Registered classes only accumulate, and a new
-    class is registered only when no earlier one is isomorphic to the
-    summand, so a second decomposition of P would find the same keys."""
+    a caller gets a copy.  The count reads only the class table, whose
+    one random split (of A(0)) has a fixed seed, so every seed gives the
+    same multiset."""
     if P.rank == 0 or P.is_zero():
         return {}
     hit = P._derived.get(("classes", seed))
     if hit is None:
         reduction = _registry(P.algebra)
         hit = {}
-        for (blk, g), m in reduction.count(P, random.Random(seed)).items():
+        for (blk, g), m in reduction.count(P).items():
             key = (blk, reduction.classes[blk].stabilizer.reduce(g))
             hit[key] = hit.get(key, 0) + m
         P._derived[("classes", seed)] = hit
@@ -384,11 +357,7 @@ def decompose(P: ProjectivePresentation, seed: int = 0):
     """Indecomposable summands with multiplicity, canonically ordered."""
     classes = summand_classes(P, seed)
     items = sorted(classes.items(), key=lambda kv: (kv[0][1].values, kv[0][0]))
-    out = []
-    for (blk, g), m in items:
-        rep = class_info(P.algebra, blk).rep.shift(g)
-        out.append((rep, m))
-    return out
+    return [(class_info(P.algebra, blk).rep.shift(g), m) for (blk, g), m in items]
 
 
 def graded_iso(P: ProjectivePresentation, Q: ProjectivePresentation, seed: int = 0) -> bool:

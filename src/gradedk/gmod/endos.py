@@ -1118,9 +1118,20 @@ def _reconstruct_partition(fd: FDAlgebra, z, rows, M, lifted):
     return accepted
 
 
+class Split(list):
+    """[(piece, block_id)] of a split of E, with what it read on the way:
+    ``project`` maps E onto E/J (the identity when J = 0), and
+    ``division_dims[b]`` is dim D for block b = M_r(D) of E/J."""
+
+    def __init__(self, pieces, project, division_dims):
+        super().__init__(pieces)
+        self.project = project
+        self.division_dims = division_dims
+
+
 def split_semisimple(fd: FDAlgebra, rng):
     """Complete orthogonal primitive idempotents of a semisimple algebra,
-    tagged by central block: [(vector, block_id)].
+    tagged by central block: a ``Split`` of [(vector, block_id)].
 
     A primitive central idempotent z cuts out a simple block zA, which is
     M_r over its centre, the field zZ; r = 1 blocks need no splitting.
@@ -1138,6 +1149,7 @@ def split_semisimple(fd: FDAlgebra, rng):
         zvecs = fd.center_basis()
         _verify_centre_closed(fd, zvecs)
     out = []
+    division_dims = []
     for blk, (z, d_z) in enumerate(_split_commutative(fd, zvecs, rng)):
         if commutative:
             block_dim = d_z
@@ -1153,9 +1165,11 @@ def split_semisimple(fd: FDAlgebra, rng):
             pieces = _split_block_modp(fd, z, d_z, rng)
         else:
             pieces = _split_block_char0(fd, z, rows, rng)
+        # the block is M_r(D) with r = len(pieces)
+        division_dims.append(block_dim // len(pieces) ** 2)
         out.extend((p, blk) for p in pieces)
     _verify_complete_orthogonal(fd, [p for p, _b in out])
-    return out
+    return Split(out, list, division_dims)
 
 
 def _verify_centre_closed(fd: FDAlgebra, zvecs):
@@ -1210,7 +1224,8 @@ def _verify_complete_orthogonal(fd: FDAlgebra, idems):
 
 def primitive_idempotents(fd: FDAlgebra, rng):
     """Primitive orthogonal idempotents of an arbitrary f.d. algebra,
-    lifted exactly through the radical: [(vector, block_id)]."""
+    lifted exactly through the radical: a ``Split`` of [(vector,
+    block_id)], whose ``project`` is the radical quotient's."""
     if fd.dim == 0:
         return []
     J = radical_basis(fd)
@@ -1224,7 +1239,7 @@ def primitive_idempotents(fd: FDAlgebra, rng):
         fd.mul_vec, fd.unit, [quo.lift(v) for v, _b in sem], fd.field.char
     )
     _verify_complete_orthogonal(fd, lifted)
-    return [(e, blk) for e, (_v, blk) in zip(lifted, sem)]
+    return Split(zip(lifted, (blk for _v, blk in sem)), quo.project, sem.division_dims)
 
 
 # ---------------------------------------------------------------------------
@@ -1283,8 +1298,9 @@ class EndAlgebra:
 
 def split_projective(X: ProjectivePresentation, rng):
     """Direct summands of X from a primitive idempotent decomposition of
-    End(X)_0: [(presentation, block_id)], block_id the simple block of
-    End(X)_0/J holding the idempotent.
+    End(X)_0: a ``Split`` of [(presentation, block_id)], block_id the
+    simple block of End(X)_0/J holding the idempotent; its ``project``
+    reads the coordinates of ``EndAlgebra(X)``.
 
     Two summands eX and fX are isomorphic exactly when they share a
     block.  Idempotents lifted from one block reduce to primitive
@@ -1297,11 +1313,10 @@ def split_projective(X: ProjectivePresentation, rng):
     end = EndAlgebra(X)
     if end.dim == 0:
         return []
-    out = []
-    for vec, blk in primitive_idempotents(end.fd, rng):
-        # degrees come from the positions, and e e = e was verified in End(X)_0
-        entries = end.to_entries(vec)
-        out.append(
-            (ProjectivePresentation(X.algebra, X.shifts, entries, check=False), blk)
-        )
-    return out
+    idems = primitive_idempotents(end.fd, rng)
+    # degrees come from the positions, and e e = e was verified in End(X)_0
+    summands = [
+        (ProjectivePresentation(X.algebra, X.shifts, end.to_entries(vec), check=False), blk)
+        for vec, blk in idems
+    ]
+    return Split(summands, idems.project, idems.division_dims)

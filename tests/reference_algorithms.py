@@ -15,6 +15,11 @@ orthogonality by every product e_i e_j, the index and unimodularity
 by a Bareiss determinant, a regrading's components from every degree of the parent's
 support box, and a pair tensor label by label, each product of two
 basis labels recursed down to the base constructors' ``_mul_labels``.
+
+The package counts a module's summands by the composition pairing
+against one class table per algebra; ``SplitAndMatch`` is the registry
+that counting replaced: it splits End(P)_0 into primitive idempotents
+and matches each block's summand against the classes met so far.
 """
 
 from fractions import Fraction
@@ -23,6 +28,9 @@ from math import gcd
 
 from gradedk import _kernel
 from gradedk import algebra as alg
+from gradedk.gmod.decompose import indec_iso, module_support_degrees
+from gradedk.gmod.endos import split_projective
+from gradedk.grading import Subgroup
 
 
 def bareiss_rank(a, char):
@@ -228,3 +236,77 @@ def pair_tensor_by_labels(A, da, db):
         for ib, lb in enumerate(A.component_basis(db))
     }
     return _kernel.Bilinear(cells, len(index), A.field.char)
+
+
+class SplitAndMatch:
+    """The classes of indecomposables over one finite-support algebra, in
+    the order they were first met, by split and match.
+
+    ``count(P, rng)`` splits End(P)_0 (``split_projective``) and gives
+    each block's summand the key (class, shift) of ``match``: the class
+    whose dimension profile, anchored at some support degree of the
+    summand, is the summand's, at a shift that the profile's translation
+    symmetries allow and that ``indec_iso`` confirms; or a new class.
+    Summands of one block share their key, and a block skips the keys of
+    the blocks before it, which are not isomorphic to it."""
+
+    def __init__(self, algebra):
+        self.algebra = algebra
+        self.classes = []  # (rep, stabilizer, profile, anchor, symmetries)
+
+    @staticmethod
+    def _profile(X):
+        """(support dims, anchor, anchored profile) of X."""
+        dims = module_support_degrees(X)
+        anchor = min(dims, key=lambda d: d.values)
+        return dims, anchor, {(h - anchor): n for h, n in dims.items()}
+
+    @staticmethod
+    def _profile_symmetries(dims):
+        """Translation symmetries of a finite dimension function."""
+        base = next(iter(dims))
+        return [
+            delta
+            for delta in {d - base for d in dims}
+            if {h - delta: n for h, n in dims.items()} == dims
+        ]
+
+    def match(self, X, taken):
+        dims, anchor, prof = self._profile(X)
+        for blk, (rep, _stab, profile, rep_anchor, symmetries) in enumerate(self.classes):
+            # a torsion shift need not keep the lex-min anchor, so every
+            # support degree of X is tried, X's own anchor first
+            a = next(
+                (a for a in (anchor, *dims) if {h - a: n for h, n in dims.items()} == profile),
+                None,
+            )
+            if a is None:
+                continue
+            for delta in symmetries:
+                shift = rep_anchor - a + delta
+                if (blk, shift) not in taken and indec_iso(X, rep.shift(shift)):
+                    return blk, shift
+        sym = self._profile_symmetries(dims)
+        stab = [d for d in sym if d.is_zero() or indec_iso(X.shift(d), X)]
+        stabilizer = Subgroup.from_degrees(self.algebra.group, stab)
+        self.classes.append((X, stabilizer, prof, anchor, sym))
+        return len(self.classes) - 1, self.algebra.group.zero
+
+    def count(self, P, rng):
+        keys = {}  # split block -> class key of its summands
+        out = {}
+        for summand, blk in split_projective(P, rng):
+            key = keys.get(blk)
+            if key is None:
+                key = keys[blk] = self.match(summand, set(keys.values()))
+            out[key] = out.get(key, 0) + 1
+        return out
+
+    def summands(self, P, rng):
+        """[(indecomposable, multiplicity)] of P, one entry per class and
+        shift modulo its stabilizer."""
+        out = {}
+        for (blk, g), m in self.count(P, rng).items():
+            key = (blk, self.classes[blk][1].reduce(g))
+            out[key] = out.get(key, 0) + m
+        return [(self.classes[blk][0].shift(g), m) for (blk, g), m in out.items()]

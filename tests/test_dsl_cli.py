@@ -207,6 +207,7 @@ def test_unsupported_algebra_is_a_user_error(tmp_path, command):
         "k0(matrix(Q, [1/2]))",
         "k0(matrix(Q, [1/-2]))",
         "k0(matrix(Q, [0, 1], group=Z^2))",
+        "k0(matrix(Q, [2/4]))",
     ],
 )
 def test_bad_literal_is_a_user_error(tmp_path, capsys, script):
@@ -218,6 +219,13 @@ def test_bad_literal_is_a_user_error(tmp_path, capsys, script):
     assert "line 1" in lines[0]
     # a value is printed as the script wrote it (1/2, not Fraction(1, 2))
     assert "Fraction(" not in lines[0]
+    # a fraction is not normalized: 1/-2 is not -1/2, and 2/4 is not 1/2
+    whole = {
+        "k0(matrix(Q, [1/-2]))": "error: matrix: bad degree 1/-2 (line 1)",
+        "k0(matrix(Q, [2/4]))": "error: matrix: bad degree 2/4 (line 1)",
+    }
+    if script in whole:
+        assert lines[0] == whole[script]
 
 
 @pytest.mark.parametrize(

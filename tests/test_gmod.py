@@ -691,20 +691,21 @@ def _class_memo_corpus():
 
 @pytest.mark.parametrize("A,shifts", _class_memo_corpus())
 def test_class_multiset_is_derived_once_per_presentation(monkeypatch, A, shifts):
-    splits = []
-    real = dec.split_projective
+    counts = []
+    reduction = type(dec._registry(A))
+    real = reduction.count
 
-    def counted(P, rng):
-        splits.append(P)
-        return real(P, rng)
+    def counted(self, P):
+        counts.append(P)
+        return real(self, P)
 
-    monkeypatch.setattr(dec, "split_projective", counted)
+    monkeypatch.setattr(reduction, "count", counted)
     P = random_presentation(A, shifts, random.Random(11))
     first = summand_classes(P)
-    assert first and splits  # the counter sees the first decomposition
-    before = len(splits)
+    assert first and counts  # the counter sees the first decomposition
+    before = len(counts)
     again = summand_classes(P)
-    assert again == first and len(splits) == before
+    assert again == first and len(counts) == before
     # a caller's copy does not reach the memo
     again.clear()
     assert summand_classes(P) == first
@@ -713,10 +714,10 @@ def test_class_multiset_is_derived_once_per_presentation(monkeypatch, A, shifts)
         summand_classes(random_presentation(A, shifts[:2], random.Random(20 + seed)))
     twin = ProjectivePresentation(A, P.shifts, P.entries)
     assert summand_classes(twin) == first
-    # seed invariance: seed 1 splits P anew and finds the same multiset
-    before = len(splits)
+    # seed invariance: seed 1 counts P anew and finds the same multiset
+    before = len(counts)
     assert summand_classes(P, seed=1) == first
-    assert len(splits) > before
+    assert len(counts) == before + 1
 
 
 # -- cross-path oracle: the matrix-algebra special case against the registry -------

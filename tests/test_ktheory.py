@@ -27,6 +27,7 @@ from gradedk.gmod import (
     split_projective,
     summand_classes,
 )
+from gradedk.gmod.decompose import lift_from_zero_part
 
 
 def test_k0_m5_trio(M5):
@@ -196,17 +197,18 @@ def test_theorem1_decomposes_each_induced_representative_once(monkeypatch):
     # decomposition of the first induced representative
     decompose = importlib.import_module("gradedk.gmod.decompose")
     calls = []
-    split = decompose.split_projective
+    count = decompose._Induction.count
 
-    def counting(P, rng):
+    def counting(self, P):
         calls.append(P)
-        return split(P, rng)
+        return count(self, P)
 
-    monkeypatch.setattr(decompose, "split_projective", counting)
+    monkeypatch.setattr(decompose._Induction, "count", counting)
     B = alg.group_algebra(QQ, GradingGroup(0, (2,)))
     rep = kt.theorem1_check(alg.polynomial_extension(B, [1, 1]))
     assert rep["verdict"] == "pass"
-    assert len(calls) == 5
+    # the regular module and three induced representatives, each once
+    assert len(calls) == 4 and len({id(P) for P in calls}) == 4
 
 
 def test_theorem1_matrix_with_torsion_shifts():
@@ -358,6 +360,16 @@ def _module_json_by_orbit_position(res):
     return re.sub(r"P\d+", lambda m: position[m.group()], json.dumps(res.module.to_json()))
 
 
+def _lifted_summands(A):
+    """The summands of A(0), split over A or over its zero part, as
+    modules over A."""
+    if A.finite_support():
+        return [X for X, _blk in split_projective(regular_module(A), random.Random(0))]
+    Az = A.zero_part()
+    parts = split_projective(regular_module(Az), random.Random(0))
+    return [lift_from_zero_part(A, X) for X, _blk in parts]
+
+
 @pytest.mark.parametrize("build", [_triangular, _triangular_x])
 def test_k0_basis_order_ignores_registration_order(build):
     fresh = kt.k0(build())
@@ -369,11 +381,16 @@ def test_k0_basis_order_ignores_registration_order(build):
     for X, _blk in reversed(summands):
         summand_classes(X)
     warm = kt.k0(A)
-    assert [o.block for o in warm.orbits] != [o.block for o in fresh.orbits]
+    # class ids come from the split of A(0), whatever was decomposed first
+    assert [o.block for o in warm.orbits] == [o.block for o in fresh.orbits]
     assert [(o.signature, o.stabilizer) for o in warm.orbits] == [
         (o.signature, o.stabilizer) for o in fresh.orbits
     ]
     assert _module_json_by_orbit_position(warm) == _module_json_by_orbit_position(fresh)
+    # and the summands registered in reverse keep the fresh class map
+    assert [warm.class_map(X) for X in _lifted_summands(A)] == [
+        fresh.class_map(X) for X in _lifted_summands(fresh.algebra)
+    ]
 
 
 def test_k0_seed_invariance(M5):
