@@ -414,7 +414,7 @@ class Session:
         if name in ("k0", "dade", "quillen", "theorem1", "corollary", "basis"):
             A = self._expect_algebra(call, 0)
         if name == "k0":
-            res = kt.k0(A, self.seed)
+            res = kt.k0(A)
             regular_class = {str(k): v for k, v in res.regular_class.items()}
             return kt._report(
                 "pass",
@@ -423,13 +423,13 @@ class Session:
                 data={"k0": res.to_json(), "regular_class": regular_class},
             )
         if name == "dade":
-            return kt.dade_check(A, self.seed)
+            return kt.dade_check(A)
         if name == "quillen":
-            return kt.quillen_case(A, self.seed)
+            return kt.quillen_case(A)
         if name == "theorem1":
-            return kt.theorem1_check(A, self.seed)
+            return kt.theorem1_check(A)
         if name == "corollary":
-            return kt.corollary_check(A, self.seed)
+            return kt.corollary_check(A)
         if name == "lemma":
             A = self._expect_algebra(call, 0)
             gamma = self._arg(call, 1, "gamma")
@@ -441,7 +441,7 @@ class Session:
                 extra = gamma
             else:
                 raise EvalError("lemma: second argument must be Z^k or an integer >= 0")
-            return kt.lemma_check(A, extra, self.seed)
+            return kt.lemma_check(A, extra)
         if name == "basis":
             deg = self._arg(call, 1, "deg")
             try:
@@ -476,7 +476,7 @@ class Session:
         tp = functor_T(P)
         st = functor_S(tp, A)
         checks.append(
-            kt._check("restriction_induction_roundtrip", graded_iso(st, P, self.seed),
+            kt._check("restriction_induction_roundtrip", graded_iso(st, P),
                       "induced restriction is isomorphic to the module")
         )
         tsq = functor_T(st)
@@ -533,9 +533,7 @@ class Session:
         from .gmod.presentations import direct_sum
 
         if layers:
-            roundtrip = graded_iso(
-                filt.theta(filt.psi_q(P), A), direct_sum(*layers), self.seed
-            )
+            roundtrip = graded_iso(filt.theta(filt.psi_q(P), A), direct_sum(*layers))
         else:
             roundtrip = P.is_zero()
         checks.append(kt._check("induce_restrict_is_layer_sum", roundtrip))
@@ -550,7 +548,7 @@ class Session:
         sec = filt.verify_section_independence(P, (self.seed, self.seed + 1), self.margin)
         checks.append(kt._check("section_independence", sec["ok"]))
         sat_low = filt.filter_module(P, -bound).is_zero() if bound else True
-        sat_high = graded_iso(filt.filter_module(P, bound), P, self.seed) if bound else True
+        sat_high = graded_iso(filt.filter_module(P, bound), P) if bound else True
         checks.append(kt._check("saturation", sat_low and sat_high))
         verdict = "pass" if all(c["ok"] for c in checks) else "fail"
         layer_ranks = {

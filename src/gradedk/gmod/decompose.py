@@ -8,7 +8,8 @@ and kept in ``A._registry``: ``classes[block id]`` holds one
 :class:`_ClassInfo` per class, and ``count(P)`` gives P's summands as
 {(block id, shift): multiplicity}.  The table has three sources:
 
-* a matrix algebra: one class, e11 A, with trivial stabilizer;
+* a matrix algebra: one class, e11 A, with trivial stabilizer; A(0) is
+  the sum of the e_ii A = e11 A(s_1 - s_i);
 * a group algebra of the grading group: one class, A, whose stabilizer
   is the whole group;
 * any other finite-support algebra: one split of A(0) into primitive
@@ -27,10 +28,10 @@ lambda(ab) is nondegenerate on D.  A seeded class reads lambda as the
 coordinate of e, with D = F; a split class reads it from a coordinate of
 the split's radical quotient, and dim D from the block sizes.  Shifts
 are tried where both Hom spaces can be nonzero, modulo the stabilizer
-{g : Q(g) = Q}, which the same pairing decides.  A free module over a
-split algebra is read off the split of A(0); every other count must
-pass the dimension identity (sum of m dim Q(g)_h = dim P_h at each
-support degree h) or raises SplitError.
+{g : Q(g) = Q}, which the same pairing decides.  A free module is read
+off the table's count of A(0); every other count must pass the
+dimension identity (sum of m dim Q(g)_h = dim P_h at each support
+degree h) or raises SplitError.
 
 An infinite-support algebra with an N-supported leading coordinate
 (:class:`_Induction`) counts each slice of P against the zero part's
@@ -145,21 +146,20 @@ class _FiniteRegistry:
     """The class table of an algebra with finitely many classes up to
     shift, seeded by its constructor or read from the split of A(0)."""
 
-    def __init__(self, algebra, classes=()):
+    def __init__(self, algebra, classes, regular):
         self.algebra = algebra
         self.classes = list(classes)
         self.support = algebra.support_degrees() if algebra.finite_support() else None
-        self.regular = None  # A(0)'s count, when the table was read from its split
+        self.regular = regular  # A(0)'s count, which ``count`` reads free modules off
 
     @classmethod
     def from_split(cls, A):
         """The table of a finite-support algebra, read from one split of
         A(0) with a fixed seed."""
-        table = cls(A)
+        table = cls(A, [], {})
         split = split_projective(regular_module(A), random.Random(0))
         units = _kernel.identity(A.component_dim(A.group.zero), A.field.char)
         keys = {}  # split block -> class key of its summands
-        table.regular = {}
         for X, blk in split:
             key = keys.get(blk)
             if key is None:
@@ -178,8 +178,8 @@ class _FiniteRegistry:
         rep(shift): the first class that pairs nonzero with X at a shift.
         ``taken`` holds keys known not to be X's, which are skipped.
         When nothing matches, X starts a class at shift 0 with the
-        functional ``weights`` and dim D ``division_dim`` of its block,
-        which only the split of A(0) has."""
+        functional ``weights`` and dim D ``division_dim`` of its block;
+        without ``weights`` the call is a lookup, and a miss raises."""
         for blk, info in enumerate(self.classes):
             for g in self._shifts(info, X):
                 if (blk, g) not in taken and self._rank(info, g, X):
@@ -224,9 +224,9 @@ class _FiniteRegistry:
         return _kernel.rank(pairing, self.algebra.field.char)
 
     def count(self, P) -> dict:
-        """P's summands: a free P read off the split of A(0), else paired."""
+        """P's summands: a free P read off A(0)'s count, else paired."""
         out = {}
-        if self.regular is not None and P.entries == identity_entries(P.algebra, P.shifts):
+        if P.entries == identity_entries(P.algebra, P.shifts):
             for s in P.shifts:
                 for (blk, g), m in self.regular.items():
                     out[(blk, g + s)] = out.get((blk, g + s), 0) + m
@@ -296,15 +296,17 @@ def _registry(A):
     if A._registry is None:
         z = A.group.zero
         if isinstance(A, MatrixAlgebra):
+            # e_ii A = e11 A(s_1 - s_i), so A(0) is the sum of those columns
             e11 = A.basis_element(z, A.component_basis(z).index((0, 0)))
             column = ProjectivePresentation(A, (z,), [[e11]], check=False)
+            regular = {(0, A.shifts[0] - s): A.shifts.count(s) for s in A.shifts}
             reduction = _FiniteRegistry(A, [_ClassInfo(
                 column, Subgroup.trivial(A.group), ("matrix-column",), list(e11.coords)
-            )])
+            )], regular)
         elif isinstance(A, GroupAlgebraA):
             reduction = _FiniteRegistry(A, [_ClassInfo(
                 regular_module(A), Subgroup.full(A.group), ("free",), list(A.one().coords)
-            )])
+            )], {(0, z): 1})
         elif A.finite_support():
             reduction = _FiniteRegistry.from_split(A)
         elif A.positively_supported():
@@ -333,35 +335,35 @@ def lift_from_zero_part(A: GradedAlgebra, X: ProjectivePresentation) -> Projecti
     return functor_S(q, A)
 
 
-def summand_classes(P: ProjectivePresentation, seed: int = 0) -> dict:
+def summand_classes(P: ProjectivePresentation) -> dict:
     """Canonical class multiset: (block, shift mod class stabilizer) -> mult.
 
-    Computed once per presentation and seed and kept in ``P._derived``;
-    a caller gets a copy.  The count reads only the class table, whose
-    one random split (of A(0)) has a fixed seed, so every seed gives the
-    same multiset."""
+    Computed once per presentation and kept in ``P._derived``; a caller
+    gets a copy.  The count reads only the class table, whose one random
+    split (of A(0)) has a fixed seed."""
     if P.rank == 0 or P.is_zero():
         return {}
-    hit = P._derived.get(("classes", seed))
+    hit = P._derived.get("classes")
     if hit is None:
         reduction = _registry(P.algebra)
         hit = {}
         for (blk, g), m in reduction.count(P).items():
             key = (blk, reduction.classes[blk].stabilizer.reduce(g))
             hit[key] = hit.get(key, 0) + m
-        P._derived[("classes", seed)] = hit
+        P._derived["classes"] = hit
     return dict(hit)
 
 
-def decompose(P: ProjectivePresentation, seed: int = 0):
+def decompose(P: ProjectivePresentation):
     """Indecomposable summands with multiplicity, canonically ordered."""
-    classes = summand_classes(P, seed)
+    classes = summand_classes(P)
     items = sorted(classes.items(), key=lambda kv: (kv[0][1].values, kv[0][0]))
     return [(class_info(P.algebra, blk).rep.shift(g), m) for (blk, g), m in items]
 
 
-def graded_iso(P: ProjectivePresentation, Q: ProjectivePresentation, seed: int = 0) -> bool:
-    """Isomorphism of graded modules via equality of class multisets."""
+def graded_iso(P: ProjectivePresentation, Q: ProjectivePresentation, seed=None) -> bool:
+    """Isomorphism of graded modules via equality of class multisets;
+    ``seed`` is unused, and stays because the perfbench workloads pass one."""
     if P.algebra is not Q.algebra:
         raise PresentationError("graded_iso needs one common algebra")
-    return summand_classes(P, seed) == summand_classes(Q, seed)
+    return summand_classes(P) == summand_classes(Q)

@@ -23,7 +23,7 @@ A presentation does not change once built, so what is derived from it
 is computed once and kept in its ``_derived`` dict: the presentations
 restriction T and induction S (``swan``), the induced slices of its
 filtration and its shifts, with their component spaces; its class
-multiset per seed (``decompose.summand_classes``); and the image ranks
+multiset (``decompose.summand_classes``); and the image ranks
 of each seeded section (``filtration.verify_section_independence``).
 
 The zero part, its embedding, a trivial extension of the grading and

@@ -48,11 +48,10 @@ class K0Orbit:
 class K0Result:
     """K0 of a graded algebra: orbit basis plus the shift-action module."""
 
-    def __init__(self, algebra: GradedAlgebra, seed: int = 0):
+    def __init__(self, algebra: GradedAlgebra):
         self.algebra = algebra
         self.group = algebra.group
-        self.seed = seed
-        reg_classes = summand_classes(regular_module(algebra), seed)
+        reg_classes = summand_classes(regular_module(algebra))
         blocks = sorted({blk for blk, _g in reg_classes})
         orbits = []
         for blk in blocks:
@@ -91,7 +90,7 @@ class K0Result:
         """Coordinates of [P]: (orbit class name, coset degree) -> mult."""
         if P.algebra is not self.algebra:
             raise ValueError("presentation over a different algebra")
-        return self._coordinates(summand_classes(P, self.seed))
+        return self._coordinates(summand_classes(P))
 
     def _coordinates(self, classes) -> Dict:
         out = {}
@@ -123,9 +122,9 @@ class K0Result:
         }
 
 
-def k0(A: GradedAlgebra, seed: int = 0) -> K0Result:
+def k0(A: GradedAlgebra) -> K0Result:
     """Graded K0 of a constructor-family algebra, via the regular module."""
-    return K0Result(A, seed)
+    return K0Result(A)
 
 
 def _report(verdict, hypothesis_checks, lhs_basis=None, rhs_basis=None,
@@ -157,7 +156,7 @@ def _image(classes):
 # ---------------------------------------------------------------------------
 
 
-def dade_check(A: GradedAlgebra, seed: int = 0) -> dict:
+def dade_check(A: GradedAlgebra) -> dict:
     """For strongly graded A, base change along A_0 -> A matches a Z-basis
     of K0(A_0) with a Z-basis of graded K0(A)."""
     hyp = []
@@ -174,8 +173,8 @@ def dade_check(A: GradedAlgebra, seed: int = 0) -> dict:
     if not strongly:
         return _report("hypothesis-not-met", hyp)
     A0 = A.identity_component()
-    k_a0 = k0(A0, seed)
-    k_a = k0(A, seed)
+    k_a0 = k0(A0)
+    k_a = k0(A)
     zb = k_a.z_basis()
     if zb is None:
         hyp.append(_check("finite_graded_basis", False, "an orbit has infinite index"))
@@ -186,7 +185,7 @@ def dade_check(A: GradedAlgebra, seed: int = 0) -> dict:
     for o in k_a0.orbits:
         # base change along A_0 -> A: the ungraded projective in degree zero
         X = relabel(o.representative, A, lambda d: A.group.zero)
-        cm = summand_classes(X, seed)
+        cm = summand_classes(X)
         col = [0] * len(zb)
         for (blk, g), m in cm.items():
             col[index[(blk, g.values)]] = m
@@ -220,7 +219,7 @@ def dade_check(A: GradedAlgebra, seed: int = 0) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _orbit_correspondence(lhs: K0Result, rhs: K0Result, carry, seed: int):
+def _orbit_correspondence(lhs: K0Result, rhs: K0Result, carry):
     """Carry each orbit representative of ``lhs`` into the algebra of
     ``rhs``, whose group has extra leading free coordinates, and match its
     class map against the orbits of ``rhs``.
@@ -240,7 +239,7 @@ def _orbit_correspondence(lhs: K0Result, rhs: K0Result, carry, seed: int):
     first = None
     for o in lhs.orbits:
         X = carry(o.representative)
-        cm = summand_classes(X, seed)
+        cm = summand_classes(X)
         if first is None:
             first = (X, cm)
         correspondence.append({"source": f"Q{o.block}", "image": _image(cm)})
@@ -257,7 +256,7 @@ def _orbit_correspondence(lhs: K0Result, rhs: K0Result, carry, seed: int):
     return correspondence, ok, len(hit), unstable, first
 
 
-def _equivariance_samples(A: GradedAlgebra, first, seed: int):
+def _equivariance_samples(A: GradedAlgebra, first):
     """Spot-check Z[G]-linearity: inducing a shifted representative lands
     on the shifted class.  ``first`` is an induced representative with
     its class map, as `_orbit_correspondence` returns it."""
@@ -267,14 +266,14 @@ def _equivariance_samples(A: GradedAlgebra, first, seed: int):
     (blk0, g0), _ = next(iter(base.items()))
     stab = class_info(A, blk0).stabilizer
     for gen in A.group.generators():
-        shifted = summand_classes(X.shift(gen), seed)
+        shifted = summand_classes(X.shift(gen))
         want = {(blk0, stab.reduce(g0 + gen)): 1}
         if shifted != want:
             return False
     return True
 
 
-def theorem1_check(A: GradedAlgebra, seed: int = 0) -> dict:
+def theorem1_check(A: GradedAlgebra) -> dict:
     """Graded K0 of an N-supported algebra is induced from its zero part:
     K0 of the zero part, base-changed along the leading free coordinate,
     matches graded K0 basis to basis."""
@@ -293,20 +292,20 @@ def theorem1_check(A: GradedAlgebra, seed: int = 0) -> dict:
     if not (has_free and positive):
         return _report("hypothesis-not-met", hyp)
     B = A.zero_part()
-    lhs = k0(B, seed)
-    rhs = k0(A, seed)
+    lhs = k0(B)
+    rhs = k0(A)
     induced = induce_module(lhs.module, A.group)
     iso = shift_module_iso(induced, rhs.module)
     hyp.append(_check("induced_module_isomorphic", iso, induced.describe()))
     correspondence, ok, hit, unstable, first = _orbit_correspondence(
-        lhs, rhs, lambda X: lift_from_zero_part(A, X), seed
+        lhs, rhs, lambda X: lift_from_zero_part(A, X)
     )
     for blk in unstable:
         hyp.append(_check(f"stabilizer_match_Q{blk}", False, "induced stabilizer differs"))
     hyp.append(_check("induced_classes_are_basis_classes", ok))
     bijective = ok and hit == len(rhs.orbits)
     hyp.append(_check("orbit_bijection", bijective, f"{hit} of {len(rhs.orbits)} graded orbits hit"))
-    equi = _equivariance_samples(A, first, seed)
+    equi = _equivariance_samples(A, first)
     hyp.append(_check("shift_equivariance_samples", equi))
     verdict = "pass" if (iso and bijective and equi) else "fail"
     return _report(
@@ -324,7 +323,7 @@ def theorem1_check(A: GradedAlgebra, seed: int = 0) -> dict:
     )
 
 
-def quillen_case(A: GradedAlgebra, seed: int = 0) -> dict:
+def quillen_case(A: GradedAlgebra) -> dict:
     """The classical one-variable case: Z-graded, N-supported, no extra
     grading factor; K0(A_0) tensored with the Laurent ring gives graded K0."""
     hyp = []
@@ -332,7 +331,7 @@ def quillen_case(A: GradedAlgebra, seed: int = 0) -> dict:
     hyp.append(_check("grading_group_is_Z", is_z, A.group.describe()))
     if not is_z:
         return _report("hypothesis-not-met", hyp)
-    rep = theorem1_check(A, seed)
+    rep = theorem1_check(A)
     rep["hypothesis_checks"] = hyp + rep["hypothesis_checks"]
     rhs_mod = rep["data"].get("rhs_module")
     if isinstance(rhs_mod, dict):
@@ -340,7 +339,7 @@ def quillen_case(A: GradedAlgebra, seed: int = 0) -> dict:
     return rep
 
 
-def corollary_check(A: GradedAlgebra, seed: int = 0) -> dict:
+def corollary_check(A: GradedAlgebra) -> dict:
     """Iterate the leading-coordinate theorem through all free coordinates:
     K0 of the multi-variable algebra is the Laurent extension of K0 of its
     total zero part."""
@@ -352,7 +351,7 @@ def corollary_check(A: GradedAlgebra, seed: int = 0) -> dict:
     cur = A
     all_pass = True
     for i in range(m):
-        stage = theorem1_check(cur, seed)
+        stage = theorem1_check(cur)
         stages.append(
             {
                 "coordinate": i + 1,
@@ -369,8 +368,8 @@ def corollary_check(A: GradedAlgebra, seed: int = 0) -> dict:
             break
         cur = cur.zero_part()
     base = cur
-    lhs = k0(base, seed)
-    rhs = k0(A, seed)
+    lhs = k0(base)
+    rhs = k0(A)
     induced = induce_module(lhs.module, A.group)
     iso = shift_module_iso(induced, rhs.module)
     hyp.append(_check("final_laurent_isomorphism", iso, induced.describe()))
@@ -389,7 +388,7 @@ def corollary_check(A: GradedAlgebra, seed: int = 0) -> dict:
     )
 
 
-def lemma_check(A: GradedAlgebra, extra_free: int = 1, seed: int = 0) -> dict:
+def lemma_check(A: GradedAlgebra, extra_free: int = 1) -> dict:
     """Trivially extending the grading tensors K0 with the group ring of
     the new factor: K0 of the extended algebra is the induced module."""
     hyp = [
@@ -401,8 +400,8 @@ def lemma_check(A: GradedAlgebra, extra_free: int = 1, seed: int = 0) -> dict:
         )
     ]
     At = A.trivial_extension(extra_free)
-    lhs = k0(A, seed)
-    rhs = k0(At, seed)
+    lhs = k0(A)
+    rhs = k0(At)
     induced = induce_module(lhs.module, At.group)
     iso = shift_module_iso(induced, rhs.module)
     hyp.append(_check("induced_module_isomorphic", iso, induced.describe()))
@@ -411,7 +410,6 @@ def lemma_check(A: GradedAlgebra, extra_free: int = 1, seed: int = 0) -> dict:
         lhs,
         rhs,
         lambda X: relabel(X, At, lambda d: At.group.degree((0,) * extra_free + d.values)),
-        seed,
     )
     ok = ok and hit == len(rhs.orbits)
     hyp.append(_check("class_bijection", ok))

@@ -96,7 +96,7 @@ def test_criterion_2_swan_suite():
     failures = []
     for name, seed, A, P in mods:
         st = functor_S(functor_T(P), A)
-        if not graded_iso(st, P, seed):
+        if not graded_iso(st, P):
             failures.append((name, seed, "ST(P) vs P"))
         Q = functor_T(P)
         tsq = functor_T(functor_S(Q, A))
@@ -130,7 +130,7 @@ def test_criterion_3_filtration_suite():
                 failures.append((name, seed, f"layer sum at {h}"))
                 break
         if ls:
-            if not graded_iso(filt.theta(filt.psi_q(P), A), direct_sum(*ls), seed):
+            if not graded_iso(filt.theta(filt.psi_q(P), A), direct_sum(*ls)):
                 failures.append((name, seed, "theta(psi_q) vs layer sum"))
         Q = functor_T(P)
         back = filt.psi_q(filt.theta(Q, A))

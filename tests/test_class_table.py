@@ -1,5 +1,6 @@
 """The class table of ``decompose``: its count against the split-and-match
-reference, the dimension identity, seed invariance and the gate.
+reference, the dimension identity, the read-off of A(0), a split of
+A(0) alone and the gate.
 
 Each algebra counts summands by the composition pairing against one
 class table; only the split of A(0) draws random numbers.  The reference
@@ -134,7 +135,7 @@ def _nonfree_corpus(F):
 
 
 @pytest.mark.parametrize("F", FIELDS)
-def test_counts_are_seed_invariant_and_split_only_the_regular_module(monkeypatch, F):
+def test_counts_split_only_the_regular_module(monkeypatch, F):
     splits = []
     real = dec.split_projective
 
@@ -144,14 +145,45 @@ def test_counts_are_seed_invariant_and_split_only_the_regular_module(monkeypatch
 
     monkeypatch.setattr(dec, "split_projective", recording)
     for P in _nonfree_corpus(F):
-        first = summand_classes(P, 0)
-        assert first
-        for seed in range(1, 4):
-            assert summand_classes(P, seed) == first
+        assert summand_classes(P)
     # one split per algebra with a split table, each of its A(0)
     assert len(splits) == len({id(X.algebra) for X in splits}) == 3
     for X in splits:
         assert X.shifts == (X.algebra.group.zero,) and X.entries == [[X.algebra.one()]]
+
+
+def _seeded_tables(F):
+    G = GradingGroup(1, (2,))
+    out = [alg.matrix_algebra(F, sh) for sh in (M5_SHIFTS, [2, -1, 5])]
+    out.append(alg.matrix_algebra(F, [G.degree(v) for v in ([0, 0], [1, 1], [0, 1])]))
+    out += [alg.group_algebra(F, H) for H in (GradingGroup(0, (6,)), G)]
+    return out
+
+
+@pytest.mark.parametrize("F", FIELDS)
+def test_seeded_read_off_of_the_regular_module_agrees_with_the_pairing(F):
+    for A in _seeded_tables(F):
+        table = dec._registry(A)
+        R = regular_module(A)
+        paired = {}
+        for blk, info in enumerate(table.classes):
+            for g in table._shifts(info, R):
+                m = table._rank(info, g, R) // info.division_dim
+                if m:
+                    paired[(blk, g)] = m
+        assert summand_classes(R) == paired, A.describe()
+
+
+def test_a_lookup_that_misses_raises():
+    # X pairs nonzero with its own class at one shift (mod the stabilizer)
+    # only, so a lookup that skips that key finds nothing
+    A = alg.matrix_algebra(QQ, M5_SHIFTS).positive_part()
+    table = dec._registry(A)
+    X = table.classes[-1].rep.shift(A.deg([1]))
+    key = table.match(X, set())
+    assert key == (len(table.classes) - 1, A.deg([1]))
+    with pytest.raises(SplitError, match="matches no class"):
+        table.match(X, {key})
 
 
 def _gate_cases():

@@ -248,7 +248,7 @@ def test_malformed_algebra_or_degree_is_a_user_error(tmp_path, capsys, script):
 
 
 def test_algebra_error_from_a_computation_is_a_failure(tmp_path, monkeypatch):
-    def broken(A, seed=0):
+    def broken(A):
         raise cli.AlgebraError("support is not finite")
 
     monkeypatch.setattr(cli.kt, "k0", broken)
