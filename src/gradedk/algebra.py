@@ -744,7 +744,7 @@ def group_algebra(field: Field, group: GradingGroup) -> GroupAlgebraA:
 def polynomial_extension(base: GradedAlgebra, deg_values) -> PolynomialExtensionAlgebra:
     """poly(B, deg=[...]): adjoin a variable; a vector one longer than the
     base degree prepends a fresh Z coordinate first."""
-    vals = tuple(int(v) for v in deg_values)
+    vals = tuple(deg_values)
     if len(vals) == base.group.dim + 1:
         base = base.trivial_extension(1)
     elif len(vals) != base.group.dim:

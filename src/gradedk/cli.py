@@ -286,7 +286,7 @@ class Session:
         if name == "group":
             rank = self._arg(call, None, "rank", 0)
             moduli = self._arg(call, None, "moduli", [])
-            return GradingGroup(int(rank), tuple(int(m) for m in moduli))
+            return GradingGroup(rank, tuple(moduli))
         if name == "free":
             A = self._expect_algebra(call, 0)
             shifts = self._arg(call, 1, "shifts")
@@ -297,7 +297,9 @@ class Session:
             A = self._expect_algebra(call, 0)
             shifts = self._arg(call, 1, "shifts")
             seed = self._arg(call, None, "seed", self.seed)
-            rng = random.Random(int(seed))
+            if not isinstance(seed, int):
+                raise EvalError(f"random_proj: seed must be an integer, got {seed}")
+            rng = random.Random(seed)
             return random_presentation(
                 A, self._degrees(A.group, shifts, "random_proj"), rng
             )

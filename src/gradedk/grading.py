@@ -7,11 +7,10 @@ which makes equality, membership, coset reduction and index computations
 exact and deterministic.
 
 K0 answers live in :class:`ShiftModule`: a finite set of class labels
-permuted by the group generators, one stabilizer subgroup per orbit.  An
-orbit with stabilizer H presents the module Z[G/H]; infinite directions
-(the Laurent part) are carried by the stabilizer, not by the labels, so
-a free generator acting trivially on labels with trivial stabilizer
-contributes a free Z[x, 1/x] factor.
+split into orbits, one stabilizer subgroup H per orbit, each orbit
+presenting the module Z[G/H].  Infinite directions (the Laurent part)
+are carried by the stabilizer, not by the labels, so an orbit with one
+label and trivial stabilizer over Z contributes a free Z[x, 1/x] factor.
 """
 
 from __future__ import annotations
@@ -43,10 +42,13 @@ class GradingGroup:
     torsion_moduli: tuple = ()
 
     def __post_init__(self):
-        if self.free_rank < 0:
-            raise GradingError("free rank must be non-negative")
+        if not isinstance(self.free_rank, int) or self.free_rank < 0:
+            raise GradingError(f"free rank must be an integer >= 0, got {self.free_rank}")
         mods = tuple(self.torsion_moduli)
-        if any((not isinstance(n, int)) or n < 2 for n in mods):
+        for n in mods:
+            if not isinstance(n, int):
+                raise GradingError(f"torsion moduli must be integers, got {n}")
+        if any(n < 2 for n in mods):
             raise GradingError("torsion moduli must be integers >= 2")
         if list(mods) != sorted(mods):
             raise GradingError("torsion moduli must be sorted ascending")
@@ -62,7 +64,10 @@ class GradingGroup:
         hit = self._degrees.get(key)
         if hit is not None:
             return hit
-        values = tuple(int(v) for v in values)
+        for v in key:
+            if not isinstance(v, int):
+                raise GradingError(f"degree coordinates must be integers, got {v}")
+        values = key
         if len(values) != self.dim:
             raise GradingError(
                 f"degree needs {self.dim} coordinates, got {len(values)}"
@@ -217,9 +222,6 @@ class Subgroup:
     def __hash__(self):
         return hash((self.group, self.rows))
 
-    def contains(self, d: Degree) -> bool:
-        return intlat.in_lattice(list(d.values), [list(r) for r in self.rows])
-
     def reduce(self, d: Degree) -> Degree:
         """Canonical coset representative of d modulo this subgroup."""
         v = intlat.reduce_mod_lattice(list(d.values), [list(r) for r in self.rows])
@@ -285,24 +287,8 @@ class Subgroup:
         return "<" + ", ".join(str(g) for g in gens) + ">"
 
 
-def _perm_compose(p, q):
-    """p after q: (p*q)(x) = p(q(x))."""
-    return tuple(p[q[i]] for i in range(len(q)))
-
-
-def _perm_power(perm, n):
-    """perm^n for n >= 0, by repeated squaring."""
-    out = tuple(range(len(perm)))
-    while n:
-        if n & 1:
-            out = _perm_compose(perm, out)
-        perm = _perm_compose(perm, perm)
-        n >>= 1
-    return out
-
-
 class Orbit:
-    """One orbit of the label action together with its true stabilizer."""
+    """One shift orbit: its class labels and its stabilizer."""
 
     __slots__ = ("labels", "stabilizer")
 
@@ -328,98 +314,32 @@ class Orbit:
 
 
 class ShiftModule:
-    """Permutation-with-shift Z[G]-module: sum over orbits of Z[G/H].
+    """Permutation Z[G]-module: the sum over orbits of Z[G/H].
 
-    ``action`` holds one permutation of the class list per group generator
-    (free generators first, then torsion generators).  When ``stabilizers``
-    is omitted, the stabilizer of an orbit is its label stabilizer, so the
-    classes are the honest Z-basis.  Explicit stabilizers, one list of
-    generating degrees per orbit in the order the orbits are found, may
-    cut deeper (e.g. a trivial stabilizer on a fixed label yields a free
-    Laurent factor); they must be contained in the label stabilizer.
+    ``orbits`` holds one ``(labels, stabilizer)`` pair per orbit, and the
+    orbits partition ``classes``.  An orbit with stabilizer H has one
+    label per coset of H + Z^m, where Z^m is the free part of G: the free
+    generators (the Laurent part) are carried by the stabilizer, not by
+    the labels, so one label with trivial stabilizer over Z is a free
+    Z[x, 1/x] factor.
     """
 
-    def __init__(self, group: GradingGroup, classes, action, stabilizers=None):
+    def __init__(self, group: GradingGroup, classes, orbits):
         self.group = group
-        self.classes = tuple(str(c) for c in classes)
+        self.classes = tuple(classes)
         if len(set(self.classes)) != len(self.classes):
             raise GradingError("class labels must be distinct")
-        k = len(self.classes)
-        action = [tuple(p) for p in action]
-        if len(action) != group.dim:
-            raise GradingError(
-                f"need one permutation per generator ({group.dim}), got {len(action)}"
-            )
-        for p in action:
-            if sorted(p) != list(range(k)):
-                raise GradingError("action maps must be bijections of the classes")
-        for i in range(len(action)):
-            for j in range(i + 1, len(action)):
-                if _perm_compose(action[i], action[j]) != _perm_compose(
-                    action[j], action[i]
-                ):
-                    raise GradingError("generator actions must commute")
-        m = group.free_rank
-        for t, n in enumerate(group.torsion_moduli):
-            if _perm_power(action[m + t], n) != tuple(range(k)):
+        self.orbits = tuple(Orbit(labels, stab) for labels, stab in orbits)
+        if sorted(lbl for o in self.orbits for lbl in o.labels) != sorted(self.classes):
+            raise GradingError("the orbits must partition the class labels")
+        free = group.generators()[: group.free_rank]
+        for o in self.orbits:
+            if o.stabilizer.group != group:
+                raise GradingError("an orbit stabilizer must be a subgroup of the module's group")
+            if o.size != o.stabilizer.add_degrees(free).index():
                 raise GradingError(
-                    f"torsion generator {t} must act with order dividing {n}"
+                    "an orbit needs one label per coset of its stabilizer plus the free part"
                 )
-        self.action = tuple(action)
-        self.orbits = self._build_orbits(stabilizers)
-
-    # -- construction helpers ------------------------------------------------
-    def _build_orbits(self, stabilizers):
-        k = len(self.classes)
-        seen = [False] * k
-        orbits = []
-        orbit_index = 0
-        for start in range(k):
-            if seen[start]:
-                continue
-            members, label_stab = self._orbit_from(start)
-            for x in members:
-                seen[x] = True
-            stab = label_stab
-            if stabilizers is not None and orbit_index < len(stabilizers):
-                given = stabilizers[orbit_index]
-                if given is not None:
-                    for g in given:
-                        if not label_stab.contains(g):
-                            raise GradingError(
-                                "declared stabilizer does not fix the orbit labels"
-                            )
-                    stab = Subgroup.from_degrees(self.group, given)
-            orbits.append(Orbit([self.classes[x] for x in members], stab))
-            orbit_index += 1
-        return tuple(orbits)
-
-
-    def _orbit_from(self, start):
-        dim = self.group.dim
-        vec = {start: [0] * dim}
-        order = [start]
-        queue = [start]
-        relations = []
-        while queue:
-            x = queue.pop()
-            vx = vec[x]
-            for i, perm in enumerate(self.action):
-                y = perm[x]
-                vy = [a + (1 if j == i else 0) for j, a in enumerate(vx)]
-                if y in vec:
-                    rel = [a - b for a, b in zip(vy, vec[y])]
-                    if any(rel):
-                        relations.append(rel)
-                else:
-                    vec[y] = vy
-                    order.append(y)
-                    queue.append(y)
-        stab = Subgroup(self.group, relations)
-        idx = stab.index()
-        if idx != len(order):
-            raise GradingError("orbit/stabilizer bookkeeping failed")
-        return order, stab
 
     # -- queries ---------------------------------------------------------------
     def canonical_key(self):
@@ -465,9 +385,8 @@ def shift_module_iso(m: ShiftModule, n: ShiftModule) -> bool:
 def induce_module(m: ShiftModule, target: GradingGroup) -> ShiftModule:
     """Base change along Z[G] -> Z[Z^k x G] (new free coordinates first).
 
-    Labels are unchanged; the new free generators act trivially on them
-    (the shift is absorbed into the free Laurent factor), and stabilizers
-    embed along the trailing copy of the source group.
+    Labels are unchanged: the new free generators join the Laurent part,
+    and each stabilizer embeds along the trailing copy of the source group.
     """
     src = m.group
     extra = target.free_rank - src.free_rank
@@ -476,11 +395,6 @@ def induce_module(m: ShiftModule, target: GradingGroup) -> ShiftModule:
             "induction target must be Z^k x (source group) with the source as "
             "trailing factor"
         )
-    k = len(m.classes)
-    ident = tuple(range(k))
-    action = [ident] * extra + list(m.action)
-    stabs = []
-    for o in m.orbits:
-        emb = o.stabilizer.prepend_free(extra)
-        stabs.append(emb.generators())
-    return ShiftModule(target, m.classes, action, stabilizers=stabs)
+    return ShiftModule(
+        target, m.classes, [(o.labels, o.stabilizer.prepend_free(extra)) for o in m.orbits]
+    )

@@ -3,7 +3,9 @@
 K0 of a constructor-family algebra is computed from the Krull-Schmidt
 decomposition of the regular module: the indecomposable classes fall
 into finitely many shift orbits, each orbit contributing Z[G/H] for its
-stabilizer H, assembled into a :class:`gradedk.grading.ShiftModule`.
+stabilizer H.  The :class:`gradedk.grading.ShiftModule` is those orbits
+as found: each with its stabilizer and one class label per coset of
+H + Z^m, the free part Z^m being the Laurent part of Z[G/H].
 ``class_map`` turns any presentation into coordinates on that basis.
 
 The checks all follow one pattern: compute both sides, build the
@@ -64,26 +66,33 @@ class K0Result:
         self.regular_class = self._coordinates(reg_classes)
 
     def _build_module(self) -> ShiftModule:
+        """One label per coset of H + Z^m for each orbit's stabilizer H:
+        ``classes`` in coset-representative order, and each orbit's labels
+        in the order a stack walk along the generators from the zero
+        coset reaches them."""
         g = self.group
-        free_gens = [g.generators()[j] for j in range(g.free_rank)]
-        labels: List[str] = []
-        action_cols: List[List[int]] = [[] for _ in range(g.dim)]
-        stabs = []
+        gens = g.generators()
+        classes: List[str] = []
+        orbits = []
         for o in self.orbits:
-            visible = o.stabilizer.add_degrees(free_gens)
+            visible = o.stabilizer.add_degrees(gens[: g.free_rank])
             reps = visible.coset_representatives()
-            rep_index = {visible.reduce(r).values: i for i, r in enumerate(reps)}
-            base = len(labels)
-            for r in reps:
-                suffix = "" if len(reps) == 1 else "@" + ",".join(str(v) for v in r.values)
-                labels.append(f"P{o.block}{suffix}")
-            for gi, gen in enumerate(g.generators()):
-                for r in reps:
-                    target = visible.reduce(r + gen).values
-                    action_cols[gi].append(base + rep_index[target])
-            stabs.append(o.stabilizer.generators())
-        action = [tuple(col) for col in action_cols]
-        return ShiftModule(g, labels, action, stabilizers=stabs)
+            many = len(reps) > 1
+            label = {
+                r: f"P{o.block}" + ("@" + ",".join(map(str, r.values)) if many else "")
+                for r in reps
+            }
+            classes += label.values()
+            walk, stack = {g.zero: None}, [g.zero]
+            while stack:
+                x = stack.pop()
+                for gen in gens:
+                    y = visible.reduce(x + gen)
+                    if y not in walk:
+                        walk[y] = None
+                        stack.append(y)
+            orbits.append(([label[d] for d in walk], o.stabilizer))
+        return ShiftModule(g, classes, orbits)
 
     # -- class coordinates ---------------------------------------------------
     def class_map(self, P: ProjectivePresentation) -> Dict:

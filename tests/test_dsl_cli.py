@@ -208,6 +208,13 @@ def test_unsupported_algebra_is_a_user_error(tmp_path, command):
         "k0(matrix(Q, [1/-2]))",
         "k0(matrix(Q, [0, 1], group=Z^2))",
         "k0(matrix(Q, [2/4]))",
+        # a fraction where an integer is needed is refused, not truncated
+        "A = matrix(Q, [[1/-2], [3/2]])",
+        "basis(matrix(Q,[0,1]), deg=[1/2])",
+        "k0(poly(matrix(Q,[0]), deg=[3/2]))",
+        "G = group(rank=3/2)",
+        "G = group(rank=1, moduli=[5/2])",
+        "P = random_proj(positive_part(matrix(Q,[0,1])), shifts=[[0],[1]], seed=3/2)",
     ],
 )
 def test_bad_literal_is_a_user_error(tmp_path, capsys, script):
@@ -223,6 +230,17 @@ def test_bad_literal_is_a_user_error(tmp_path, capsys, script):
     whole = {
         "k0(matrix(Q, [1/-2]))": "error: matrix: bad degree 1/-2 (line 1)",
         "k0(matrix(Q, [2/4]))": "error: matrix: bad degree 2/4 (line 1)",
+        "A = matrix(Q, [[1/-2], [3/2]])":
+            "error: matrix: degree coordinates must be integers, got 1/-2 (line 1)",
+        "basis(matrix(Q,[0,1]), deg=[1/2])":
+            "error: basis: degree coordinates must be integers, got 1/2 (line 1)",
+        "k0(poly(matrix(Q,[0]), deg=[3/2]))":
+            "error: poly: degree coordinates must be integers, got 3/2 (line 1)",
+        "G = group(rank=3/2)": "error: group: free rank must be an integer >= 0, got 3/2 (line 1)",
+        "G = group(rank=1, moduli=[5/2])":
+            "error: group: torsion moduli must be integers, got 5/2 (line 1)",
+        "P = random_proj(positive_part(matrix(Q,[0,1])), shifts=[[0],[1]], seed=3/2)":
+            "error: random_proj: seed must be an integer, got 3/2 (line 1)",
     }
     if script in whole:
         assert lines[0] == whole[script]

@@ -71,8 +71,8 @@ def test_reduce_mod_lattice_idempotent():
     v = intlat.reduce_mod_lattice([7, -5], h)
     assert v == [1, 1]
     assert intlat.reduce_mod_lattice(v, h) == v
-    assert intlat.in_lattice([4, 9], h)
-    assert not intlat.in_lattice([1, 0], h)
+    assert intlat.reduce_mod_lattice([4, 9], h) == [0, 0]
+    assert intlat.reduce_mod_lattice([1, 0], h) == [1, 0]
 
 
 def test_int_det():

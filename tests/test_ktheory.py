@@ -46,12 +46,39 @@ def test_k0_m5_trio(M5):
 
 
 def test_k0_shift_module_against_hand_built(M5):
-    hand = ShiftModule(M5.group, ["P0"], [(0,)], stabilizers=[[]])
+    hand = ShiftModule(M5.group, ["P0"], [(["P0"], Subgroup.trivial(M5.group))])
     assert shift_module_iso(kt.k0(M5).module, hand)
+    trivial = GradingGroup(0, ())
     triv4 = ShiftModule(
-        GradingGroup(0, ()), ["a", "b", "c", "d"], []
+        trivial, ["a", "b", "c", "d"], [([x], Subgroup.full(trivial)) for x in "abcd"]
     )
     assert shift_module_iso(kt.k0(M5.zero_part()).module, triv4)
+
+
+def _labels(module_json):
+    return module_json["classes"], [o["labels"] for o in module_json["orbits"]]
+
+
+def test_k0_lists_classes_by_coset_and_orbit_labels_by_walk():
+    # classes run through the coset representatives of Z x Z/2 x Z/6
+    # modulo the free part; an orbit lists its labels as the stack walk
+    # along the generators from the zero coset reaches them
+    G = GradingGroup(1, (2, 6))
+    A = alg.matrix_algebra(QQ, [G.degree([0, 0, 0])], group=G)
+    classes = [f"P0@0,{a},{b}" for a in range(2) for b in range(6)]
+    walk = [f"P0@0,{a},{b}" for b in range(6) for a in range(2)]
+    module = kt.k0(A).module
+    assert _labels(module.to_json()) == (classes, [walk])
+    # the lemma induces that module along one new free coordinate: the
+    # labels stay as they are, and the extended algebra's own K0 lists
+    # its labels the same way with a leading free coordinate
+    rep = kt.lemma_check(A)
+    assert rep["verdict"] == "pass"
+    induced = induce_module(module, A.trivial_extension(1).group)
+    assert _labels(induced.to_json()) == (classes, [walk])
+    lifted = [lbl.replace("@", "@0,") for lbl in classes]
+    lifted_walk = [lbl.replace("@", "@0,") for lbl in walk]
+    assert _labels(rep["data"]["rhs_module"]) == (lifted, [lifted_walk])
 
 
 def test_class_map_additive_and_equivariant(M201x):
