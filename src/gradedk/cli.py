@@ -225,6 +225,8 @@ class Session:
         return value
 
     def _degrees(self, group: GradingGroup, raw, what: str):
+        """The degrees ``raw`` lists in ``group``, each coordinate checked
+        here: ``degree`` skips the check on an interned tuple, and 2/2 == 1."""
         out = []
         for item in raw:
             if isinstance(item, int):
@@ -232,11 +234,13 @@ class Session:
                     raise EvalError(
                         f"{what}: scalar degrees need a rank-1 group, not {group.describe()}"
                     )
-                out.append(group.degree([item]))
-            elif isinstance(item, list):
-                out.append(group.degree(item))
-            else:
+                item = [item]
+            elif not isinstance(item, list):
                 raise EvalError(f"{what}: bad degree {item}")
+            for v in item:
+                if not isinstance(v, int):
+                    raise EvalError(f"{what}: degree coordinates must be integers, got {v}")
+            out.append(group.degree(item))
         return out
 
     def _dispatch(self, call: Call):
@@ -260,7 +264,10 @@ class Session:
             deg = self._arg(call, 1, "deg")
             if not isinstance(deg, list):
                 raise EvalError("poly: deg must be a degree vector")
-            return alg.polynomial_extension(base, deg)
+            if len(deg) == base.group.dim + 1:
+                base = base.trivial_extension(1)
+            (d,) = self._degrees(base.group, [deg], "poly")
+            return alg.polynomial_extension(base, d.values)
         if name == "tensor":
             return alg.tensor_product(
                 self._expect_algebra(call, 0), self._expect_algebra(call, 1)
@@ -447,8 +454,8 @@ class Session:
         if name == "basis":
             deg = self._arg(call, 1, "deg")
             try:
-                d = A.group.degree([deg] if isinstance(deg, int) else deg)
-            except (TypeError, ValueError) as exc:  # GradingError among them
+                (d,) = self._degrees(A.group, [deg], "basis")
+            except GradingError as exc:
                 raise EvalError(f"basis: {exc}") from exc
             labels = [str(lbl) for lbl in A.component_basis(d)]
             return kt._report(

@@ -200,7 +200,9 @@ class _FiniteRegistry:
     def _shifts(self, info, P):
         """The shifts g, modulo the stabilizer, at which Hom(Q(g), P)_0
         and Hom(P, Q(g))_0 can both be nonzero: some s - g and some g - s'
-        lie in the support, for shifts s, s' of P."""
+        lie in the support, for shifts s, s' of P (0 alone for a trivial group)."""
+        if self.algebra.group.is_trivial():
+            return {self.algebra.group.zero}
         stab = info.stabilizer
         if self.support is None:
             return {stab.reduce(r) for r in stab.coset_representatives()}

@@ -30,11 +30,8 @@ the engine behind Krull-Schmidt decomposition:
   multiplies by S only.  On a commutative algebra J t = t J, and J is
   nilpotent when each of its basis vectors is, which k squarings show;
 * the centre: the commutator system is read from the table's integer
-  cells, without repeated rows, and eliminated mod a prime.  Over Q the
-  prime is a word-size one, each null vector is rebuilt by rational
-  reconstruction (Monagan, ISSAC 2004) and checked exactly, and as
-  reduction mod q only lowers the rank, a full set of vectors that pass
-  spans the centre; otherwise more primes are combined by CRT;
+  cells, without repeated rows, and eliminated in the field by
+  ``_kernel.nullspace``;
 * the semisimple quotient splits through its center (minimal polynomial
   factorization plus CRT idempotents), which also gives each simple
   block's size r over its centre field.  sympy only factors, with
@@ -190,18 +187,11 @@ class FDAlgebra:
         Row (i, k) of the system is ``(b_i b_j - b_j b_i)_k`` over j, read
         from the table's integer cells (over Q scaled by ``table.den``,
         which changes no null space); zero rows and repeats up to a
-        scalar are left out.  Over GF(p) the rows are eliminated mod p.
-        Over Q they are eliminated mod a word-size prime and each null
-        vector is rebuilt by rational reconstruction and checked exactly
-        against every row (``_centre_char0``).  The answer is complete:
-        reduction mod q only lowers the rank, so the nullity mod q is at
-        least dim Z, and that many independent vectors of Z span it."""
+        scalar are left out, and the rest are eliminated in the field."""
         d = self.dim
         char = self.field.char
         rows = _commutator_rows(self.table, d)
-        if char:
-            return _kernel.nullspace([_dense(r, d, char) for r in rows] or [[0] * d], char)
-        return _centre_char0(rows, d)
+        return _kernel.nullspace([_dense(r, d, char) for r in rows] or [[0] * d], char)
 
 
 def _commutator_rows(table, d):
@@ -240,81 +230,10 @@ def _commutator_rows(table, d):
 
 
 def _dense(row, d, m):
-    """A sparse row of ints as a dense row of length d, reduced mod m."""
+    """A sparse row of ints as a dense row of length d, reduced mod m unless m is 0."""
     out = [0] * d
     for col, v in row:
-        out[col] = v % m
-    return out
-
-
-def _centre_char0(rows, d):
-    """The rational null space of the integer ``rows`` of width d, one
-    vector per free column, from eliminations mod the primes of
-    _CENTRE_PRIMES.
-
-    Reduction mod q can only lower the rank, so the nullity k mod q is
-    at least the rational nullity.  The k null vectors mod q are the unit
-    vectors on its k free columns, completed on the pivot columns, so
-    they are independent; if each one is rebuilt by rational
-    reconstruction and lies exactly in the rational null space, they
-    span it.  Otherwise the next prime is tried.  The residues of primes
-    with the same pivot columns are combined by CRT, so that entries too
-    large for one prime still rebuild; a prime of higher rank, or of the
-    same rank with earlier pivots, starts the combination again, and one
-    of lower rank or later pivots is passed over."""
-    best = None
-    for q in _CENTRE_PRIMES:
-        red, pivots = _kernel.rref([_dense(r, d, q) for r in rows], q)
-        pivset = set(pivots)
-        null = []
-        for c in range(d):
-            if c not in pivset:
-                v = [0] * d
-                v[c] = 1
-                for t, pc in enumerate(pivots):
-                    v[pc] = -red[t][c] % q
-                null.append(v)
-        key = (-len(pivots), pivots)
-        if best is None or key < best:
-            best, M, residues = key, q, null
-        elif key > best:
-            continue
-        else:
-            # x = a mod M and b mod q: x = a + M ((b - a) / M mod q)
-            u = pow(M, -1, q)
-            residues = [
-                [a + M * ((b - a) * u % q) for a, b in zip(va, vb)]
-                for va, vb in zip(residues, null)
-            ]
-            M *= q
-        vecs = []
-        for v in residues:
-            x = _rebuild_null_vector(v, M, rows)
-            if x is None:
-                break
-            vecs.append(x)
-        else:
-            return vecs
-    raise SplitError(
-        "the centre did not rebuild over Q within the "
-        f"{len(_CENTRE_PRIMES)} primes of _CENTRE_PRIMES"
-    )
-
-
-def _rebuild_null_vector(v, M, rows):
-    """The rational vector with residues ``v`` mod M, if every entry
-    rebuilds and the vector lies exactly in the null space of ``rows``;
-    else None."""
-    out = []
-    for s in v:
-        x = _rat_recon(s, M)
-        if x is None:
-            return None
-        out.append(x)
-    w = dict(_kernel._cleared(out)[0])
-    for row in rows:
-        if sum(c * w.get(col, 0) for col, c in row):
-            return None
+        out[col] = v % m if m else v
     return out
 
 
@@ -750,12 +669,6 @@ _SUBSET_BUDGET = 4096
 # 3e^2 - 2e^3 steps of one idempotent lift; each squares the defect, so
 # 64 steps cover any nilpotency index below 2^64
 _NEWTON_STEPS = 64
-# word-size primes for the centre over Q, tried in turn; their product
-# bounds the entries the centre's rational reconstruction can rebuild
-_CENTRE_PRIMES = (
-    2**31 - 1, 2**31 - 19, 2**31 - 61, 2**31 - 69,
-    2**31 - 85, 2**31 - 99, 2**31 - 105, 2**31 - 151,
-)
 
 
 def _unit_vec(fd, i):

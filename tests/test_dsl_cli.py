@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -244,6 +245,35 @@ def test_bad_literal_is_a_user_error(tmp_path, capsys, script):
     }
     if script in whole:
         assert lines[0] == whole[script]
+
+
+@pytest.mark.parametrize(
+    "script,literal",
+    [
+        # each whole fraction equals a degree interned on its group before
+        ("basis(matrix(Q,[0,1]), deg=[2/2])", "2/2"),
+        ("A = matrix(Q,[0,1])\nbasis(A, deg=2/2)", "2/2"),
+        ("P = free(matrix(Q,[0,1]), [[2/2]])", "2/2"),
+        ("G = group(rank=1)\nA = matrix(Q, [[0],[2]], group=G)\nB = matrix(Q, [[4/2]], group=G)", "4/2"),
+        ("A = positive_part(matrix(Q,[0,1]))\nP = random_proj(A, [[0],[2/2]])", "2/2"),
+        ("A = matrix(Q,[0,1])\nP = proj(A, shifts=[[0],[2/2]], idem=[[0,0],[0,0]])", "2/2"),
+        ("A = matrix(Q,[0])\nB = poly(A, deg=[1])\nC = poly(A, deg=[2/2])", "2/2"),
+        ("A = matrix(Q,[0])\nB = poly(A, deg=[1,1])\nC = poly(A, deg=[1,3/3])", "3/3"),
+    ],
+)
+def test_fraction_degree_is_refused_whatever_was_interned(tmp_path, capsys, script, literal):
+    assert cli.main([str(_write(tmp_path, script + "\n"))]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and literal in line
+
+
+def test_demo_script_prints_its_golden_reports(capsys):
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    assert cli.main([str(perfbench / "demo.gk"), "--json"]) == 0
+    out, _err = capsys.readouterr()
+    assert out == (perfbench / "demo.golden.json").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize(

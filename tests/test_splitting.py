@@ -1333,7 +1333,7 @@ def test_centre_spans_the_dense_commutator_null_space(monkeypatch, field):
 
 def _m2_scaled(s):
     """M2(Q) on the basis s E_11, E_12, E_21, E_22.  Its centre is spanned
-    by the unit E_11 + E_22 = b_0 / s + b_3, an entry 1/s to rebuild."""
+    by the unit E_11 + E_22 = b_0 / s + b_3, which has the entry 1/s."""
     basis = [(0, 0, s), (0, 1, 1), (1, 0, 1), (1, 1, 1)]  # (row, column, scale)
     products = {}
     for i, (r1, c1, s1) in enumerate(basis):
@@ -1347,35 +1347,12 @@ def _m2_scaled(s):
     return FDAlgebra.from_products(QQ, products, unit)
 
 
-def test_centre_falls_through_a_prime_too_small_to_rebuild(monkeypatch):
-    fd = _m2_scaled(2)
-    want = fd.center_basis()
-    assert want == [fd.unit]
-    # mod 3 only 0 and +-1 rebuild, and 1/2 comes back as -1
-    monkeypatch.setattr(endos, "_CENTRE_PRIMES", (3,))
-    with pytest.raises(SplitError, match="_CENTRE_PRIMES"):
-        fd.center_basis()
-    monkeypatch.setattr(endos, "_CENTRE_PRIMES", (3, 2**31 - 1))
-    assert fd.center_basis() == want
-
-
-def test_centre_combines_primes_by_crt(monkeypatch):
-    # 1/300 needs a modulus above 2 * 300^2: 101 * 103 is too small,
-    # 101 * 103 * 107 is large enough
-    fd = _m2_scaled(300)
-    want = fd.center_basis()
-    assert want == [fd.unit]
-    monkeypatch.setattr(endos, "_CENTRE_PRIMES", (101, 103))
-    with pytest.raises(SplitError, match="_CENTRE_PRIMES"):
-        fd.center_basis()
-    monkeypatch.setattr(endos, "_CENTRE_PRIMES", (101, 103, 107))
-    assert fd.center_basis() == want
-
-
-def test_centre_primes_are_named_when_exhausted(monkeypatch):
-    monkeypatch.setattr(endos, "_CENTRE_PRIMES", ())
-    with pytest.raises(SplitError, match="the 0 primes of _CENTRE_PRIMES"):
-        _m2_scaled(2).center_basis()
+@pytest.mark.parametrize("s", [2, 300])
+def test_rational_centre_keeps_its_fractions(s):
+    fd = _m2_scaled(s)
+    centre = fd.center_basis()
+    assert centre == [fd.unit]
+    assert centre[0][0] == Fraction(1, s)
 
 
 def _rational_block_corpus():
