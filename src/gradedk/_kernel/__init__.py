@@ -1,13 +1,18 @@
 """Exact linear-algebra kernel over Q and prime fields.
 
 Elimination (``mat_mul``, ``rref``, ``rank``, ``solve``, ``nullspace``)
-lives in the ``pure`` submodule and is re-exported here.
+lives in the ``pure`` submodule and is re-exported here.  Over Q it runs
+on int rows, fraction-free, and its callers read Fractions; a caller
+that already holds int rows reads the reduced int rows and their pivots
+(``rref_int``) and multiplies them as ints (``int_mul``).
 ``EchelonBasis`` is the one span of the package: grown one vector at a
 time, it answers membership, residues and coordinates in the vectors
 that grew it.  ``Bilinear`` holds sparse structure constants, reads
 the matrix of left multiplication and its trace from them, and composes
 tables from tables: placed at block offsets (``placed``) or as
-Kronecker products (``kron``), read on their int rows.
+Kronecker products (``kron``), read on their int rows; the matrix of
+left multiplication is read the same way, as int rows under one
+denominator (``left_int``).
 Elimination stays a submodule so that the calls ``solve``, ``rank`` and
 ``nullspace`` make to ``rref`` internally are not calls through this
 package's names, which is what ``perfbench/tracer.py`` counts.
@@ -16,7 +21,7 @@ package's names, which is what ``perfbench/tracer.py`` counts.
 from fractions import Fraction
 from math import gcd
 
-from .pure import mat_mul, nullspace, rank, rref, solve
+from .pure import int_mul, mat_mul, nullspace, rank, rref, rref_int, solve
 
 
 def identity(n, char):
@@ -327,10 +332,12 @@ class Bilinear:
             return [Fraction(v) if v else _QZERO for v in acc]
         return [Fraction(v, den) if v else _QZERO for v in acc]
 
-    def left(self, x, n):
+    def left_int(self, x, n):
         """The dense ``out_dim`` x n matrix of y -> B(x, y), for y in a
-        space of dimension n: column b is B(x, e_b).  x's denominators are
-        cleared once and the entries summed as ints."""
+        space of dimension n, as int rows and one denominator: column b
+        is B(x, e_b), and the matrix is rows / den.  x's denominators are
+        cleared once and the entries summed as ints.  Modulo m the rows
+        are reduced and den is 1."""
         m = self.modulus
         if m:
             xs = [(i, a) for i, a in enumerate(x) if a]
@@ -347,8 +354,15 @@ class Bilinear:
                     for k, c in cell:
                         acc[k][j] += a * c
         if m:
-            return [[v % m for v in r] for r in acc]
-        return [[Fraction(v, den) if v else _QZERO for v in r] for r in acc]
+            return [[v % m for v in r] for r in acc], 1
+        return acc, den
+
+    def left(self, x, n):
+        """The matrix of ``left_int`` over the field."""
+        rows, den = self.left_int(x, n)
+        if self.modulus:
+            return rows
+        return [[Fraction(v, den) if v else _QZERO for v in r] for r in rows]
 
     def left_trace(self, x):
         """The trace of y -> B(x, y), for y in the space of the outputs:

@@ -157,23 +157,25 @@ def layer_dims_additive(P: ProjectivePresentation, window=None, margin: int = 2)
 
 def _image_ranks(map_obj: GradedMap, h: Degree, row_sets):
     """For each set of ambient rows, the rank of the map at degree h
-    restricted to the source basis columns supported in those rows."""
+    restricted to the source basis columns supported in those rows, read
+    from their images."""
     if not row_sets:
         return []
     src_sp = map_obj.source.space(h)
     if not src_sp.dim:
         return [0] * len(row_sets)
     char = map_obj.target.algebra.field.char
-    full = map_obj.component_matrix(h)
+    images, _den = map_obj.image_columns(h)
+    basis, _den = src_sp.basis_rows()
     blocks = list(enumerate(zip(src_sp.offsets, src_sp.block_dims)))
     supports = [
-        {b for b, (off, n) in blocks if any(col[off + r] for r in range(n))}
-        for col in src_sp.basis_columns
+        {b for b, (off, n) in blocks if any(basis[off + r][c] for r in range(n))}
+        for c in range(src_sp.dim)
     ]
     ranks = []
     for rows in row_sets:
         keep = [c for c, support in enumerate(supports) if support <= rows]
-        cols = [[row[c] for c in keep] for row in full]
+        cols = [[row[c] for c in keep] for row in images]
         ranks.append(_kernel.rank(cols, char) if cols and cols[0] else 0)
     return ranks
 

@@ -19,6 +19,12 @@ idempotent check, random presentations, the sections and psi of
 ``swan``, hom spaces and End(P)_0 (``endos``) and the isomorphism test
 of ``decompose`` all multiply there.
 
+A component is held as int rows under one denominator (over GF(p),
+rows mod p): the idempotent's component matrix, its one fraction-free
+elimination and the images of a map are ints, and a map's component
+matrix builds one field entry per coordinate it returns
+(``ComponentSpace``, ``GradedMap.image_columns``).
+
 A presentation does not change once built, so what is derived from it
 is computed once and kept in its ``_derived`` dict: the presentations
 restriction T and induction S (``swan``), the induced slices of its
@@ -38,6 +44,8 @@ or one of them is empty.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .. import _kernel
@@ -53,6 +61,8 @@ class SplitError(RuntimeError):
     """Idempotent splitting failed internal verification (a bug or an
     input outside the supported family), never a silent wrong answer."""
 
+
+_QZERO = Fraction(0)
 
 # Random entries of test modules (``random_presentation`` and the seeded
 # sections of ``swan``) draw each coordinate from -RANDOM_COORD..RANDOM_COORD.
@@ -169,15 +179,25 @@ class ComponentSpace:
     image of the idempotent's component matrix E, whose basis is the
     columns of E at the pivots of its reduced echelon form.
 
+    E is held as int rows under one denominator (over GF(p) reduced mod
+    p, with denominator 1), and its reduced echelon form R as the int
+    rows of ``_kernel.rref_int``, one per pivot, row i with pivot value
+    d_i.  That one elimination gives the pivots, the basis and the
+    coordinates: E = C R_f for C the basis columns and R_f the rows of R
+    divided by their pivots, and E^2 = E gives R_f C = 1, so a vector v
+    of the image has coordinates R_f v (``express``).  A vector v lies in
+    the image exactly when E v = v (``holds``), read on ints.  Field
+    entries are built only for the coordinates that ``express`` returns.
+
     The dimension is read when the space is built.  An idempotent matrix
     over a field of characteristic 0 has rank equal to its trace, so over
     Q ``dim`` is tr E = sum_i tr(L_{e_ii} on A_{s_i + h}), read from the
     diagonal pair tensors, and E is neither built nor eliminated; a trace
     that is not an integer in [0, ambient_dim] shows an entry matrix that
     is not idempotent and raises PresentationError.  Over GF(p) ``dim``
-    is the number of pivots of E mod p.  E, its pivots and the basis are
-    built on first read, once each.  The space keeps the algebra and the
-    entry matrix, not the presentation, which holds the space."""
+    is the number of pivots of E mod p.  E and R are built on first
+    read, once each.  The space keeps the algebra and the entry matrix,
+    not the presentation, which holds the space."""
 
     __slots__ = (
         "degree",
@@ -188,10 +208,10 @@ class ComponentSpace:
         "dim",
         "_algebra",
         "_entries",
-        "_matrix",
+        "_rows",
+        "_den",
+        "_reduced",
         "_pivots",
-        "_basis",
-        "_span",
     )
 
     def __init__(self, pres: "ProjectivePresentation", h: Degree):
@@ -207,7 +227,7 @@ class ComponentSpace:
             self.offsets.append(off)
             off += d
         self.ambient_dim = off
-        self._matrix = self._pivots = self._basis = self._span = None
+        self._rows = self._reduced = self._pivots = None
         if A.field.char:
             self.dim = len(self.pivots)
         else:
@@ -229,57 +249,78 @@ class ComponentSpace:
             )
         return int(trace)
 
-    @property
-    def matrix(self):
-        """E: the entry matrix acting on the stacked components."""
-        if self._matrix is None:
-            self._matrix = _entries_component_matrix(
+    def _int_matrix(self):
+        """E as (int rows, denominator)."""
+        if self._rows is None:
+            self._rows, self._den = _entries_component_matrix(
                 self._algebra, self._entries,
                 self.block_degrees, self.block_dims, self.block_degrees, self.block_dims,
             )
-        return self._matrix
+        return self._rows, self._den
 
     @property
     def pivots(self):
         """The pivot columns of E's reduced echelon form; over Q their
         number must be the trace read at construction."""
         if self._pivots is None:
-            pivots = []
+            char = self._algebra.field.char
+            reduced, pivots = [], []
             if self.ambient_dim:
-                pivots = _kernel.rref(self.matrix, self._algebra.field.char)[1]
-            if self._algebra.field.char == 0 and len(pivots) != self.dim:
+                reduced, pivots = _kernel.rref_int(self._int_matrix()[0], char)
+            if char == 0 and len(pivots) != self.dim:
                 raise PresentationError(
                     f"component rank {len(pivots)} at degree {self.degree} is not its "
                     f"trace {self.dim}: the matrix is not idempotent"
                 )
-            self._pivots = pivots
+            self._reduced, self._pivots = reduced, pivots
         return self._pivots
 
-    @property
-    def basis_columns(self):
-        """The image basis: the columns of E at its pivots."""
-        if self._basis is None:
-            E = self.matrix
-            self._basis = [[row[c] for row in E] for c in self.pivots]
-        return self._basis
+    def basis_rows(self):
+        """The image basis as an int matrix under E's denominator: row j
+        holds entry j of every basis column, the columns of E at its
+        pivots."""
+        pivots = self.pivots
+        rows, den = self._int_matrix()
+        return [[row[c] for c in pivots] for row in rows], den
 
-    def express(self, vec):
-        """Coordinates of an ambient vector in the image basis (must lie in)."""
-        if self._span is None:
-            self._span = _kernel.EchelonBasis(self.basis_columns, self._algebra.field.char)
-        sol = self._span.coords(vec)
-        if sol is None:
-            raise PresentationError("vector does not lie in the component")
-        return sol
+    def holds(self, cols):
+        """Whether every column of the int matrix ``cols``, over the
+        stacked components under any one denominator, lies in the space:
+        E v = v, read on ints as (rows of E) v = (denominator of E) v.
+        Mod p ``cols`` is reduced."""
+        rows, den = self._int_matrix()
+        if not rows:
+            return True
+        prod = _kernel.int_mul(rows, cols, self._algebra.field.char)
+        return prod == (cols if den == 1 else [[den * x for x in r] for r in cols])
+
+    def express(self, cols, den):
+        """Coordinates in the image basis of the columns of cols / den,
+        for an int matrix ``cols`` whose columns lie in the space
+        (``holds``): column c of the answer is R_f v for v column c, one
+        field entry each."""
+        pivots = self.pivots
+        reduced = self._reduced
+        if not reduced:
+            return []
+        coords = _kernel.int_mul(reduced, cols, self._algebra.field.char)
+        if self._algebra.field.char:
+            return coords
+        return [
+            [Fraction(x, d) if x else _QZERO for x in row]
+            for row, d in zip(coords, (r[c] * den for r, c in zip(reduced, pivots)))
+        ]
 
 
 def _entries_component_matrix(tgt_alg, entries, src_degrees, src_dims, tgt_degrees, tgt_dims):
     """Matrix (stacked tgt components) x (stacked src components) of the
-    entry matrix acting by left multiplication; src vectors are already
-    coerced into tgt_alg coordinates.  Block (i, j) is the matrix of left
-    multiplication by entry (i, j), read from the pair tensor."""
-    F = tgt_alg.field
-    mat = [[F.zero] * sum(src_dims) for _ in range(sum(tgt_dims))]
+    entry matrix acting by left multiplication, as (int rows,
+    denominator); src vectors are already coerced into tgt_alg
+    coordinates.  Block (i, j) is the matrix of left multiplication by
+    entry (i, j), read from the pair tensor as int rows under its own
+    denominator and scaled to the least common multiple of them all."""
+    blocks = []
+    den = 1
     col = 0
     for j, (dj, nj) in enumerate(zip(src_degrees, src_dims)):
         if nj:
@@ -289,12 +330,17 @@ def _entries_component_matrix(tgt_alg, entries, src_degrees, src_dims, tgt_degre
                 if ent is not None:
                     if ent.degree + dj != tgt_degrees[i]:  # pragma: no cover
                         raise PresentationError("entry degree bookkeeping failed")
-                    block = tgt_alg.pair_tensor(ent.degree, dj).left(ent.coords, nj)
-                    for r in range(ni):
-                        mat[base + r][col : col + nj] = block[r]
+                    block, bden = tgt_alg.pair_tensor(ent.degree, dj).left_int(ent.coords, nj)
+                    blocks.append((base, col, nj, block, bden))
+                    den = den // gcd(den, bden) * bden
                 base += ni
         col += nj
-    return mat
+    mat = [[0] * col for _ in range(sum(tgt_dims))]
+    for base, c0, nj, block, bden in blocks:
+        s = den // bden
+        for r, brow in enumerate(block):
+            mat[base + r][c0 : c0 + nj] = brow if s == 1 else [s * x for x in brow]
+    return mat, den
 
 
 class ProjectivePresentation:
@@ -505,47 +551,48 @@ class GradedMap:
                     )
 
     # -- per-degree realization ----------------------------------------------
-    def component_matrix(self, h: Degree):
-        """The field matrix of P_h -> Q_h in the chosen component bases."""
+    def image_columns(self, h: Degree):
+        """The images of the source basis at degree h, as (int matrix,
+        denominator) over the target's stacked components, one column per
+        source basis vector; each column is checked to lie in the target
+        component."""
         src_sp = self.source.space(h)
         tgt_sp = self.target.space(h)
         A = self.target.algebra
-        F = A.field
+        char = A.field.char
         # source ambient basis vectors in target-algebra coordinates: a
         # block is copied where the two components agree, and otherwise one
         # of them is empty, so the block is zero-filled or dropped
         src_degrees = src_sp.block_degrees
         coerced_dims = [A.component_dim(d) for d in src_degrees]
-        # ambient action matrix of the entries on coerced source coordinates
-        act = _entries_component_matrix(
+        act, act_den = _entries_component_matrix(
             A, self.entries, src_degrees, coerced_dims, tgt_sp.block_degrees, tgt_sp.block_dims
         )
-        # coerced source basis vectors as the columns of one matrix
-        coerced = [[] for _ in range(sum(coerced_dims))]
-        for basis_col in src_sp.basis_columns:
-            vec = []
-            off = 0
-            for n_src, n in zip(src_sp.block_dims, coerced_dims):
-                chunk = basis_col[off : off + n_src]
-                off += n_src
-                vec.extend(chunk if n_src == n else [F.zero] * n)
-            for row, x in zip(coerced, vec):
-                row.append(x)
+        basis, basis_den = src_sp.basis_rows()
+        coerced = []
+        for off, n_src, n in zip(src_sp.offsets, src_sp.block_dims, coerced_dims):
+            if n_src == n:
+                coerced.extend(basis[off : off + n])
+            else:
+                coerced.extend([0] * src_sp.dim for _ in range(n))
         if coerced:
-            images = _kernel.mat_mul(act, coerced, F.char)
+            images = _kernel.int_mul(act, coerced, char)
         else:
-            images = [[F.zero] * src_sp.dim for _ in range(tgt_sp.ambient_dim)]
-        cols = [tgt_sp.express([row[c] for row in images]) for c in range(src_sp.dim)]
-        # assemble (dim target) x (dim source)
-        out = [[F.zero] * src_sp.dim for _ in range(tgt_sp.dim)]
-        for c, col in enumerate(cols):
-            for r, x in enumerate(col):
-                out[r][c] = x
-        return out
+            images = [[0] * src_sp.dim for _ in range(tgt_sp.ambient_dim)]
+        if not tgt_sp.holds(images):
+            raise PresentationError("vector does not lie in the component")
+        return images, act_den * basis_den
+
+    def component_matrix(self, h: Degree):
+        """The field matrix of P_h -> Q_h in the chosen component bases."""
+        images, den = self.image_columns(h)
+        return self.target.space(h).express(images, den)
 
     def is_iso_on(self, window) -> bool:
         """Bijective at every degree of the window.  Where the source is
-        zero the target dimension decides, and no matrix is built."""
+        zero the target dimension decides, and no image is built; elsewhere
+        the rank is read from the images, since coordinates in the target
+        basis are an injective linear map."""
         char = self.target.algebra.field.char
         for h in window:
             n = self.source.dim(h)
@@ -553,10 +600,10 @@ class GradedMap:
                 if self.target.dim(h):
                     return False
                 continue
-            m = self.component_matrix(h)
+            images, _den = self.image_columns(h)
             if n != self.target.dim(h):
                 return False
-            if _kernel.rank(m, char) != n:
+            if _kernel.rank(images, char) != n:
                 return False
         return True
 

@@ -16,6 +16,13 @@ by a Bareiss determinant, a regrading's components from every degree of the pare
 support box, and a pair tensor label by label, each product of two
 basis labels recursed down to the base constructors' ``_mul_labels``.
 
+Over Q the package eliminates fraction-free on int rows, and a graded
+map's component matrix is read from int images.  ``fraction_rref`` is
+the Fraction Gauss–Jordan it replaced, and ``fraction_component_matrix``
+the component matrix in field entries: the source basis from the
+pivots of that elimination and coordinates from an ``EchelonBasis`` on
+the target's basis columns.
+
 The package counts a module's summands by the composition pairing
 against one class table per algebra; ``SplitAndMatch`` is the registry
 that counting replaced: it splits End(P)_0 into primitive idempotents
@@ -30,6 +37,7 @@ from gradedk import _kernel
 from gradedk import algebra as alg
 from gradedk.gmod.decompose import indec_iso, module_support_degrees
 from gradedk.gmod.endos import split_projective
+from gradedk.gmod.presentations import PresentationError
 from gradedk.grading import Subgroup
 
 
@@ -310,3 +318,115 @@ class SplitAndMatch:
             key = (blk, self.classes[blk][1].reduce(g))
             out[key] = out.get(key, 0) + m
         return [(self.classes[blk][0].shift(g), m) for (blk, g), m in out.items()]
+
+
+def fraction_rref(a):
+    """Reduced row echelon form over Q by Gauss–Jordan on Fractions:
+    top-down, first nonzero entry per column, unit pivots."""
+    rows = [list(r) for r in a]
+    n = len(rows)
+    m = len(rows[0]) if n else 0
+    pivots = []
+    r = 0
+    for c in range(m):
+        pr = -1
+        for i in range(r, n):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr < 0:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rr = rows[r]
+        for j in range(c, m):
+            if rr[j]:
+                rr[j] = rr[j] * inv
+        for i in range(n):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                ri = rows[i]
+                for j in range(c, m):
+                    if rr[j]:
+                        ri[j] = ri[j] - f * rr[j]
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    return rows, pivots
+
+
+def _field_rref(a, char):
+    return _kernel.rref(a, char) if char else fraction_rref(a)
+
+
+def field_component_matrix(A, entries, src_degrees, src_dims, tgt_degrees, tgt_dims):
+    """The entry matrix acting on stacked components, in field entries:
+    block (i, j) is ``Bilinear.left`` of entry (i, j)."""
+    F = A.field
+    mat = [[F.zero] * sum(src_dims) for _ in range(sum(tgt_dims))]
+    col = 0
+    for j, (dj, nj) in enumerate(zip(src_degrees, src_dims)):
+        if nj:
+            base = 0
+            for i, ni in enumerate(tgt_dims):
+                ent = entries[i][j]
+                if ent is not None:
+                    block = A.pair_tensor(ent.degree, dj).left(ent.coords, nj)
+                    for r in range(ni):
+                        mat[base + r][col : col + nj] = block[r]
+                base += ni
+        col += nj
+    return mat
+
+
+def field_basis_columns(space):
+    """A component's basis in field entries: the columns of E at the
+    pivots of ``fraction_rref`` (mod p, of the kernel's ``rref``)."""
+    A = space._algebra
+    E = field_component_matrix(
+        A, space._entries, space.block_degrees, space.block_dims,
+        space.block_degrees, space.block_dims,
+    )
+    pivots = _field_rref(E, A.field.char)[1] if E else []
+    return [[row[c] for row in E] for c in pivots]
+
+
+def fraction_component_matrix(gmap, h):
+    """The field matrix of a ``GradedMap`` at degree h: the images of the
+    source basis columns by ``_kernel.mat_mul``, each expressed in the
+    target basis by ``EchelonBasis.coords``; PresentationError where an
+    image leaves the target component."""
+    src_sp = gmap.source.space(h)
+    tgt_sp = gmap.target.space(h)
+    A = gmap.target.algebra
+    F = A.field
+    src_basis = field_basis_columns(src_sp)
+    coerced_dims = [A.component_dim(d) for d in src_sp.block_degrees]
+    act = field_component_matrix(
+        A, gmap.entries, src_sp.block_degrees, coerced_dims,
+        tgt_sp.block_degrees, tgt_sp.block_dims,
+    )
+    coerced = [[] for _ in range(sum(coerced_dims))]
+    for basis_col in src_basis:
+        vec = []
+        off = 0
+        for n_src, n in zip(src_sp.block_dims, coerced_dims):
+            chunk = basis_col[off : off + n_src]
+            off += n_src
+            vec.extend(chunk if n_src == n else [F.zero] * n)
+        for row, x in zip(coerced, vec):
+            row.append(x)
+    if coerced:
+        images = _kernel.mat_mul(act, coerced, F.char)
+    else:
+        images = [[F.zero] * len(src_basis) for _ in range(tgt_sp.ambient_dim)]
+    span = _kernel.EchelonBasis(field_basis_columns(tgt_sp), F.char)
+    out = [[F.zero] * len(src_basis) for _ in range(span.dim)]
+    for c in range(len(src_basis)):
+        col = span.coords([row[c] for row in images])
+        if col is None:
+            raise PresentationError("vector does not lie in the component")
+        for r, x in enumerate(col):
+            out[r][c] = x
+    return out

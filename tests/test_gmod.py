@@ -37,6 +37,12 @@ from gradedk.gmod.endos import split_projective
 from gradedk.gmod.swan import VerificationError
 
 from entry_products import entries_eq, entries_matmul, hom_entries
+from reference_algorithms import (
+    bareiss_rank,
+    field_basis_columns,
+    field_component_matrix,
+    fraction_component_matrix,
+)
 
 # the package exports the function decompose under the submodule's name
 dec = importlib.import_module("gradedk.gmod.decompose")
@@ -478,17 +484,104 @@ def test_maps_skip_degrees_where_the_source_is_zero(monkeypatch, M201x):
     assert want == [True, True, False, False]
     rows = [{0}, {0, 1, 2}]
     ranks = [_image_ranks(m, h, rows) for m in maps for h in w]
+    # both read the images of the source basis, never where it is zero
     built = []
-    real = GradedMap.component_matrix
+    real = GradedMap.image_columns
 
     def counting(self, h):
         built.append(self.source.dim(h))
         return real(self, h)
 
-    monkeypatch.setattr(GradedMap, "component_matrix", counting)
+    monkeypatch.setattr(GradedMap, "image_columns", counting)
     assert [m.is_iso_on(w) for m in maps] == want
     assert [_image_ranks(m, h, rows) for m in maps for h in w] == ranks
     assert built and 0 not in built
+
+
+def test_a_map_that_leaves_its_target_is_refused(M201):
+    # the identity entry from A(0) into a proper summand eA: the image of
+    # A_0 is not inside eA_0, and every reading of the map refuses it
+    from gradedk.filtration import _image_ranks
+
+    A = M201
+    z = A.group.zero
+    e = A.basis_element(z, 0)
+    eA = ProjectivePresentation(A, [z], [[e]], check=True)
+    free = regular_module(A)
+    f = GradedMap(free, eA, [[A.one()]])
+    assert 0 < eA.dim(z) < free.dim(z)
+    with pytest.raises(PresentationError, match="does not lie in the component"):
+        f.component_matrix(z)
+    with pytest.raises(PresentationError, match="does not lie in the component"):
+        f.is_iso_on([z])
+    with pytest.raises(PresentationError, match="does not lie in the component"):
+        _image_ranks(f, z, [{0}])
+
+
+def _component_corpus():
+    """The swan corpus algebras at three module seeds each, the demo
+    script's ``random_proj(positive_part(A), shifts=[[0],[1],[2]],
+    seed=3)``, and positive_part(M5) over F7."""
+    M5 = alg.matrix_algebra(QQ, [0, 1, 2, 2, 3])
+    B = alg.group_algebra(QQ, GradingGroup(0, (2,)))
+    corpus = [
+        ("positive_part(M5)", M5.positive_part(), [[0], [1], [2]]),
+        ("M2(0,1)[x]", alg.polynomial_extension(alg.matrix_algebra(QQ, [0, 1]), [1, 0]),
+         [[0, 0], [1, 1], [0, 1]]),
+        ("Q[x]", alg.polynomial_extension(alg.matrix_algebra(QQ, [0]), [1]), [[0], [-1], [2]]),
+        ("B[x]", alg.polynomial_extension(B, [1, 1]), [[0, 0], [1, 1], [2, 0]]),
+    ]
+    out = [
+        pytest.param(A, shifts, seed, id=f"{name}-{seed}")
+        for name, A, shifts in corpus
+        for seed in (0, 1, 2)
+    ]
+    out.append(pytest.param(M5.positive_part(), [[0], [1], [2]], 3, id="demo random_proj"))
+    M5_f7 = alg.matrix_algebra(GF(7), [0, 1, 2, 2, 3]).positive_part()
+    out.append(pytest.param(M5_f7, [[0], [1], [2]], 3, id="positive_part(M5) over F7"))
+    return out
+
+
+@pytest.mark.parametrize("A,shifts,seed", _component_corpus())
+def test_component_matrices_equal_the_field_reference(A, shifts, seed):
+    # component matrices read from int images equal the field-entry
+    # reference entry for entry, types included; is_iso_on and
+    # _image_ranks give the ranks of the reference matrices
+    from gradedk.filtration import _image_ranks
+
+    char = A.field.char
+    P = random_presentation(A, shifts, random.Random(seed))
+    w = default_window(A, [P], 2)
+    maps = [
+        nu(functor_T(P), A),
+        psi(P, random.Random(seed)),
+        section(P, random.Random(seed + 1)),
+        restriction_map(P),
+    ]
+    row_sets = [set(range(k)) for k in range(1, P.rank + 1)]
+    typed = lambda m: [[(type(x), x) for x in row] for row in m]  # noqa: E731
+    for m in maps:
+        iso = True
+        for h in w:
+            want = fraction_component_matrix(m, h)
+            assert typed(m.component_matrix(h)) == typed(want)
+            n = m.source.dim(h)
+            iso = iso and n == m.target.dim(h) and (not n or bareiss_rank(want, char) == n)
+            src_sp = m.source.space(h)
+            supports = [
+                {b for b, (off, k) in enumerate(zip(src_sp.offsets, src_sp.block_dims))
+                 if any(col[off : off + k])}
+                for col in field_basis_columns(src_sp)
+            ]
+            ranks = [
+                bareiss_rank(
+                    [[row[c] for c, sup in enumerate(supports) if sup <= rows] for row in want],
+                    char,
+                )
+                for rows in row_sets
+            ]
+            assert _image_ranks(m, h, row_sets) == ranks
+        assert m.is_iso_on(w) == iso
 
 
 # -- matching by split block against a pairwise oracle ---------------------------
@@ -660,7 +753,12 @@ def test_component_dimension_is_the_rank_of_the_component_matrix(monkeypatch, A,
     for X, row in zip(fresh, dims):
         for h, d in zip(window, row):
             space = X.space(h)
-            assert d == kern.rank(space.matrix, A.field.char) == len(space.basis_columns)
+            E = field_component_matrix(
+                A, X.entries, space.block_degrees, space.block_dims,
+                space.block_degrees, space.block_dims,
+            )
+            assert d == bareiss_rank(E, A.field.char) == len(field_basis_columns(space))
+            assert d == len(space.pivots)
 
 
 def test_component_trace_refuses_a_non_idempotent():
@@ -679,7 +777,7 @@ def test_component_trace_refuses_a_non_idempotent():
             X.dim(z)
     X, z = scaled_unit(6, Fraction(1, 2))
     with pytest.raises(PresentationError, match="not idempotent"):
-        X.space(z).basis_columns
+        X.space(z).pivots
 
 
 def _class_memo_corpus():

@@ -1,5 +1,6 @@
 """Exact linear algebra kernel: elimination, coordinates and structure constants."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,10 +14,11 @@ from gradedk._kernel import (
     nullspace,
     rank,
     rref,
+    rref_int,
     solve,
 )
 
-from reference_algorithms import bareiss_rank
+from reference_algorithms import bareiss_rank, fraction_rref
 
 CHARS = [0, 2, 5, 10007]
 
@@ -484,3 +486,59 @@ def test_rref_idempotent_property(rows):
 def test_rank_bounded_by_dims_mod5(rows):
     r = rank(rows, 5)
     assert 0 <= r <= min(len(rows), 3)
+
+
+# denominators and numerators past 2^64, beside small ones
+_BIG = 2**64 + 13
+
+
+@st.composite
+def _rational_matrices(draw):
+    """Fraction matrices with zero rows, zero columns and repeated rows
+    (copies and multiples of earlier rows), some entries past 2^64."""
+    n = draw(st.integers(0, 5))
+    m = draw(st.integers(0, 5))
+    num = st.integers(-9, 9) | st.sampled_from([_BIG, -_BIG, 2**70 + 1])
+    den = st.integers(1, 6) | st.sampled_from([_BIG, 2**65 + 1, 3**45])
+    entry = st.builds(Fraction, num, den)
+    zero_cols = draw(st.sets(st.integers(0, max(m - 1, 0))))
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["new", "new", "zero", "copy"]))
+        if kind == "zero" or (kind == "copy" and not rows):
+            row = [Fraction(0)] * m
+        elif kind == "copy":
+            scale = draw(entry.filter(bool))
+            row = [scale * x for x in draw(st.sampled_from(rows))]
+        else:
+            row = draw(st.lists(entry, min_size=m, max_size=m))
+        rows.append([Fraction(0) if j in zero_cols else x for j, x in enumerate(row)])
+    return rows
+
+
+@given(_rational_matrices())
+@settings(max_examples=150, deadline=None)
+def test_fraction_free_rref_is_the_fraction_reference(a):
+    # the int elimination gives the Fraction Gauss-Jordan's rows and
+    # pivots, and its int rows are those rows scaled to content 1 with a
+    # positive pivot
+    red, pivots = rref(a, 0)
+    want_red, want_pivots = fraction_rref(a)
+    assert pivots == want_pivots
+    assert red == want_red
+    assert all(type(x) is Fraction for row in red for x in row)
+    assert rank(a, 0) == len(pivots)
+    cleared = [[int(x * den) for x in row] for row, den in (
+        (row, math.lcm(*(x.denominator for x in row)) if row else 1) for row in a
+    )]
+    rows, int_pivots = rref_int(cleared, 0)
+    assert int_pivots == pivots
+    for row, c, want in zip(rows, pivots, want_red):
+        assert row[c] > 0 and math.gcd(*row) == 1
+        assert [Fraction(x, row[c]) for x in row] == want
+
+
+def test_rref_of_empty_and_zero_width_matrices():
+    for a in ([], [[]], [[], []], [[Fraction(0)] * 3] * 2):
+        assert rref(a, 0) == fraction_rref(a)
+        assert rank(a, 0) == 0
