@@ -1,7 +1,7 @@
 """Exact dense elimination over Q and prime fields.
 
 Matrices are lists of row lists.  Over GF(p) (``char == p``, p prime)
-entries are plain ints in ``[0, p)``.  Over Q (``char == 0``) a caller
+entries are ints, answers in ``[0, p)``.  Over Q (``char == 0``) a caller
 passes ``fractions.Fraction`` or int entries and reads Fractions back,
 but the one elimination runs on int rows: each row's denominators are
 cleared, each step is a cross-multiplication and each row's content is
@@ -76,7 +76,7 @@ def _cleared(row):
 
 
 def _rref_modp(a, p):
-    """Reduced row echelon form mod p: every row, unit pivots."""
+    """Reduced row echelon form mod p: every row, unit pivots, entries in [0, p)."""
     rows = [list(r) for r in a]
     n = len(rows)
     m = len(rows[0]) if n else 0
@@ -92,7 +92,7 @@ def _rref_modp(a, p):
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = pow(rows[r][c], p - 2, p)
-        rr = rows[r]
+        rr = rows[r] = [0] * c + rows[r][c:]  # left of its pivot a row is 0 mod p
         for j in range(c, m):
             rr[j] = (rr[j] * inv) % p
         for i in range(n):
@@ -105,7 +105,7 @@ def _rref_modp(a, p):
         r += 1
         if r == n:
             break
-    return rows, pivots
+    return rows[:r] + [[0] * m for _ in rows[r:]], pivots  # so is each row below
 
 
 def rref_int(a, char):

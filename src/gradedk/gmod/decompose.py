@@ -24,14 +24,15 @@ and lambda a functional on End(Q)_0 that is zero on J and nonzero at e,
 the multiplicity of Q(g) in P is rank [lambda(v u)] / dim D, for u over
 a basis of Hom(Q(g), P)_0 and v over one of Hom(P, Q(g))_0: a composite
 through a summand not isomorphic to Q(g) lies in J, and (a, b) ->
-lambda(ab) is nondegenerate on D.  A seeded class reads lambda as the
-coordinate of e, with D = F; a split class reads it from a coordinate of
-the split's radical quotient, and dim D from the block sizes.  Shifts
-are tried where both Hom spaces can be nonzero, modulo the stabilizer
-{g : Q(g) = Q}, which the same pairing decides.  A free module is read
-off the table's count of A(0); every other count must pass the
-dimension identity (sum of m dim Q(g)_h = dim P_h at each support
-degree h) or raises SplitError.
+lambda(ab) is nondegenerate on D.  No hom space is built: the rank is
+read from P's own component at -g against mu(x) = lambda(e x e)
+(``_rank``).  A seeded class reads lambda as the coordinate of e, with
+D = F; a split class reads it from a coordinate of the split's radical
+quotient, and dim D from the block sizes.  Shifts are tried where both
+Hom spaces can be nonzero, modulo the stabilizer {g : Q(g) = Q}, which
+the same pairing decides.  A free module is read off the table's count
+of A(0); every other count must pass the dimension identity (sum of m
+dim Q(g)_h = dim P_h at each support degree h) or raises SplitError.
 
 An infinite-support algebra with an N-supported leading coordinate
 (:class:`_Induction`) counts each slice of P against the zero part's
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import lcm
 
 from .. import _kernel
 from ..algebra import GradedAlgebra, GroupAlgebraA, MatrixAlgebra
@@ -127,13 +129,14 @@ class _ClassInfo:
     zero, its stabilizer {g : Q(g) = Q} and a registration-order-independent
     signature that orders K0 bases.  A class of a table also keeps what
     its pairing reads: ``weights``, lambda as a vector on the coordinates
-    of A_0 = End(A)_0, and ``division_dim``, dim D."""
+    of A_0 = End(A)_0, ``division_dim``, dim D, and ``_mu``, (weights, mu) of ``_rank``."""
 
     _rep: object  # a presentation, or a function building it on first read
     stabilizer: Subgroup
     signature: tuple
     weights: list = None
     division_dim: int = 1
+    _mu: tuple = None
 
     @property
     def rep(self) -> ProjectivePresentation:
@@ -173,19 +176,16 @@ class _FiniteRegistry:
             table.regular[key] = table.regular.get(key, 0) + 1
         return table
 
-    def match(self, X, taken, weights=None, division_dim=1) -> tuple:
+    def match(self, X, taken, weights, division_dim) -> tuple:
         """(block id, shift) with X, an indecomposable, isomorphic to
         rep(shift): the first class that pairs nonzero with X at a shift.
         ``taken`` holds keys known not to be X's, which are skipped.
         When nothing matches, X starts a class at shift 0 with the
-        functional ``weights`` and dim D ``division_dim`` of its block;
-        without ``weights`` the call is a lookup, and a miss raises."""
+        functional ``weights`` and dim D ``division_dim`` of its block."""
         for blk, info in enumerate(self.classes):
             for g in self._shifts(info, X):
                 if (blk, g) not in taken and self._rank(info, g, X):
                     return blk, g
-        if weights is None:
-            raise SplitError("class table: an indecomposable matches no class")
         # the signature: X's dimension profile from its lex-min support degree
         dims = module_support_degrees(X)
         a = min(dims, key=lambda d: d.values)
@@ -210,20 +210,30 @@ class _FiniteRegistry:
         return into & {stab.reduce(s + d) for s in P.shifts for d in self.support}
 
     def _rank(self, info, g, P) -> int:
-        """rank [lambda(v u)] over bases u of Hom(Q(g), P)_0 and v of
-        Hom(P, Q(g))_0, each composite v u taken in ``hom_table``."""
-        Q = info.rep.shift(g)
-        us = hom_basis(Q, P)
-        vs = hom_basis(P, Q) if us else []
-        if not vs:
+        """rank [mu(y w)] with Q = eA and mu(x) = lambda(e x e), for w over
+        the basis of P_{-g} and y over the unit vectors of each A_{-d}, d a
+        block degree of P_{-g}: the w e span Hom(Q(g), P)_0, the e y E span
+        Hom(P, Q(g))_0, and v u = e y w e.  Read on ints, the form of block d
+        from the pair tensor (-d, d); scaling a row or column keeps the rank."""
+        space = P.space(-g)
+        if not space.dim:
             return 0
-        compose = hom_table(self.algebra, Q.shifts, P.shifts, Q.shifts)
-        weights = [(k, c) for k, c in enumerate(info.weights) if c]
-        pairing = [
-            [sum(c * vu[k] for k, c in weights) for vu in (compose(v, u) for u in us)]
-            for v in vs
-        ]
-        return _kernel.rank(pairing, self.algebra.field.char)
+        A = self.algebra
+        if info._mu is None or info._mu[0] is not info.weights:
+            pt, e = A.pair_tensor(A.group.zero, A.group.zero), info.rep.entries[0][0].coords
+            mu = [sum(w * x for w, x in zip(info.weights, pt(pt(e, u), e)))
+                  for u in _kernel.identity(pt.out_dim, A.field.char)]
+            den = lcm(*(x.denominator for x in mu))
+            info._mu = (info.weights, [int(x * den) for x in mu])
+        mu = info._mu[1]
+        basis, _den = space.basis_rows()
+        rows = []
+        for d, off, n in zip(space.block_degrees, space.offsets, space.block_dims):
+            if n:
+                form = [[sum(mu[k] * c for k, c in y.get(b, ())) for b in range(n)]
+                        for y in A.pair_tensor(-d, d).rows.values()]
+                rows += _kernel.int_mul(form, basis[off : off + n])
+        return len(_kernel.rref_int(rows, A.field.char)[1])
 
     def count(self, P) -> dict:
         """P's summands: a free P read off A(0)'s count, else paired."""

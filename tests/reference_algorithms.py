@@ -26,7 +26,9 @@ the target's basis columns.
 The package counts a module's summands by the composition pairing
 against one class table per algebra; ``SplitAndMatch`` is the registry
 that counting replaced: it splits End(P)_0 into primitive idempotents
-and matches each block's summand against the classes met so far.
+and matches each block's summand against the classes met so far.  The
+pairing reads P's own component at -g; ``pairing_rank_by_hom_spaces``
+is the count it replaced, over bases of the two hom spaces.
 """
 
 from fractions import Fraction
@@ -36,8 +38,8 @@ from math import gcd
 from gradedk import _kernel
 from gradedk import algebra as alg
 from gradedk.gmod.decompose import indec_iso, module_support_degrees
-from gradedk.gmod.endos import split_projective
-from gradedk.gmod.presentations import PresentationError
+from gradedk.gmod.endos import hom_basis, split_projective
+from gradedk.gmod.presentations import PresentationError, hom_table
 from gradedk.grading import Subgroup
 
 
@@ -318,6 +320,25 @@ class SplitAndMatch:
             key = (blk, self.classes[blk][1].reduce(g))
             out[key] = out.get(key, 0) + m
         return [(self.classes[blk][0].shift(g), m) for (blk, g), m in out.items()]
+
+
+def pairing_rank_by_hom_spaces(table, info, g, P):
+    """rank [lambda(v u)] for a class of ``table``, Q its representative:
+    u over ``hom_basis(Q(g), P)``, v over ``hom_basis(P, Q(g))``, each
+    composite v u taken in ``hom_table`` and lambda read from the class's
+    ``weights``; a Bareiss rank."""
+    Q = info.rep.shift(g)
+    us = hom_basis(Q, P)
+    vs = hom_basis(P, Q) if us else []
+    if not vs:
+        return 0
+    compose = hom_table(table.algebra, Q.shifts, P.shifts, Q.shifts)
+    weights = [(k, c) for k, c in enumerate(info.weights) if c]
+    pairing = [
+        [sum(c * vu[k] for k, c in weights) for vu in (compose(v, u) for u in us)]
+        for v in vs
+    ]
+    return bareiss_rank(pairing, table.algebra.field.char)
 
 
 def fraction_rref(a):

@@ -6,7 +6,9 @@ Each algebra counts summands by the composition pairing against one
 class table; only the split of A(0) draws random numbers.  The reference
 (``reference_algorithms.SplitAndMatch``) splits every module instead, so
 the two share no counting code; their classes are compared through
-``indec_iso`` on the representatives.
+``indec_iso`` on the representatives.  The pairing's rank, read from
+the module's component at -g, is checked against the rank over bases of
+the two hom spaces (``reference_algorithms.pairing_rank_by_hom_spaces``).
 """
 
 import importlib
@@ -16,7 +18,7 @@ import pytest
 
 from gradedk import algebra as alg
 from gradedk.fields import GF, QQ
-from gradedk.grading import GradingGroup
+from gradedk.grading import GradingGroup, Subgroup
 from gradedk.gmod import (
     SplitError,
     class_info,
@@ -27,9 +29,10 @@ from gradedk.gmod import (
     summand_classes,
 )
 
-from reference_algorithms import SplitAndMatch
+from reference_algorithms import SplitAndMatch, pairing_rank_by_hom_spaces
 
 dec = importlib.import_module("gradedk.gmod.decompose")
+endos = importlib.import_module("gradedk.gmod.endos")
 
 FIELDS = [pytest.param(QQ, id="Q"), pytest.param(GF(2), id="F2"), pytest.param(GF(7), id="F7")]
 M5_SHIFTS = [0, 1, 2, 2, 3]
@@ -174,16 +177,75 @@ def test_seeded_read_off_of_the_regular_module_agrees_with_the_pairing(F):
         assert summand_classes(R) == paired, A.describe()
 
 
-def test_a_lookup_that_misses_raises():
-    # X pairs nonzero with its own class at one shift (mod the stabilizer)
-    # only, so a lookup that skips that key finds nothing
+def _pairing_corpus(F):
+    """Random presentations over the split and swan corpora and over the
+    seeded tables, among them group algebras, whose class is its own
+    shift by every degree."""
+    seeded = []
+    for i, A in enumerate(_seeded_tables(F)):
+        g = A.group.generators()[0]
+        seeded += _random(A, [A.group.zero, g, g + g], (i, i + 7))
+    return _split_corpus(F) + _swan_corpus(F) + seeded
+
+
+@pytest.mark.parametrize("F", FIELDS)
+def test_rank_is_the_pairing_of_the_hom_spaces(monkeypatch, F):
+    # the component at -g against mu gives the rank that bases of the two
+    # hom spaces and their composites give, for every class and every
+    # candidate shift of every counted module
+    kinds, nonzero = set(), 0
+    for P in _counted_modules(monkeypatch, _pairing_corpus(F)):
+        table = dec._registry(P.algebra)
+        for info in table.classes:
+            for g in table._shifts(info, P):
+                got = table._rank(info, g, P)
+                assert got == pairing_rank_by_hom_spaces(table, info, g, P)
+                nonzero += bool(got)
+            if info.stabilizer != Subgroup.trivial(P.algebra.group):
+                kinds.add("stabilizer")
+        A = P.algebra
+        if isinstance(A, (alg.MatrixAlgebra, alg.GroupAlgebraA)):
+            kinds.add("seeded")
+        elif isinstance(A, alg.RegradedAlgebra) and not A.group.is_trivial():
+            kinds.add("regrade_mod")
+        else:
+            kinds.add("split")
+    assert kinds == {"seeded", "split", "regrade_mod", "stabilizer"} and nonzero > 100
+
+
+@pytest.mark.parametrize("F", FIELDS)
+def test_counting_builds_no_hom_space(monkeypatch, F):
+    # non-free modules are paired, and the pairing builds no hom space
+    calls = {"hom_basis": 0, "_rank": 0}
+    real_hom, real_rank = dec.hom_basis, dec._FiniteRegistry._rank
+
+    def hom(X, Y):
+        calls["hom_basis"] += 1
+        return real_hom(X, Y)
+
+    def rank(self, info, g, P):
+        calls["_rank"] += 1
+        return real_rank(self, info, g, P)
+
+    monkeypatch.setattr(dec, "hom_basis", hom)
+    monkeypatch.setattr(endos, "hom_basis", hom)
+    monkeypatch.setattr(dec._FiniteRegistry, "_rank", rank)
+    M5 = alg.matrix_algebra(F, M5_SHIFTS)
+    for P in _nonfree_corpus(F) + _random(M5, [[0], [1], [3]], (4,)):
+        assert summand_classes(P)
+    assert calls["hom_basis"] == 0 and calls["_rank"] > 0
+
+
+def test_match_finds_a_shifted_class():
+    # X pairs nonzero with its own class at one shift (mod the stabilizer),
+    # so match returns that class and shift and registers nothing
     A = alg.matrix_algebra(QQ, M5_SHIFTS).positive_part()
     table = dec._registry(A)
-    X = table.classes[-1].rep.shift(A.deg([1]))
-    key = table.match(X, set())
-    assert key == (len(table.classes) - 1, A.deg([1]))
-    with pytest.raises(SplitError, match="matches no class"):
-        table.match(X, {key})
+    n = len(table.classes)
+    info = table.classes[-1]
+    X = info.rep.shift(A.deg([1]))
+    key = table.match(X, set(), info.weights, info.division_dim)
+    assert key == (n - 1, A.deg([1])) and len(table.classes) == n
 
 
 def _gate_cases():

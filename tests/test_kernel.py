@@ -542,3 +542,21 @@ def test_rref_of_empty_and_zero_width_matrices():
     for a in ([], [[]], [[], []], [[Fraction(0)] * 3] * 2):
         assert rref(a, 0) == fraction_rref(a)
         assert rank(a, 0) == 0
+
+
+@pytest.mark.parametrize("p", [2, 5, 7])
+def test_elimination_mod_p_reads_unreduced_rows_as_their_residues(p):
+    # negative entries and entries past p give the answers of their
+    # residues: rows and pivots of rref and rref_int, rank and nullspace
+    assert rref([[p, 1]], p) == ([[0, 1]], [1])
+    rng = random.Random(p)
+    for _ in range(30):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        a = [[rng.randint(-3 * p, 3 * p) for _ in range(m)] for _ in range(n)]
+        reduced = [[x % p for x in row] for row in a]
+        red, pivots = rref(a, p)
+        assert (red, pivots) == rref(reduced, p)
+        assert all(0 <= x < p for row in red for x in row)
+        assert rref_int(a, p) == (red[: len(pivots)], pivots)
+        assert rank(a, p) == len(pivots) == bareiss_rank(reduced, p)
+        assert nullspace(a, p) == nullspace(reduced, p)

@@ -58,11 +58,15 @@ def _hit_ratio_calls():
     P = regular_module(A)
     X, _blk = split_projective(P, random.Random(0))[0]
     reg = dec._registry(A)
+    info = reg.classes[0]  # X's class: forget(M_2) has one
     return {
         "algebra.pair_tensor": (lambda: A.pair_tensor(z, z), (A, z, z)),
         "algebra.component_basis": (lambda: A.component_basis(z), (A, z)),
         "presentations.space": (lambda: P.space(z), (P, z)),
-        "decompose.match": (lambda: reg.match(X, set()), (reg, X, set())),
+        "decompose.match": (
+            lambda: reg.match(X, set(), info.weights, info.division_dim),
+            (reg, X, set(), info.weights, info.division_dim),
+        ),
     }
 
 
