@@ -98,6 +98,12 @@ class GradedAlgebra:
     def describe(self) -> str:
         raise NotImplementedError
 
+    def matrix_seed(self):
+        """(shifts, label) when the algebra is M_n(F)(shifts) with e11 at
+        ``label`` in the degree-zero basis, else None.  The class table
+        reads this in place of a split of A(0)."""
+        return None
+
     # -- shared API --------------------------------------------------------
     def deg(self, values: Sequence[int]) -> Degree:
         return self.group.degree(values)
@@ -327,6 +333,9 @@ class MatrixAlgebra(GradedAlgebra):
 
     def support_radius(self):
         return tuple(max(abs(lo), abs(hi)) for lo, hi in self.support_bounds())
+
+    def matrix_seed(self):
+        return self.shifts, (0, 0)
 
     def describe(self):
         return "M%d(%s)(%s)" % (
@@ -659,7 +668,9 @@ class RegradedAlgebra(GradedAlgebra):
     the support degrees that map to D, end to end in the order of their
     values; a basis label is (parent degree values, parent label).  A
     parent without finite support is refused, so every fibre is finite
-    and read once from the parent's support.
+    and read once from the parent's support.  A regrading of a matrix
+    algebra is a matrix algebra again, on the mapped shifts
+    (``matrix_seed``).
     """
 
     def __init__(self, parent: GradedAlgebra, group: GradingGroup, to_target):
@@ -667,6 +678,7 @@ class RegradedAlgebra(GradedAlgebra):
             raise AlgebraError("regrading needs a finite-support parent")
         super().__init__(group, parent.field)
         self.parent = parent
+        self.to_target = to_target
         self._fibres = {}
         for d in sorted(parent.support_degrees(), key=lambda d: d.values):
             self._fibres.setdefault(to_target(d), []).append(d)
@@ -707,6 +719,21 @@ class RegradedAlgebra(GradedAlgebra):
 
     def support_radius(self):
         return tuple(max(abs(lo), abs(hi)) for lo, hi in self.support_bounds())
+
+    def matrix_seed(self):
+        """A regrading of M_n(F)(s) is M_n(F)(to_target(s)) (Hazrat, LMS LN
+        435, 2016, section 2.3), with e11 in the block of the parent's zero.
+        Only equal mapped shifts are seeded: A_0 is then simple, so no
+        report shows which column represents the class; with unequal ones
+        the split of A(0) picks it."""
+        seed = self.parent.matrix_seed()
+        if seed is None:
+            return None
+        shifts, label = seed
+        shifts = tuple(self.to_target(s) for s in shifts)
+        if len(set(shifts)) > 1:
+            return None
+        return shifts, (self.parent.group.zero.values, label)
 
     def describe(self):
         return f"regrade({self.parent.describe()} -> {self.group.describe()})"

@@ -8,8 +8,11 @@ and kept in ``A._registry``: ``classes[block id]`` holds one
 :class:`_ClassInfo` per class, and ``count(P)`` gives P's summands as
 {(block id, shift): multiplicity}.  The table has three sources:
 
-* a matrix algebra: one class, e11 A, with trivial stabilizer; A(0) is
-  the sum of the e_ii A = e11 A(s_1 - s_i);
+* a matrix algebra M_n(F)(s), as its ``matrix_seed`` names it: one
+  class, e11 A, with trivial stabilizer; A(0) is the sum of the
+  e_ii A = e11 A(s_1 - s_i).  A regrading along phi is M_n(F)(phi(s))
+  (graded Morita), so ``forget`` and ``regrade_mod`` of a matrix algebra
+  are seeded too when phi maps every shift to one degree;
 * a group algebra of the grading group: one class, A, whose stabilizer
   is the whole group;
 * any other finite-support algebra: one split of A(0) into primitive
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .. import _kernel
-from ..algebra import GradedAlgebra, GroupAlgebraA, MatrixAlgebra
+from ..algebra import GradedAlgebra, GroupAlgebraA
 from ..grading import Subgroup
 from .endos import hom_basis, split_projective
 from .presentations import (
@@ -307,11 +310,13 @@ def _registry(A):
     """The reduction of A, chosen by constructor and built on first use."""
     if A._registry is None:
         z = A.group.zero
-        if isinstance(A, MatrixAlgebra):
+        seed = A.matrix_seed()
+        if seed is not None:
             # e_ii A = e11 A(s_1 - s_i), so A(0) is the sum of those columns
-            e11 = A.basis_element(z, A.component_basis(z).index((0, 0)))
+            shifts, label = seed
+            e11 = A.basis_element(z, A.component_basis(z).index(label))
             column = ProjectivePresentation(A, (z,), [[e11]], check=False)
-            regular = {(0, A.shifts[0] - s): A.shifts.count(s) for s in A.shifts}
+            regular = {(0, shifts[0] - s): shifts.count(s) for s in shifts}
             reduction = _FiniteRegistry(A, [_ClassInfo(
                 column, Subgroup.trivial(A.group), ("matrix-column",), list(e11.coords)
             )], regular)

@@ -19,6 +19,7 @@ import pytest
 from gradedk import algebra as alg
 from gradedk.fields import GF, QQ
 from gradedk.grading import GradingGroup, Subgroup
+from gradedk.ktheory import k0
 from gradedk.gmod import (
     SplitError,
     class_info,
@@ -156,17 +157,32 @@ def test_counts_split_only_the_regular_module(monkeypatch, F):
 
 
 def _seeded_tables(F):
+    """Algebras whose table is seeded: matrix algebras, regradings of them
+    with all shifts mapped to one degree, and group algebras."""
     G = GradingGroup(1, (2,))
     out = [alg.matrix_algebra(F, sh) for sh in (M5_SHIFTS, [2, -1, 5])]
-    out.append(alg.matrix_algebra(F, [G.degree(v) for v in ([0, 0], [1, 1], [0, 1])]))
+    MG = alg.matrix_algebra(F, [G.degree(v) for v in ([0, 0], [1, 1], [0, 1])])
+    out.append(MG)
+    out += [
+        alg.forget_grading(alg.matrix_algebra(F, M5_SHIFTS)),
+        alg.forget_grading(alg.forget_grading(alg.matrix_algebra(F, [0, 1, 2]))),
+        alg.regrade_mod(alg.matrix_algebra(F, [0, 2, 4]), 2),
+        alg.forget_grading(MG),
+    ]
     out += [alg.group_algebra(F, H) for H in (GradingGroup(0, (6,)), G)]
     return out
+
+
+def _seeded(table) -> bool:
+    """Whether a class table was read off a constructor's seed, not split."""
+    return all(info.signature[0] != "profile" for info in table.classes)
 
 
 @pytest.mark.parametrize("F", FIELDS)
 def test_seeded_read_off_of_the_regular_module_agrees_with_the_pairing(F):
     for A in _seeded_tables(F):
         table = dec._registry(A)
+        assert _seeded(table), A.describe()
         R = regular_module(A)
         paired = {}
         for blk, info in enumerate(table.classes):
@@ -183,7 +199,7 @@ def _pairing_corpus(F):
     shift by every degree."""
     seeded = []
     for i, A in enumerate(_seeded_tables(F)):
-        g = A.group.generators()[0]
+        g = (A.group.generators() or [A.group.zero])[0]
         seeded += _random(A, [A.group.zero, g, g + g], (i, i + 7))
     return _split_corpus(F) + _swan_corpus(F) + seeded
 
@@ -204,7 +220,7 @@ def test_rank_is_the_pairing_of_the_hom_spaces(monkeypatch, F):
             if info.stabilizer != Subgroup.trivial(P.algebra.group):
                 kinds.add("stabilizer")
         A = P.algebra
-        if isinstance(A, (alg.MatrixAlgebra, alg.GroupAlgebraA)):
+        if _seeded(table):
             kinds.add("seeded")
         elif isinstance(A, alg.RegradedAlgebra) and not A.group.is_trivial():
             kinds.add("regrade_mod")
@@ -234,6 +250,42 @@ def test_counting_builds_no_hom_space(monkeypatch, F):
     for P in _nonfree_corpus(F) + _random(M5, [[0], [1], [3]], (4,)):
         assert summand_classes(P)
     assert calls["hom_basis"] == 0 and calls["_rank"] > 0
+
+
+@pytest.mark.parametrize(
+    "F,n", [pytest.param(GF(2), 12, id="F2"), pytest.param(GF(7), 14, id="F7"),
+            pytest.param(QQ, 14, id="Q")]
+)
+def test_forgotten_matrix_algebra_is_read_off_the_matrix_seed(monkeypatch, F, n):
+    # forget(M_n) is M_n(F) again (graded Morita): one class, e11 A, and
+    # A(0) its n columns, with no split of A(0), also where p divides n
+    def refuse(P, rng):
+        raise AssertionError("split of A(0)")
+
+    monkeypatch.setattr(dec, "split_projective", refuse)
+    res = k0(alg.forget_grading(alg.matrix_algebra(F, list(range(n)))))
+    assert res.module.to_json()["description"] == "Z^1"
+    assert res.regular_class == {("P0", ()): n}
+
+
+@pytest.mark.parametrize("F", FIELDS)
+def test_unequal_mapped_shifts_split_the_regular_module_once(monkeypatch, F):
+    # regrade_mod(M2(0,1), 2) maps its shifts to 0 and 1 mod 2: the split
+    # of A(0) chooses the column that represents the class, once
+    splits = []
+    real = dec.split_projective
+
+    def recording(P, rng):
+        splits.append(P)
+        return real(P, rng)
+
+    monkeypatch.setattr(dec, "split_projective", recording)
+    A = alg.regrade_mod(alg.matrix_algebra(F, [0, 1]), 2)
+    assert A.matrix_seed() is None
+    for P in [regular_module(A)] + _random(A, [[0], [1]], range(3)):
+        assert summand_classes(P)
+    assert len(splits) == 1 and splits[0].entries == [[A.one()]]
+    assert not _seeded(dec._registry(A))
 
 
 def test_match_finds_a_shifted_class():

@@ -276,6 +276,16 @@ def test_demo_script_prints_its_golden_reports(capsys):
     assert out == (perfbench / "demo.golden.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("field", ["fp:2", "fp:7"])
+def test_demo_script_passes_over_a_prime_field(capsys, field):
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    assert cli.main([str(perfbench / "demo.gk"), "--json", "--field", field]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert len(reports) == 9
+    assert [r["verdict"] for r in reports] == ["pass"] * 9
+    assert all(c["ok"] for r in reports for c in r["hypothesis_checks"])
+
+
 @pytest.mark.parametrize(
     "script",
     [

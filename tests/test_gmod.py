@@ -825,15 +825,12 @@ def test_class_multiset_is_derived_once_per_presentation(monkeypatch, A, shifts)
 # -- cross-path oracle: the matrix-algebra special case against the registry -------
 
 
-class _NoMatrixDispatch:
-    """Stands in for MatrixAlgebra in decompose: no algebra is one, so every
-    matrix algebra takes the generic registry path."""
-
-
 def _matrix_oracle_modules(A):
+    z = A.group.zero
+    g = (A.group.generators() or [z])[0]
     R = regular_module(A)
-    mods = [R, direct_sum(R, R.shift(A.deg([1]))), free_module(A, [[0], [2], [-1]])]
-    return mods + [random_presentation(A, [[0], [1], [3]], random.Random(s)) for s in range(3)]
+    mods = [R, direct_sum(R, R.shift(g)), free_module(A, [z, g + g, -g])]
+    return mods + [random_presentation(A, [z, g, g + g + g], random.Random(s)) for s in range(3)]
 
 
 def _translated_multiset(classes):
@@ -846,18 +843,27 @@ def _translated_multiset(classes):
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])
 def test_matrix_special_case_agrees_with_registry_path(monkeypatch, field):
-    special_alg = alg.matrix_algebra(field, [0, 1, 2, 2, 3])
-    special = [summand_classes(P) for P in _matrix_oracle_modules(special_alg)]
-    generic_alg = alg.matrix_algebra(field, [0, 1, 2, 2, 3])
-    monkeypatch.setattr(dec, "MatrixAlgebra", _NoMatrixDispatch)
-    generic = [summand_classes(P) for P in _matrix_oracle_modules(generic_alg)]
-    # only the split of A(0) gives a class a profile signature
-    assert [c.signature[0] for c in generic_alg._registry.classes] == ["profile"]
-    offsets = set()
-    for want, got in zip(special, generic):
-        want_set, want_least = _translated_multiset(want)
-        got_set, got_least = _translated_multiset(got)
-        assert got_set == want_set
-        offsets.add(got_least - want_least)
-    # one registry representative: a single translation for every module
-    assert len(offsets) == 1
+    # a matrix algebra and its regradings read their table off the matrix
+    # seed; with the seed switched off they split A(0) like any algebra
+    builds = [
+        lambda: alg.matrix_algebra(field, [0, 1, 2, 2, 3]),
+        lambda: alg.forget_grading(alg.matrix_algebra(field, [0, 1, 2, 2, 3])),
+        lambda: alg.regrade_mod(alg.matrix_algebra(field, [0, 2, 4]), 2),
+    ]
+    for build in builds:
+        special_alg = build()
+        special = [summand_classes(P) for P in _matrix_oracle_modules(special_alg)]
+        assert [c.signature[0] for c in special_alg._registry.classes] == ["matrix-column"]
+        generic_alg = build()
+        monkeypatch.setattr(generic_alg, "matrix_seed", lambda: None)
+        generic = [summand_classes(P) for P in _matrix_oracle_modules(generic_alg)]
+        # only the split of A(0) gives a class a profile signature
+        assert [c.signature[0] for c in generic_alg._registry.classes] == ["profile"]
+        offsets = set()
+        for want, got in zip(special, generic):
+            want_set, want_least = _translated_multiset(want)
+            got_set, got_least = _translated_multiset(got)
+            assert got_set == want_set
+            offsets.add(got_least - want_least)
+        # one registry representative: a single translation for every module
+        assert len(offsets) == 1
